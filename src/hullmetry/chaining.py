@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParamOutOfRange, TooLarge
 from .geometry import PointCloud, _as_points
-from .covering import greedy_cover
+from .covering import _greedy_centers
 from . import sampling
 
 EXACT_CAP = 5
@@ -271,7 +271,7 @@ def entropy_integral(cloud, alpha: float) -> GammaEstimate:
         grid.append(min_gap)
 
     def f(eps: float) -> float:
-        cover = greedy_cover(pts, eps).n_greedy
+        cover = len(_greedy_centers(pts, eps))
         return math.log(cover) ** (1.0 / alpha) if cover > 1 else 0.0
 
     total = 0.0

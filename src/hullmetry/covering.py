@@ -19,6 +19,7 @@ from .geometry import (
     volume_det,
     volume_ratio_poly,
     _as_points,
+    _facet_normal,
 )
 from . import sampling
 
@@ -67,11 +68,8 @@ def _points_of(cloud) -> np.ndarray:
     return _as_points(cloud)
 
 
-def greedy_cover(cloud, epsilon: float) -> CoveringReport:
-    """Farthest-point greedy cover; an upper bound on the covering number."""
-    if epsilon <= 0:
-        raise ParamOutOfRange("epsilon must be positive")
-    pts = _points_of(cloud)
+def _greedy_centers(pts: np.ndarray, epsilon: float) -> list[int]:
+    """Indices of the farthest-point greedy epsilon-cover centers, in pick order."""
     n = len(pts)
     mind = np.full(n, np.inf)
     centers: list[int] = []
@@ -82,13 +80,21 @@ def greedy_cover(cloud, epsilon: float) -> CoveringReport:
         centers.append(far)
         d = np.linalg.norm(pts - pts[far], axis=1)
         mind = np.minimum(mind, d)
-    report = CoveringReport(
+    return centers
+
+
+def greedy_cover(cloud, epsilon: float) -> CoveringReport:
+    """Farthest-point greedy cover; an upper bound on the covering number."""
+    if epsilon <= 0:
+        raise ParamOutOfRange("epsilon must be positive")
+    pts = _points_of(cloud)
+    centers = _greedy_centers(pts, epsilon)
+    return CoveringReport(
         epsilon=float(epsilon),
         n_greedy=len(centers),
         n_packing=packing_number(pts, epsilon),
         centers=pts[centers],
     )
-    return report
 
 
 def exact_cover_small(cloud, epsilon: float) -> int:
@@ -121,7 +127,7 @@ def exact_cover_small(cloud, epsilon: float) -> int:
                 kept.append(i)
     cand = [masks[i] for i in kept]
 
-    best = greedy_cover(pts, epsilon).n_greedy
+    best = len(_greedy_centers(pts, epsilon))
     max_size = max(bin(m).count("1") for m in cand)
 
     def dfs(covered: int, used: int):
@@ -162,19 +168,11 @@ def inradius(poly: Polytope) -> float:
     centroid = poly.vertices.mean(axis=0)
     rows, rhs = [], []
     for simp in poly.boundary.simplices:
-        base = poly.vertices[simp[0]]
-        mat = poly.vertices[simp[1:]] - base
-        normal = np.empty(n)
-        for i in range(n):
-            normal[i] = (-1) ** i * np.linalg.det(np.delete(mat, i, axis=1))
-        nn = np.linalg.norm(normal)
-        if nn == 0:
+        normal, offset = _facet_normal(poly.vertices, simp, centroid)
+        if normal is None:
             continue
-        normal /= nn
-        if normal @ centroid > normal @ base:
-            normal = -normal
         rows.append(np.append(normal, 1.0))
-        rhs.append(normal @ base)
+        rhs.append(offset)
     c = np.zeros(n + 1)
     c[-1] = -1.0
     res = linprog(
@@ -274,8 +272,8 @@ def check_hull_cover_ratio(T, epsilon: float, mode: str = "poly", R: float | Non
         if R is None:
             R = 1.0
     hull_pts, _ = sampling.sample_hull(hull_source, h=h)
-    n_body = greedy_cover(body_pts, epsilon).n_greedy
-    n_hull = greedy_cover(hull_pts, epsilon).n_greedy
+    n_body = len(_greedy_centers(body_pts, epsilon))
+    n_hull = len(_greedy_centers(hull_pts, epsilon))
     bound = R * 3.0**dim * n_body
     slack = bound - n_hull
     return HullCoverCertificate(

@@ -7,6 +7,7 @@ can cross-check each other.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -137,16 +138,27 @@ def unit_ball_volume(n: int, radius: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _facet_normal(pts: np.ndarray, verts: tuple, interior: np.ndarray):
-    """Unit normal of the hyperplane through ``verts`` pointing away from ``interior``."""
+@functools.lru_cache(maxsize=None)
+def _minor_cols(d: int) -> np.ndarray:
+    """Read-only (d, d-1) table: row i lists the columns kept when column i is deleted."""
+    cols = np.array([[j for j in range(d) if j != i] for i in range(d)], dtype=np.intp)
+    cols.flags.writeable = False
+    return cols
+
+
+def _facet_normal(pts: np.ndarray, verts, interior: np.ndarray):
+    """Unit normal and offset of the hyperplane through ``verts``, facing away from ``interior``.
+
+    The generalized cross product is expanded in cofactors; the d minors are
+    stacked into one ``det`` call, which still factors each minor on its own.
+    Returns ``(None, 0.0)`` for an affinely degenerate ``verts``.
+    """
     base = pts[verts[0]]
     rows = pts[list(verts[1:])] - base
-    # generalized cross product via cofactor expansion
     d = pts.shape[1]
-    normal = np.empty(d)
-    for i in range(d):
-        minor = np.delete(rows, i, axis=1)
-        normal[i] = (-1) ** i * np.linalg.det(minor)
+    minors = np.swapaxes(rows[:, _minor_cols(d)], 0, 1)
+    normal = np.linalg.det(minors)
+    normal[1::2] = -normal[1::2]
     norm = np.linalg.norm(normal)
     if norm == 0.0:
         return None, 0.0
@@ -159,14 +171,18 @@ def _facet_normal(pts: np.ndarray, verts: tuple, interior: np.ndarray):
 
 
 class _Facet:
-    __slots__ = ("verts", "normal", "offset", "outside", "alive")
+    __slots__ = ("verts", "normal", "offset", "outside")
 
     def __init__(self, verts, normal, offset):
         self.verts = verts
         self.normal = normal
         self.offset = offset
         self.outside: list[int] = []
-        self.alive = True
+
+
+def _ridges(verts: tuple) -> list[tuple]:
+    """Sorted vertex tuples of a facet's ridges, one per omitted vertex."""
+    return [tuple(sorted(verts[:omit] + verts[omit + 1 :])) for omit in range(len(verts))]
 
 
 def _initial_simplex(pts: np.ndarray, tau: float) -> list[int]:
@@ -189,12 +205,154 @@ def _initial_simplex(pts: np.ndarray, tau: float) -> list[int]:
     return chosen
 
 
+def _flat_vertices(facets: list[_Facet], n: int) -> set[int]:
+    """Vertices whose incident facet normals do not span R^n.
+
+    Such a vertex lies inside an edge or a face of the hull, so it is a convex
+    combination of other vertices. Quickhull makes one when a lowest-index
+    tie (in the initial simplex or among equally far apexes) picks the middle
+    point of a lattice line.
+    """
+    verts = np.array([f.verts for f in facets]).ravel()
+    normals = np.array([f.normal for f in facets])
+    order = np.argsort(verts, kind="stable")
+    ids, starts, degree = np.unique(verts[order], return_index=True, return_counts=True)
+    owner = order // n
+    flat: set[int] = set()
+    for k in np.unique(degree):
+        group = np.flatnonzero(degree == k)
+        if k < n:
+            flat.update(ids[group].tolist())
+            continue
+        rows = owner[starts[group][:, None] + np.arange(k)]
+        sigma_min = np.linalg.svd(normals[rows], compute_uv=False)[:, -1]
+        flat.update(ids[group[sigma_min <= TAU_GEOM]].tolist())
+    return flat
+
+
+def _hull_facets(pts: np.ndarray, tau: float) -> list[_Facet]:
+    """Live facets of the Quickhull of ``pts``, in creation order.
+
+    The ridge adjacency of the live facets is kept incrementally: a new facet
+    adds its ridges, a dead one removes them (and its slot in ``facets`` is
+    cleared), and the horizon is read off the ridges of the visible facets
+    alone. An iteration therefore costs in proportion to the facets it
+    replaces, not to the whole hull.
+    """
+    n = pts.shape[1]
+    init = _initial_simplex(pts, tau)
+    interior = pts[init].mean(axis=0)
+
+    facets: list[_Facet | None] = []  # by id; None once the facet is dead
+    ridge_map: dict[tuple, list[int]] = {}  # ridge -> ids of the live facets holding it
+
+    def add_facet(verts, normal, offset) -> int:
+        fid = len(facets)
+        for ridge in _ridges(verts):
+            ridge_map.setdefault(ridge, []).append(fid)
+        facets.append(_Facet(verts, normal, offset))
+        return fid
+
+    def kill_facet(fid: int) -> None:
+        for ridge in _ridges(facets[fid].verts):
+            members = ridge_map[ridge]
+            members.remove(fid)
+            if not members:
+                del ridge_map[ridge]
+        facets[fid] = None
+
+    for omit in range(n + 1):
+        verts = tuple(init[i] for i in range(n + 1) if i != omit)
+        normal, offset = _facet_normal(pts, verts, interior)
+        if normal is None:
+            raise DegenerateInput("initial simplex facet is degenerate")
+        add_facet(verts, normal, offset)
+
+    in_simplex = set(init)
+    for idx in range(len(pts)):
+        if idx in in_simplex:
+            continue
+        for f in facets:
+            if f.normal @ pts[idx] - f.offset > tau:
+                f.outside.append(idx)
+                break
+
+    # Facets before the cursor are dead or have no outside points; neither
+    # can change, because only facets created later receive points.
+    cursor = 0
+    while True:
+        # first live facet (by creation order) with outside points
+        while cursor < len(facets) and not (facets[cursor] and facets[cursor].outside):
+            cursor += 1
+        if cursor == len(facets):
+            break
+        pick = cursor
+        f = facets[pick]
+        dists = np.array([f.normal @ pts[i] - f.offset for i in f.outside])
+        far_pos = int(np.argmax(dists))
+        apex = f.outside[far_pos]
+
+        apex_pt = pts[apex]
+        visible = {pick}
+        stack = [pick]
+        while stack:
+            g = facets[stack.pop()]
+            for ridge in _ridges(g.verts):
+                for nb in ridge_map[ridge]:
+                    if nb in visible:
+                        continue
+                    h = facets[nb]
+                    if h.normal @ apex_pt - h.offset > tau:
+                        visible.add(nb)
+                        stack.append(nb)
+
+        horizon = []
+        for fid in visible:
+            for ridge in _ridges(facets[fid].verts):
+                members = ridge_map[ridge]
+                if len(members) == 2 and (members[0] in visible) != (members[1] in visible):
+                    horizon.append(ridge)
+        horizon.sort()
+
+        orphan: list[int] = []
+        for fid in visible:
+            orphan.extend(facets[fid].outside)
+            kill_facet(fid)
+        orphan = sorted(set(orphan) - {apex})
+
+        new_ids = []
+        for ridge in horizon:
+            verts = tuple(ridge) + (apex,)
+            normal, offset = _facet_normal(pts, verts, interior)
+            if normal is None:
+                continue
+            new_ids.append(add_facet(verts, normal, offset))
+
+        for idx in orphan:
+            for fid in new_ids:
+                g = facets[fid]
+                if g.normal @ pts[idx] - g.offset > tau:
+                    g.outside.append(idx)
+                    break
+
+    return [f for f in facets if f is not None]
+
+
 def quickhull(cloud: PointCloud | np.ndarray) -> Polytope:
     """Convex hull with consistently oriented simplicial boundary.
 
     Points within the predicate tolerance of a facet hyperplane count as on
     it; ties in farthest-point selection break toward the lowest index, so
-    the construction is deterministic.
+    the construction is deterministic. The ridge adjacency is maintained
+    incrementally (see :func:`_hull_facets`), so the cost follows the facets
+    created rather than growing with the square of the hull size. Every
+    returned vertex is an extreme point: a tie-broken pick that lands inside
+    a hull face is dropped and the hull rebuilt from the remaining vertices.
+
+    The hull is not delegated to Qhull (``scipy.spatial.ConvexHull``): Qhull
+    triangulates coplanar faces differently (it splits a cube's squares
+    along the other diagonals), which changes the boundary samples drawn
+    from the hull and with them the certified values in ``results.json``.
     """
     pts = cloud.points if isinstance(cloud, PointCloud) else _as_points(cloud)
     n = pts.shape[1]
@@ -206,112 +364,23 @@ def quickhull(cloud: PointCloud | np.ndarray) -> Polytope:
         raise DegenerateInput("need at least n+1 points in R^n")
     tau = TAU_GEOM * _scale_of(pts)
 
-    init = _initial_simplex(pts, tau)
-    interior = pts[init].mean(axis=0)
-
-    facets: list[_Facet] = []
-    for omit in range(n + 1):
-        verts = tuple(init[i] for i in range(n + 1) if i != omit)
-        normal, offset = _facet_normal(pts, verts, interior)
-        if normal is None:
-            raise DegenerateInput("initial simplex facet is degenerate")
-        facets.append(_Facet(verts, normal, offset))
-
-    in_simplex = set(init)
-    for idx in range(len(pts)):
-        if idx in in_simplex:
-            continue
-        for f in facets:
-            if f.normal @ pts[idx] - f.offset > tau:
-                f.outside.append(idx)
-                break
-
-    cursor = 0
     while True:
-        # first live facet (by creation order) with outside points
-        pick = None
-        for fid in range(cursor, len(facets)):
-            f = facets[fid]
-            if f.alive and f.outside:
-                pick = fid
-                break
-            if f.alive and not f.outside and fid == cursor:
-                cursor += 1
-        if pick is None:
+        live = _hull_facets(pts, tau)
+        hull_idx = sorted({v for f in live for v in f.verts})
+        flat = _flat_vertices(live, n)
+        if not flat:
             break
-        f = facets[pick]
-        dists = np.array([f.normal @ pts[i] - f.offset for i in f.outside])
-        far_pos = int(np.argmax(dists))
-        apex = f.outside[far_pos]
+        # A tie made a point inside a hull face a vertex; the hull of the
+        # other vertices is the same body, so rebuild from those alone.
+        pts = pts[sorted(set(hull_idx) - flat)]
 
-        # ridge adjacency over live facets
-        ridge_map: dict[tuple, list[int]] = {}
-        for fid, g in enumerate(facets):
-            if not g.alive:
-                continue
-            for omit in range(n):
-                ridge = tuple(sorted(g.verts[:omit] + g.verts[omit + 1 :]))
-                ridge_map.setdefault(ridge, []).append(fid)
-
-        apex_pt = pts[apex]
-        visible = {pick}
-        stack = [pick]
-        while stack:
-            fid = stack.pop()
-            g = facets[fid]
-            for omit in range(n):
-                ridge = tuple(sorted(g.verts[:omit] + g.verts[omit + 1 :]))
-                for nb in ridge_map[ridge]:
-                    if nb in visible:
-                        continue
-                    h = facets[nb]
-                    if h.normal @ apex_pt - h.offset > tau:
-                        visible.add(nb)
-                        stack.append(nb)
-
-        horizon = []
-        for ridge, members in ridge_map.items():
-            vis = [m for m in members if m in visible]
-            if len(vis) == 1 and len(members) == 2:
-                horizon.append(ridge)
-        horizon.sort()
-
-        orphan: list[int] = []
-        for fid in visible:
-            orphan.extend(facets[fid].outside)
-            facets[fid].alive = False
-            facets[fid].outside = []
-        orphan = sorted(set(orphan) - {apex})
-
-        new_ids = []
-        for ridge in horizon:
-            verts = tuple(ridge) + (apex,)
-            normal, offset = _facet_normal(pts, verts, interior)
-            if normal is None:
-                continue
-            facets.append(_Facet(verts, normal, offset))
-            new_ids.append(len(facets) - 1)
-
-        for idx in orphan:
-            for fid in new_ids:
-                g = facets[fid]
-                if g.normal @ pts[idx] - g.offset > tau:
-                    g.outside.append(idx)
-                    break
-
-    live = [f for f in facets if f.alive]
-    hull_idx = sorted({v for f in live for v in f.verts})
     remap = {old: new for new, old in enumerate(hull_idx)}
     vertices = pts[hull_idx]
     centroid = vertices.mean(axis=0)
-    simplices = []
-    for f in live:
-        simp = [remap[v] for v in f.verts]
-        coords = vertices[simp]
-        if np.linalg.det(coords - centroid) < 0:
-            simp[0], simp[1] = simp[1], simp[0]
-        simplices.append(simp)
-    simplices_arr = np.array(sorted(simplices), dtype=int)
+    simplices = np.array([[remap[v] for v in f.verts] for f in live], dtype=int)
+    flip = np.linalg.det(vertices[simplices] - centroid) < 0
+    simplices[flip, :2] = simplices[flip, 1::-1]
+    simplices_arr = np.array(sorted(simplices.tolist()), dtype=int)
     boundary = SimplicialBoundary(vertices, simplices_arr, n)
     facet_tuples = tuple(tuple(s) for s in simplices_arr.tolist())
     return Polytope(vertices, boundary, n, facets=facet_tuples)
@@ -322,22 +391,13 @@ def hull_contains(poly: Polytope, points: np.ndarray, tol: float | None = None) 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if tol is None:
         tol = TAU_GEOM * _scale_of(poly.vertices)
+    centroid = poly.vertices.mean(axis=0)
     inside = np.ones(len(pts), dtype=bool)
     for simp in poly.boundary.simplices:
-        base = poly.vertices[simp[0]]
-        rows = poly.vertices[simp[1:]] - base
-        n = poly.dim
-        normal = np.empty(n)
-        for i in range(n):
-            normal[i] = (-1) ** i * np.linalg.det(np.delete(rows, i, axis=1))
-        nn = np.linalg.norm(normal)
-        if nn == 0:
+        normal, offset = _facet_normal(poly.vertices, simp, centroid)
+        if normal is None:
             continue
-        normal /= nn
-        centroid = poly.vertices.mean(axis=0)
-        if normal @ centroid > normal @ base:
-            normal = -normal
-        inside &= pts @ normal - normal @ base <= tol
+        inside &= pts @ normal - offset <= tol
     return inside
 
 

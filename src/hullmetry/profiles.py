@@ -22,6 +22,8 @@ class EntropyProfile:
     form: str = "plain"  # "plain" | "loglog"
 
     def __post_init__(self):
+        if not (math.isfinite(self.chi) and math.isfinite(self.psi)):
+            raise ParamOutOfRange("profile exponents chi and psi must be finite")
         if self.chi < 2.0 - _EXACT:
             raise ParamOutOfRange("profiles require chi >= 2")
         if self.form not in ("plain", "loglog"):

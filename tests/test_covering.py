@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hullmetry import covering
+from hullmetry.chaining import entropy_integral
 from hullmetry.errors import ParamOutOfRange, TooLarge
 from hullmetry.covering import (
     check_hull_cover_ratio,
@@ -15,7 +17,7 @@ from hullmetry.covering import (
     volume_cover_bounds,
 )
 from hullmetry.fixtures import lshape, unit_square
-from hullmetry.geometry import polytope_from_facets, quickhull, unit_ball_volume
+from hullmetry.geometry import PointCloud, polytope_from_facets, quickhull, unit_ball_volume
 
 from oracles import exhaustive_set_cover
 
@@ -86,6 +88,26 @@ def test_exact_cap_enforced():
 def test_packing_examples():
     assert packing_number(TWO, 0.5) == 2
     assert packing_number(np.array([[0.0, 0.0]]), 0.5) == 1
+
+
+def test_packing_is_computed_only_on_request(monkeypatch):
+    pts = np.random.default_rng(31).uniform(0, 1, (60, 2))
+    rep = greedy_cover(pts, 0.3)
+    assert rep.n_packing == packing_number(pts, 0.3) == 8
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("packing_number called by a caller that only needs n_greedy")
+
+    monkeypatch.setattr(covering, "packing_number", refuse)
+    # values recorded when every greedy cover also computed its packing number
+    assert entropy_integral(pts, 2.0).value == 1.5998924848873077
+    cert = check_hull_cover_ratio(PointCloud(pts), 0.3)
+    assert (cert.n_hull, cert.n_body, cert.bound, cert.holds) == (9, 9, 81.0, True)
+    cert = check_hull_cover_ratio(lshape_poly(), 0.8)
+    assert (cert.n_hull, cert.n_body, cert.bound, cert.holds) == (6, 6, 63.0, True)
+    assert exact_cover_small(pts[:14], 0.35) == 5
+    with pytest.raises(AssertionError):
+        greedy_cover(pts, 0.3)
 
 
 def test_packing_sandwich_11_point_grid():

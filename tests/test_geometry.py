@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -117,6 +118,68 @@ def test_quickhull_grid_with_coplanar_facets():
     assert hull_contains(hull, grid).all()
     # only the 8 corners are extreme, face/edge midpoints are not vertices
     assert len(hull.vertices) == 8
+
+
+def test_quickhull_drops_a_tie_picked_edge_midpoint():
+    # (0, 1) is the first point of least x, so it seeds the initial simplex,
+    # yet it is the midpoint of the left edge and no vertex of the square
+    pts = np.array([[0, 1], [0, 0], [1, 1], [2, 2], [2, 1], [1, 2], [0, 2], [2, 0], [1, 0]], float)
+    hull = quickhull(pts)
+    assert sorted(map(tuple, hull.vertices.tolist())) == [(0, 0), (0, 2), (2, 0), (2, 2)]
+    assert volume_det(hull.boundary) == pytest.approx(4.0, rel=1e-12)
+
+
+def _pinned_clouds():
+    rng = np.random.default_rng(101)
+    sphere = rng.standard_normal((500, 3))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    g = np.arange(5.0)
+    return {
+        "sphere500_r3": sphere,
+        "gauss300_r5": np.random.default_rng(102).standard_normal((300, 5)),
+        "lattice5_r3": np.array([[x, y, z] for x in g for y in g for z in g]),
+        "gauss_rounded_r3": np.round(np.random.default_rng(103).standard_normal((400, 3)), 1),
+    }
+
+
+# sha256 of vertices.tobytes() + boundary.simplices.tobytes(), recorded with the
+# Quickhull that rebuilt its ridge map on every iteration. A changed initial
+# simplex, pick order, apex, tolerance test, horizon order or outside-set
+# assignment shows up here as a different triangulation.
+PINNED_HULL_DIGESTS = {
+    "sphere500_r3": "5d7c7d83cef50cac0a60f9b3b01a05079ffc35343b6955181e897e6733668241",
+    "gauss300_r5": "ced3ec177c8f92c546a2f196430c668c879026a8683cbea4e37534d979b128aa",
+    "lattice5_r3": "68db971cf8a2dbb145b90a6b2e0b8f4c299ea268da8e58235d78f9ceb28fd93b",
+    "gauss_rounded_r3": "c6b1662d430f746debc8a1d42e659d046b5544b04be2e4868a2f39836a4f3a26",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HULL_DIGESTS))
+def test_quickhull_output_is_bit_identical_to_pinned(name):
+    hull = quickhull(_pinned_clouds()[name])
+    digest = hashlib.sha256(hull.vertices.tobytes() + hull.boundary.simplices.tobytes())
+    assert digest.hexdigest() == PINNED_HULL_DIGESTS[name]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from(["random", "lattice"]))
+def test_quickhull_vertices_match_extreme_points_property(seed, kind):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 4))
+    if kind == "random":
+        pts = rng.uniform(-1, 1, (int(rng.integers(n + 1, 11)), n))
+    else:
+        # distinct points of the 3^n lattice: collinear and coplanar subsets abound
+        lattice = np.stack(np.meshgrid(*[np.arange(3.0)] * n, indexing="ij"), -1).reshape(-1, n)
+        size = int(rng.integers(n + 1, min(len(lattice), 10) + 1))
+        pts = lattice[rng.choice(len(lattice), size, replace=False)]
+    if np.linalg.matrix_rank(pts[1:] - pts[0]) < n:
+        with pytest.raises(DegenerateInput):
+            quickhull(pts)
+        return
+    hull = quickhull(pts)
+    expected = sorted(map(tuple, pts[extreme_points(pts)].tolist()))
+    assert sorted(map(tuple, hull.vertices.tolist())) == expected
 
 
 # ---------------------------------------------------------------------------

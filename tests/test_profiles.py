@@ -50,6 +50,16 @@ def test_hull_profile_rejects_unlisted():
         EntropyProfile(1.5, 0.0)
 
 
+@pytest.mark.parametrize(
+    "chi, psi",
+    [(math.nan, 0.0), (math.inf, 0.0), (3.0, math.nan), (2.0, -math.inf), (-math.inf, 0.0)],
+)
+def test_profile_rejects_non_finite_exponents(chi, psi):
+    # nan < 2 is false, so a plain range check would let chi = nan through
+    with pytest.raises(ParamOutOfRange):
+        EntropyProfile(chi, psi)
+
+
 def test_ratio_bound_kinds_and_labels():
     assert ratio_bound(EntropyProfile(3.0, 0.0)).kind == "constant"
     assert ratio_bound(EntropyProfile(3.0, 0.0)).constant_label == "C3"
