@@ -11,9 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist, pdist
 
 from .errors import ParamOutOfRange, TooLarge
-from .geometry import PointCloud, _as_points
+from .geometry import _points_of
 from .covering import _greedy_centers
 from . import sampling
 
@@ -66,18 +67,8 @@ class SupEstimate:
     seed: int
 
 
-def _points_of(cloud) -> np.ndarray:
-    if isinstance(cloud, PointCloud):
-        return cloud.points
-    return _as_points(cloud)
-
-
 def _diam(pts: np.ndarray, idx) -> float:
-    sub = pts[list(idx)]
-    if len(sub) < 2:
-        return 0.0
-    d = np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=-1)
-    return float(d.max())
+    return float(pdist(pts[list(idx)]).max(initial=0.0))
 
 
 def _set_partitions(items: list):
@@ -232,8 +223,7 @@ def _cell_diam(pts: np.ndarray, cell: np.ndarray):
     best = (0.0, 0, 0)
     chunk = 512
     for start in range(0, k, chunk):
-        block = sub[start : start + chunk]
-        d = np.linalg.norm(block[:, None, :] - sub[None, :, :], axis=-1)
+        d = cdist(sub[start : start + chunk], sub)
         flat = int(np.argmax(d))
         i, j = divmod(flat, k)
         val = float(d[i, j])
@@ -252,16 +242,9 @@ def entropy_integral(cloud, alpha: float) -> GammaEstimate:
     pts = np.unique(_points_of(cloud), axis=0)
     if alpha <= 0:
         raise ParamOutOfRange("alpha must be positive")
-    n = len(pts)
-    if n == 1:
+    diam, min_gap = _diameter_and_gap(pts)
+    if min_gap == 0.0:
         return GammaEstimate(alpha, 0.0, "entropy_integral")
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    diam = float(d.max())
-    off = d[np.triu_indices(n, k=1)]
-    positive = off[off > 0]
-    if diam <= 0 or len(positive) == 0:
-        return GammaEstimate(alpha, 0.0, "entropy_integral")
-    min_gap = float(positive.min())
 
     ratio = 2 ** (-0.25)
     grid = [diam]
@@ -278,7 +261,7 @@ def entropy_integral(cloud, alpha: float) -> GammaEstimate:
     for hi, lo in zip(grid, grid[1:]):
         total += (hi - lo) * f(lo)
     # below the smallest gap every point needs its own ball
-    total += grid[-1] * math.log(n) ** (1.0 / alpha)
+    total += grid[-1] * math.log(len(pts)) ** (1.0 / alpha)
     return GammaEstimate(alpha, total, "entropy_integral")
 
 
@@ -367,7 +350,7 @@ def certify_hull_gamma(T, alpha: float, mode: str = "poly", R: float | None = No
         pts_T = T.points if isinstance(T, BodyApprox) else _points_of(T)
         hull_source = pts_T
         dim = pts_T.shape[1]
-        hull_h = _nearest_neighbor_gap(pts_T)
+        hull_h = _diameter_and_gap(pts_T)[1] or 1.0  # the cloud's own resolution
         if R is None:
             R = 1.0
 
@@ -396,14 +379,11 @@ def certify_hull_gamma(T, alpha: float, mode: str = "poly", R: float | None = No
     )
 
 
-def _nearest_neighbor_gap(pts: np.ndarray) -> float:
-    """Smallest positive nearest-neighbor distance; the cloud's own resolution."""
-    if len(pts) < 2:
-        return 1.0
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    off = d[np.triu_indices(len(pts), k=1)]
-    positive = off[off > 0]
-    return float(positive.min()) if len(positive) else 1.0
+def _diameter_and_gap(pts: np.ndarray) -> tuple[float, float]:
+    """Diameter and smallest positive interpoint distance; the gap is 0.0 when there is none."""
+    d = pdist(pts)
+    positive = d[d > 0]
+    return float(d.max(initial=0.0)), float(positive.min()) if len(positive) else 0.0
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .errors import HullmetryError
-from .geometry import load_body, load_cloud, quickhull, triangulate_boundary, volume_det, volume_projected
+from .geometry import load_body, load_cloud, quickhull, volume_det, volume_projected
 from .minkowski import BodyApprox, check_reverse_bm, minkowski_average
 from .covering import exact_cover_small, greedy_cover
 from .chaining import entropy_integral, gamma_exact_small, gamma_greedy, gaussian_sup_mc
@@ -58,8 +58,7 @@ def cmd_hull(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    body = load_body(args.body)
-    boundary = triangulate_boundary(body)
+    boundary = load_body(args.body).boundary
     _emit({"volume_det": volume_det(boundary), "volume_projected": volume_projected(boundary)})
     return 0
 

@@ -10,16 +10,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial.distance import cdist
 
 from .errors import ParamOutOfRange, TooLarge
 from .geometry import (
-    Polytope,
-    PointCloud,
-    unit_ball_volume,
-    volume_det,
-    volume_ratio_poly,
-    _as_points,
-    _facet_normal,
+    Polytope, unit_ball_volume, volume_det, volume_ratio_poly, _halfspaces, _points_of,
 )
 from . import sampling
 
@@ -62,12 +57,6 @@ class CoveringReport:
         return ",".join(cells)
 
 
-def _points_of(cloud) -> np.ndarray:
-    if isinstance(cloud, PointCloud):
-        return cloud.points
-    return _as_points(cloud)
-
-
 def _greedy_centers(pts: np.ndarray, epsilon: float) -> list[int]:
     """Indices of the farthest-point greedy epsilon-cover centers, in pick order."""
     n = len(pts)
@@ -108,14 +97,8 @@ def exact_cover_small(cloud, epsilon: float) -> int:
     n = len(pts)
     if n > EXACT_COVER_CAP:
         raise TooLarge(f"exact cover capped at {EXACT_COVER_CAP} points, got {n}")
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    masks = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if dist[i, j] <= epsilon:
-                mask |= 1 << j
-        masks.append(mask)
+    within = cdist(pts, pts) <= epsilon
+    masks = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in within]
     full = (1 << n) - 1
 
     # drop dominated candidate balls (strict subsets of another ball)
@@ -165,20 +148,13 @@ def packing_number(cloud, epsilon: float) -> int:
 def inradius(poly: Polytope) -> float:
     """Chebyshev radius of a convex polytope via linear programming."""
     n = poly.dim
-    centroid = poly.vertices.mean(axis=0)
-    rows, rhs = [], []
-    for simp in poly.boundary.simplices:
-        normal, offset = _facet_normal(poly.vertices, simp, centroid)
-        if normal is None:
-            continue
-        rows.append(np.append(normal, 1.0))
-        rhs.append(offset)
+    normals, offsets = _halfspaces(poly)
     c = np.zeros(n + 1)
     c[-1] = -1.0
     res = linprog(
         c,
-        A_ub=np.array(rows),
-        b_ub=np.array(rhs),
+        A_ub=np.column_stack([normals, np.ones(len(normals))]),
+        b_ub=offsets,
         bounds=[(None, None)] * n + [(0, None)],
         method="highs",
     )

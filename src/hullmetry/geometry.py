@@ -10,10 +10,11 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .errors import DegenerateInput, NonOrientable, Unsupported
 
@@ -64,12 +65,12 @@ class PointCloud:
         return len(self.points)
 
     def diameter(self) -> float:
-        return float(np.max(pairwise_distances(self.points))) if len(self) > 1 else 0.0
+        return float(pdist(self.points).max(initial=0.0))
 
 
-def pairwise_distances(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+def _points_of(cloud) -> np.ndarray:
+    """Coordinates of a PointCloud, or of a validated array-like of points."""
+    return cloud.points if isinstance(cloud, PointCloud) else _as_points(cloud)
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,6 @@ class Polytope:
     vertices: np.ndarray
     boundary: SimplicialBoundary
     dim: int
-    facets: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", _as_points(self.vertices))
@@ -354,7 +354,7 @@ def quickhull(cloud: PointCloud | np.ndarray) -> Polytope:
     along the other diagonals), which changes the boundary samples drawn
     from the hull and with them the certified values in ``results.json``.
     """
-    pts = cloud.points if isinstance(cloud, PointCloud) else _as_points(cloud)
+    pts = _points_of(cloud)
     n = pts.shape[1]
     if n < 2:
         raise Unsupported("hull computation needs ambient dimension >= 2")
@@ -381,9 +381,20 @@ def quickhull(cloud: PointCloud | np.ndarray) -> Polytope:
     flip = np.linalg.det(vertices[simplices] - centroid) < 0
     simplices[flip, :2] = simplices[flip, 1::-1]
     simplices_arr = np.array(sorted(simplices.tolist()), dtype=int)
-    boundary = SimplicialBoundary(vertices, simplices_arr, n)
-    facet_tuples = tuple(tuple(s) for s in simplices_arr.tolist())
-    return Polytope(vertices, boundary, n, facets=facet_tuples)
+    return Polytope(vertices, SimplicialBoundary(vertices, simplices_arr, n), n)
+
+
+def _halfspaces(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked unit normals (F, n) and offsets (F,) of the boundary simplices' hyperplanes.
+
+    Each normal faces away from the vertex centroid, so a convex ``poly`` is
+    ``{x : normals @ x <= offsets}``. Degenerate simplices are skipped.
+    """
+    centroid = poly.vertices.mean(axis=0)
+    planes = [_facet_normal(poly.vertices, simp, centroid) for simp in poly.boundary.simplices]
+    planes = [(normal, offset) for normal, offset in planes if normal is not None]
+    normals = np.array([normal for normal, _ in planes]).reshape(-1, poly.dim)
+    return normals, np.array([offset for _, offset in planes])
 
 
 def hull_contains(poly: Polytope, points: np.ndarray, tol: float | None = None) -> np.ndarray:
@@ -391,14 +402,8 @@ def hull_contains(poly: Polytope, points: np.ndarray, tol: float | None = None) 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if tol is None:
         tol = TAU_GEOM * _scale_of(poly.vertices)
-    centroid = poly.vertices.mean(axis=0)
-    inside = np.ones(len(pts), dtype=bool)
-    for simp in poly.boundary.simplices:
-        normal, offset = _facet_normal(poly.vertices, simp, centroid)
-        if normal is None:
-            continue
-        inside &= pts @ normal - offset <= tol
-    return inside
+    normals, offsets = _halfspaces(poly)
+    return np.all(pts @ normals.T - offsets <= tol, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +503,7 @@ def triangulate_facets(vertices, facets, dim: int) -> SimplicialBoundary:
         oriented.append(tri)
 
     boundary = SimplicialBoundary(pts, np.array(oriented, dtype=int), n)
-    vol = _signed_volume(boundary)
+    vol = volume_det(boundary)
     scale = _scale_of(pts)
     if abs(vol) <= TAU_GEOM * scale**n:
         raise DegenerateInput("boundary encloses no volume")
@@ -509,19 +514,11 @@ def triangulate_facets(vertices, facets, dim: int) -> SimplicialBoundary:
     return boundary
 
 
-def triangulate_boundary(poly: Polytope) -> SimplicialBoundary:
-    """Oriented simplices fanning each facet of ``poly``."""
-    if poly.facets:
-        return triangulate_facets(poly.vertices, poly.facets, poly.dim)
-    return poly.boundary
-
-
 def polytope_from_facets(vertices, facets, dim: int | None = None) -> Polytope:
     pts = _as_points(vertices)
     if dim is None:
         dim = pts.shape[1]
-    boundary = triangulate_facets(pts, facets, dim)
-    return Polytope(pts, boundary, dim, facets=tuple(tuple(f) for f in facets))
+    return Polytope(pts, triangulate_facets(pts, facets, dim), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -529,16 +526,10 @@ def polytope_from_facets(vertices, facets, dim: int | None = None) -> Polytope:
 # ---------------------------------------------------------------------------
 
 
-def _signed_volume(boundary: SimplicialBoundary) -> float:
-    coords = boundary.simplex_coords()
-    n = boundary.dim
-    dets = np.linalg.det(np.swapaxes(coords, 1, 2))
-    return float(dets.sum() / math.factorial(n))
-
-
 def volume_det(boundary: SimplicialBoundary) -> float:
     """Sum over boundary simplices of det(v_1,...,v_n)/n! (vertices as columns)."""
-    return _signed_volume(boundary)
+    dets = np.linalg.det(np.swapaxes(boundary.simplex_coords(), 1, 2))
+    return float(dets.sum() / math.factorial(boundary.dim))
 
 
 def volume_projected(boundary: SimplicialBoundary) -> float:
@@ -617,9 +608,9 @@ def min_enclosing_ball(cloud: PointCloud | np.ndarray) -> Ball:
     Exact Welzl recursion up to dimension 10; beyond that an iterative
     refinement whose reported radius always covers every point.
     """
-    pts = cloud.points if isinstance(cloud, PointCloud) else _as_points(cloud)
+    pts = _points_of(cloud)
     tau = TAU_GEOM * _scale_of(pts)
-    uniq, first_idx = np.unique(pts, axis=0, return_index=True)
+    _, first_idx = np.unique(pts, axis=0, return_index=True)
     uniq = pts[np.sort(first_idx)]
     if len(uniq) == 1:
         return Ball(uniq[0], 0.0, support=uniq[:1])

@@ -23,7 +23,6 @@ from .geometry import (
     load_body,
     load_cloud,
     quickhull,
-    triangulate_boundary,
     volume_det,
     volume_projected,
     volume_ratio_poly,
@@ -106,6 +105,9 @@ class Scenario:
         bad = [c for c in scen.checks if c not in VALID_CHECKS[scen.kind]]
         if bad:
             raise SuiteError(f"scenario {scen.id}: checks {bad} invalid for kind {scen.kind!r}")
+        expect = scen.params.get("expect_l_exists")
+        if "l_existence" in scen.checks and not isinstance(expect, bool):
+            raise SuiteError(f"scenario {scen.id}: l_existence needs a boolean expect_l_exists")
         return scen
 
 
@@ -126,9 +128,8 @@ def _finite(x) -> float:
 
 def _check_volume_xcheck(scen: Scenario, seed: int):
     body = load_body(scen.payload)
-    boundary = triangulate_boundary(body)
-    vd = volume_det(boundary)
-    vp = volume_projected(boundary)
+    vd = volume_det(body.boundary)
+    vp = volume_projected(body.boundary)
     rel = abs(vd - vp) / max(abs(vd), 1e-300)
     rec = CertificationRecord(
         scen.id, "volume_xcheck", vd, vp, -rel,
@@ -303,14 +304,13 @@ def _check_l_existence(scen: Scenario, seed: int):
     delta = float(doc.get("delta", 1.0))
     C = float(doc.get("C", 1.0))
     rep = l_existence_report(profile, delta, C)
-    expect = scen.params.get("expect_l_exists")
-    holds = True if expect is None else (bool(expect) == rep.L_exists)
+    expect = scen.params["expect_l_exists"]
     verdict = rep.verdict
     rec = CertificationRecord(
         scen.id, "l_existence",
         1.0 if rep.L_exists else 0.0,
-        -1.0 if expect is None else (1.0 if expect else 0.0),
-        0.0 if holds else -1.0,
+        1.0 if expect else 0.0,
+        0.0 if expect == rep.L_exists else -1.0,
         {
             "chi": profile.chi,
             "psi": profile.psi,
@@ -348,14 +348,23 @@ CHECK_RUNNERS = {
 
 
 def run_scenario(doc: dict, master_seed: int):
-    """All checks of one scenario; returns (records, artifacts)."""
+    """All checks of one scenario; returns (records, artifacts).
+
+    A check that raises on its input (a degenerate body, a non-finite
+    coordinate or parameter) gives a failed record whose ``error`` constant
+    names the exception; the remaining checks still run.
+    """
     scen = Scenario.from_dict(doc)
     records = []
     artifacts: dict[str, str] = {}
     for check in scen.checks:
         seed = derive_seed(master_seed, scen.id, check)
         t0 = time.perf_counter()
-        rec, files = CHECK_RUNNERS[check](scen, seed)
+        try:
+            rec, files = CHECK_RUNNERS[check](scen, seed)
+        except (HullmetryError, ValueError) as exc:
+            error = {"error": f"{type(exc).__name__}: {exc}"}
+            rec, files = CertificationRecord(scen.id, check, math.nan, math.nan, -1.0, error), {}
         rec.runtime_ms = (time.perf_counter() - t0) * 1000.0
         records.append(rec)
         artifacts.update(files)
@@ -413,10 +422,12 @@ def run_suite(suite_file, out_dir, seed: int | None = None, jobs: int = 1) -> in
         )
     (out / "results.csv").write_text("\n".join(csv_lines) + "\n")
 
+    # the summary and plot files read check-specific constants, which failed checks lack
+    computed = [r for r in all_records if "error" not in r.constants]
     gamma_rows = ["scenario,alpha,gamma_T,gamma_Th,L_bound,esup,L_hat"]
-    esups = {r.scenario: r.constants for r in all_records if r.check == "mm_two_sided"}
+    esups = {r.scenario: r.constants for r in computed if r.check == "mm_two_sided"}
     size_rows = ["size,gamma"]
-    for r in all_records:
+    for r in computed:
         if r.check == "gamma_hull":
             extra = esups.get(r.scenario, {})
             gamma_rows.append(
@@ -432,7 +443,7 @@ def run_suite(suite_file, out_dir, seed: int | None = None, jobs: int = 1) -> in
                     ]
                 )
             )
-    for r in all_records:
+    for r in computed:
         if r.check == "mm_two_sided" and "size" in r.constants:
             size_rows.append(f"{r.constants['size']},{r.constants['gamma2']!r}")
     (out / "gamma_summary.csv").write_text("\n".join(gamma_rows) + "\n")

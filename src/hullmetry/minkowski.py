@@ -15,6 +15,7 @@ from scipy.signal import fftconvolve
 from .errors import DegenerateInput, DimensionMismatch, NonpositiveScale, ParamOutOfRange, TooLarge
 from .geometry import (
     Polytope,
+    SimplicialBoundary,
     min_enclosing_ball,
     quickhull,
     unit_ball_volume,
@@ -165,19 +166,13 @@ def _dilate(a: GridBody, b: GridBody) -> GridBody:
     return GridBody(origin, a.h, occ)
 
 
-def _dedupe_points(pts: np.ndarray) -> np.ndarray:
-    snapped = np.round(pts, decimals=9)
-    _, idx = np.unique(snapped, axis=0, return_index=True)
-    return pts[np.sort(idx)]
-
-
 def minkowski_sum(A: BodyApprox, B: BodyApprox) -> BodyApprox:
     """A plus B pointwise. Convex pairs stay exact; otherwise grid dilation."""
     if A.dim != B.dim:
         raise DimensionMismatch(f"dimensions {A.dim} and {B.dim} differ")
     if A.kind == "convex" and B.kind == "convex":
         sums = (A.vertices[:, None, :] + B.vertices[None, :, :]).reshape(-1, A.dim)
-        sums = _dedupe_points(sums)
+        sums = sampling._dedupe(sums)
         _, _, rank = sampling.affine_basis(sums)
         if rank == A.dim and len(sums) > A.dim + 1:
             sums = quickhull(sums).vertices
@@ -186,7 +181,7 @@ def minkowski_sum(A: BodyApprox, B: BodyApprox) -> BodyApprox:
         if len(A.points) * len(B.points) > POINTS_CAP:
             raise TooLarge("pairwise sum of point sets exceeds the cap")
         sums = (A.points[:, None, :] + B.points[None, :, :]).reshape(-1, A.dim)
-        return BodyApprox.from_points(_dedupe_points(sums))
+        return BodyApprox.from_points(sampling._dedupe(sums))
     h = max(A.natural_spacing(), B.natural_spacing())
     return BodyApprox.from_grid(_dilate(_rasterize(A, h), _rasterize(B, h)))
 
@@ -202,14 +197,8 @@ def scale_body(A: BodyApprox, s: float) -> BodyApprox:
         g = A.grid
         return BodyApprox.from_grid(GridBody(g.origin * s, g.h * s, g.occ))
     poly = A.poly
-    from .geometry import SimplicialBoundary
-
-    scaled = Polytope(
-        poly.vertices * s,
-        SimplicialBoundary(poly.vertices * s, poly.boundary.simplices, poly.dim),
-        poly.dim,
-        facets=poly.facets,
-    )
+    verts = poly.vertices * s
+    scaled = Polytope(verts, SimplicialBoundary(verts, poly.boundary.simplices, poly.dim), poly.dim)
     return BodyApprox("solid", A.dim, poly=scaled, axis_cells=A.axis_cells)
 
 

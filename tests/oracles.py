@@ -71,6 +71,31 @@ def _in_simplex(p, verts) -> bool:
     return bool(np.all(coef >= -1e-9))
 
 
+def _distance(p, q) -> float:
+    return math.sqrt(sum((float(a) - float(b)) ** 2 for a, b in zip(p, q)))
+
+
+def farthest_pair(points) -> tuple[float, int, int]:
+    """(distance, i, j) of the first pair, in row-major order over all ordered
+    pairs, at the largest distance; (0.0, 0, 0) when every point coincides."""
+    pts = [list(map(float, p)) for p in points]
+    best = (0.0, 0, 0)
+    for i, p in enumerate(pts):
+        for j, q in enumerate(pts):
+            d = _distance(p, q)
+            if d > best[0]:
+                best = (d, i, j)
+    return best
+
+
+def smallest_positive_gap(points) -> float:
+    """Smallest nonzero distance between two points; 0.0 when there is none."""
+    pts = [list(map(float, p)) for p in points]
+    gaps = [_distance(p, q) for i, p in enumerate(pts) for q in pts[i + 1 :]]
+    positive = [g for g in gaps if g > 0]
+    return min(positive) if positive else 0.0
+
+
 def exhaustive_set_cover(points, epsilon) -> int:
     """Smallest number of closed eps-balls centered at points covering them.
 

@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,9 +249,22 @@ def test_criterion_9_profile_verdicts():
                    f"case-3 singularity at e^-1, {elapsed:.1f}s")
 
 
-def test_criterion_10_end_to_end_determinism(tmp_path):
-    from pathlib import Path
+GOLDEN = Path(__file__).resolve().parent / "golden" / "bundled_results.json"
 
+
+def _assert_matches_golden(got, want, where):
+    """Same keys and types; bools, ints, strings and nulls exact; floats within 1e-12 relative."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _assert_matches_golden(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= 1e-12 * abs(want), (where, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+def test_criterion_10_end_to_end_determinism(tmp_path):
     suite = Path(__file__).resolve().parent.parent / "suites" / "bundled_suite.json"
     outs = []
     for tag in ("a", "b"):
@@ -264,4 +278,9 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append((out / "results.json").read_bytes())
     ok = outs[0] == outs[1]
-    _report(10, ok, "bundled suite exits 0 twice with byte-identical results.json")
+    got, want = json.loads(outs[0]), json.loads(GOLDEN.read_text())
+    ok &= [(r["scenario"], r["check"]) for r in got] == [(r["scenario"], r["check"]) for r in want]
+    for rec_got, rec_want in zip(got, want):
+        _assert_matches_golden(rec_got, rec_want, f"{rec_want['scenario']}/{rec_want['check']}")
+    _report(10, ok, "bundled suite exits 0 twice with byte-identical results.json "
+                    "matching tests/golden/bundled_results.json")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hullmetry.errors import ParamOutOfRange, TooLarge
 from hullmetry.chaining import (
@@ -14,15 +15,19 @@ from hullmetry.chaining import (
     gamma_greedy,
     gaussian_sup_mc,
     l_constant,
+    _cell_diam,
+    _diameter_and_gap,
 )
 from hullmetry.fixtures import lshape, unit_square
-from hullmetry.geometry import polytope_from_facets
+from hullmetry.geometry import PointCloud, polytope_from_facets
 
 from oracles import (
+    farthest_pair,
     gamma_by_enumeration,
     halfnormal_mean,
     max_two_gaussians_mean,
     positive_part_gaussian_mean,
+    smallest_positive_gap,
 )
 
 TWO = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -110,6 +115,50 @@ def test_greedy_handles_duplicates():
 def test_admissible_sequence_validation_rejects_junk():
     bad = AdmissibleSequence((((0, 1),), ((0,), (1,), (2,))))
     assert not bad.validate(2)
+
+
+# ---------------------------------------------------------------------------
+# pairwise distances
+# ---------------------------------------------------------------------------
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([2, 3, 8]),
+    st.integers(min_value=1, max_value=40),
+    st.booleans(),
+)
+def test_distances_match_bruteforce(seed, dim, n, lattice):
+    rng = np.random.default_rng(seed)
+    if lattice:
+        # dyadic coordinates: tied distances are exactly equal in floating point
+        pts = rng.integers(-3, 4, (n, dim)) * 0.5
+    else:
+        pts = rng.standard_normal((n, dim)) * rng.uniform(0.01, 100.0)
+    diam, i, j = farthest_pair(pts)
+    assert _close(PointCloud(pts).diameter(), diam)
+    got_diam, got_gap = _diameter_and_gap(pts)
+    assert _close(got_diam, diam)
+    assert _close(got_gap, smallest_positive_gap(pts))
+
+    cell = np.flatnonzero(rng.random(n) < 0.7)
+    value, ci, cj = _cell_diam(pts, cell)
+    want = farthest_pair(pts[cell])
+    assert _close(value, want[0])
+    if lattice:
+        assert (ci, cj) == want[1:]
+
+
+def test_cell_diam_first_maximum_across_chunks():
+    # 530 rows span two 512-row chunks; many points repeat, so the farthest
+    # pair recurs in the second chunk and the first occurrence must win
+    pts = np.random.default_rng(11).integers(-3, 4, (530, 3)) * 0.5
+    assert _cell_diam(pts, np.arange(len(pts))) == farthest_pair(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from hullmetry.geometry import (
     min_enclosing_ball,
     polytope_from_facets,
     quickhull,
-    triangulate_boundary,
     triangulate_facets,
     unit_ball_volume,
     volume_det,
@@ -215,8 +214,7 @@ def test_triangulate_open_boundary_rejected():
 
 def test_triangulate_boundary_of_polytope():
     poly = lshape_poly()
-    b = triangulate_boundary(poly)
-    assert b.n_simplices == 6
+    assert poly.boundary.n_simplices == 6
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +328,34 @@ def test_meb_high_dimension_contains_all():
     assert (d <= ball.radius + 1e-9).all()
     # optimum is sqrt(15)/4; the iterative path should be close
     assert ball.radius <= math.sqrt(15) / 4 * 1.05
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=2, max_value=6),
+    st.booleans(),
+)
+def test_meb_covers_every_point_with_support_on_sphere(seed, dim, lattice):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(dim + 1, 60))
+    pts = rng.integers(-2, 3, (n, dim)).astype(float) if lattice else rng.standard_normal((n, dim))
+    ball = min_enclosing_ball(pts)
+    dist = np.linalg.norm(pts - ball.center, axis=1)
+    assert (dist <= ball.radius * (1 + 1e-9)).all()
+    sup = np.linalg.norm(ball.support - ball.center, axis=1)
+    assert (np.abs(sup - ball.radius) <= 1e-9 * ball.radius).all()
+
+
+@pytest.mark.parametrize("n", [11, 16])
+def test_meb_badoiu_clarkson_branch(n):
+    # above dimension 10 the ball comes from the iterative refinement
+    pts = np.eye(n)
+    ball = min_enclosing_ball(pts)
+    assert ball.support is None
+    assert ball.contains(pts).all()
+    optimum = math.sqrt(1 - 1 / n)
+    assert optimum <= ball.radius <= 1.01 * optimum
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,57 @@ def test_run_suite_parallel_matches_serial(tmp_path):
     ).read_bytes()
 
 
+def test_l_existence_needs_an_expectation(tmp_path):
+    doc = small_suite()
+    del doc["scenarios"][1]["params"]["expect_l_exists"]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SuiteError, match="p3"):
+        load_suite(path)
+
+
+def test_failing_checks_give_failed_records(tmp_path):
+    nan_profile = dict(profile_case(1), chi="nan")
+    collinear = {"dim": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+                 "facets": [[0, 1], [1, 2], [2, 0]]}
+    nan_vertex = dict(unit_square(), vertices=[[0.0, 0.0], [1.0, 0.0], [1.0, float("nan")],
+                                               [0.0, 1.0]])
+    doc = {"suite": "broken", "seed": 3, "scenarios": [
+        {"id": "chi_nan", "kind": "profile", "payload": nan_profile,
+         "checks": ["l_existence"], "params": {"expect_l_exists": True}},
+        {"id": "collinear", "kind": "body", "payload": collinear,
+         "checks": ["ratio_poly", "gamma_hull"]},
+        {"id": "nan_vertex", "kind": "body", "payload": nan_vertex,
+         "checks": ["volume_xcheck"]},
+        small_suite()["scenarios"][0],
+    ]}
+    suite_path = tmp_path / "suite.json"
+    suite_path.write_text(json.dumps(doc))
+    outs = {}
+    for tag, jobs in (("ser", "1"), ("par", "2")):
+        out = tmp_path / tag
+        assert main(["run", str(suite_path), "--out", str(out), "--jobs", jobs]) == 1
+        outs[tag] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "results.csv"}
+    assert outs["ser"] == outs["par"]
+
+    records = {(r["scenario"], r["check"]): r
+               for r in json.loads(outs["ser"]["results.json"])}
+    errors = {key: r["constants"].get("error") for key, r in records.items() if not r["holds"]}
+    assert errors == {
+        ("chi_nan", "l_existence"):
+            "ParamOutOfRange: profile exponents chi and psi must be finite",
+        ("collinear", "gamma_hull"): "DegenerateInput: boundary encloses no volume",
+        ("collinear", "ratio_poly"): "DegenerateInput: boundary encloses no volume",
+        ("nan_vertex", "volume_xcheck"): "ValueError: point coordinates must be finite",
+    }
+    assert records[("sq", "volume_xcheck")]["holds"] and records[("sq", "ratio_poly")]["holds"]
+    csv_lines = (tmp_path / "ser" / "results.csv").read_text().splitlines()
+    assert len(csv_lines) == 1 + len(records)
+    assert (tmp_path / "ser" / "gamma_summary.csv").read_text() == (
+        "scenario,alpha,gamma_T,gamma_Th,L_bound,esup,L_hat\n"
+    )
+
+
 def test_bundled_suite_is_valid_and_matches_checked_in_copy(tmp_path):
     path = write_bundled_suite(tmp_path / "suite.json")
     load_suite(path)
