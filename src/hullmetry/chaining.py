@@ -14,8 +14,9 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import ParamOutOfRange, TooLarge
-from .geometry import _points_of
+from .geometry import Polytope, _points_of, quickhull
 from .covering import _greedy_centers
+from .minkowski import BodyApprox, hull_ratio
 from . import sampling
 
 EXACT_CAP = 5
@@ -315,46 +316,48 @@ class GammaRatioReport:
 GAMMA_SAMPLE_TOL = 1e-9
 
 
-def certify_hull_gamma(T, alpha: float, mode: str = "poly", R: float | None = None,
+def gamma_ratio_report(gamma_T: float, gamma_Th: float, dim: int, alpha: float,
+                       R: float) -> GammaRatioReport:
+    """Certify gamma_Th <= L(R, dim, alpha) * gamma_T; R below 1 is raised to 1."""
+    R = float(max(R, 1.0))
+    L = l_constant(R, dim, alpha)
+    slack = L * gamma_T - gamma_Th
+    return GammaRatioReport(
+        gamma_T=gamma_T,
+        gamma_Th=gamma_Th,
+        L_bound=L,
+        holds=bool(slack >= -GAMMA_SAMPLE_TOL),
+        alpha=alpha,
+        R=R,
+        dim=dim,
+        slack=float(slack),
+    )
+
+
+def certify_hull_gamma(T, alpha: float, R: float | None = None,
                        axis_cells: int = 24) -> GammaRatioReport:
     """Certify gamma_alpha(T_h) <= L * gamma_alpha(T) on deterministic samples.
 
     T may be a PointCloud (used as-is) or a BodyApprox / Polytope (sampled).
     Both sides are discretized at one resolution: the body's sampling grid,
     or for finite clouds the cloud's own nearest-neighbor spacing. R defaults
-    per mode as in the covering certificate.
+    to hull_ratio(T).
     """
-    from .geometry import Polytope, volume_ratio_poly
-    from .minkowski import BodyApprox, empirical_general_ratio
-
-    if mode not in ("poly", "general"):
-        raise ParamOutOfRange(f"unknown mode {mode!r}")
-    hull_h = None
+    if R is None:
+        R = hull_ratio(T)
     if isinstance(T, Polytope):
         T = BodyApprox.from_polytope(T)
     if isinstance(T, BodyApprox) and T.kind != "points":
-        poly = T.poly if T.poly is not None else None
-        if poly is None:
-            from .geometry import quickhull
-
-            poly = quickhull(T.vertices)
-        pts_T, hull_h = sampling.sample_polytope(poly, axis_cells=axis_cells)
-        if R is None:
-            if mode == "poly":
-                R = volume_ratio_poly(poly)
-            else:
-                R = empirical_general_ratio(T, 8).bound
+        poly = T.poly if T.poly is not None else quickhull(T.vertices)
+        pts_T, h = sampling.sample_polytope(poly, axis_cells=axis_cells)
         hull_source = T.hull_points()
         dim = T.dim
     else:
         pts_T = T.points if isinstance(T, BodyApprox) else _points_of(T)
         hull_source = pts_T
         dim = pts_T.shape[1]
-        hull_h = _diameter_and_gap(pts_T)[1] or 1.0  # the cloud's own resolution
-        if R is None:
-            R = 1.0
+        h = _diameter_and_gap(pts_T)[1] or 1.0  # the cloud's own resolution
 
-    h = hull_h
     while True:
         hull_pts, _ = sampling.sample_hull(hull_source, h=h)
         if len(hull_pts) <= GREEDY_CAP:
@@ -365,18 +368,7 @@ def certify_hull_gamma(T, alpha: float, mode: str = "poly", R: float | None = No
 
     g_T = gamma_greedy(pts_T, alpha).value
     g_Th = gamma_greedy(hull_pts, alpha).value
-    L = l_constant(max(R, 1.0), dim, alpha)
-    slack = L * g_T - g_Th
-    return GammaRatioReport(
-        gamma_T=g_T,
-        gamma_Th=g_Th,
-        L_bound=L,
-        holds=bool(slack >= -GAMMA_SAMPLE_TOL),
-        alpha=alpha,
-        R=float(max(R, 1.0)),
-        dim=dim,
-        slack=float(slack),
-    )
+    return gamma_ratio_report(g_T, g_Th, dim, alpha, R)
 
 
 def _diameter_and_gap(pts: np.ndarray) -> tuple[float, float]:

@@ -13,9 +13,8 @@ from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
 
 from .errors import ParamOutOfRange, TooLarge
-from .geometry import (
-    Polytope, unit_ball_volume, volume_det, volume_ratio_poly, _halfspaces, _points_of,
-)
+from .geometry import Polytope, unit_ball_volume, volume_det, _halfspaces, _points_of
+from .minkowski import BodyApprox, hull_ratio, minkowski_sum
 from . import sampling
 
 EXACT_COVER_CAP = 24
@@ -184,8 +183,6 @@ def volume_cover_bounds(poly: Polytope, epsilon: float):
 
 def middle_cover_form(poly: Polytope, epsilon: float) -> float:
     """Vol(A + (eps/2) B) / Vol((eps/2) B), the middle term of the sandwich."""
-    from .minkowski import BodyApprox, minkowski_sum
-
     n = poly.dim
     ngon = _ball_polytope(n, epsilon / 2.0)
     body = BodyApprox.from_polytope(poly)
@@ -215,38 +212,25 @@ class HullCoverCertificate:
     holds: bool
 
 
-def check_hull_cover_ratio(T, epsilon: float, mode: str = "poly", R: float | None = None,
-                           k_h: int = 8) -> HullCoverCertificate:
+def check_hull_cover_ratio(T, epsilon: float, R: float | None = None) -> HullCoverCertificate:
     """Certify N(T_h, eps) <= R * 3^n * N(T, eps) on deterministic samples.
 
     T may be a Polytope (sampled at eps/4 together with its hull) or a
-    PointCloud (used as-is, hull sampled at eps/4). R defaults to the
-    polyhedral volume ratio in poly mode, to the closed-form general bound
-    in general mode, and to 1 for volume-degenerate inputs.
+    PointCloud (used as-is, hull sampled at eps/4). R defaults to
+    hull_ratio(T): the polyhedral volume ratio, and 1 for point sets.
     """
     if epsilon <= 0:
         raise ParamOutOfRange("epsilon must be positive")
-    if mode not in ("poly", "general"):
-        raise ParamOutOfRange(f"unknown mode {mode!r}")
+    if R is None:
+        R = hull_ratio(T)
     h = epsilon / 4.0
     if isinstance(T, Polytope):
         body_pts, _ = sampling.sample_polytope(T, h=h)
         hull_source = T.vertices
-        if R is None:
-            if mode == "poly":
-                R = volume_ratio_poly(T)
-            else:
-                from .minkowski import BodyApprox, empirical_general_ratio
-
-                R = empirical_general_ratio(BodyApprox.from_polytope(T), k_h).bound
         dim = T.dim
     else:
-        pts = _points_of(T)
-        body_pts = pts
-        hull_source = pts
-        dim = pts.shape[1]
-        if R is None:
-            R = 1.0
+        body_pts = hull_source = _points_of(T)
+        dim = body_pts.shape[1]
     hull_pts, _ = sampling.sample_hull(hull_source, h=h)
     n_body = len(_greedy_centers(body_pts, epsilon))
     n_hull = len(_greedy_centers(hull_pts, epsilon))

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import HullmetryError
 from .geometry import (
     TAU_VOL,
+    hull_contains,
     load_body,
     load_cloud,
     quickhull,
@@ -27,9 +28,9 @@ from .geometry import (
     volume_projected,
     volume_ratio_poly,
 )
-from .minkowski import BodyApprox, check_reverse_bm, convexification_gap
+from .minkowski import BodyApprox, check_reverse_bm, convexification_gap, hull_ratio
 from .covering import CoveringReport, check_hull_cover_ratio, greedy_cover, volume_cover_bounds
-from .chaining import certify_hull_gamma, certify_mm_two_sided
+from .chaining import certify_hull_gamma, certify_mm_two_sided, gamma_ratio_report
 from .profiles import EntropyProfile, l_existence_report
 from . import sampling
 
@@ -146,8 +147,6 @@ def _check_ratio_poly(scen: Scenario, seed: int):
     idempotent = sorted(map(tuple, hull.vertices.tolist())) == sorted(
         map(tuple, rehull.vertices.tolist())
     )
-    from .geometry import hull_contains
-
     contained = bool(np.all(hull_contains(hull, body.vertices)))
     slack = (R - 1.0) if (idempotent and contained) else -1.0
     rec = CertificationRecord(
@@ -210,26 +209,26 @@ def _check_convexify(scen: Scenario, seed: int):
 
 def _check_cover_ratio(scen: Scenario, seed: int):
     epsilons = [float(e) for e in scen.params.get("epsilons", [0.2, 0.4, 0.8])]
+    mode = scen.params.get("mode", "poly")
     if scen.kind == "cloud":
         target = load_cloud(scen.payload)
-        sample_for_report = target.points
-        convex_poly = None
     else:
         target = load_body(scen.payload)
-        convex_poly = target if volume_ratio_poly(target) <= 1.0 + 1e-9 else None
-        sample_for_report = None
-    mode = scen.params.get("mode", "poly")
+    R = hull_ratio(target, mode)
+    R_poly = R if mode == "poly" else hull_ratio(target)
+    convex_poly = target if scen.kind == "body" and R_poly <= 1.0 + 1e-9 else None
     worst_slack = math.inf
     worst = None
     report_rows = [CoveringReport.csv_header()]
     plot_rows = ["epsilon,n_greedy"]
     for eps in epsilons:
-        cert = check_hull_cover_ratio(target, eps, mode)
+        cert = check_hull_cover_ratio(target, eps, R)
         if cert.slack < worst_slack:
             worst_slack = cert.slack
             worst = cert
-        pts = sample_for_report
-        if pts is None:
+        if scen.kind == "cloud":
+            pts = target.points
+        else:
             pts, _ = sampling.sample_polytope(target, h=eps / 4.0)
         rep = greedy_cover(pts, eps)
         if convex_poly is not None:
@@ -254,8 +253,9 @@ def _check_gamma_hull(scen: Scenario, seed: int):
         target = load_cloud(scen.payload)
     else:
         target = load_body(scen.payload)
-    rep_poly = certify_hull_gamma(target, alpha, "poly", axis_cells=cells)
-    rep_gen = certify_hull_gamma(target, alpha, "general", axis_cells=cells)
+    rep_poly = certify_hull_gamma(target, alpha, hull_ratio(target), axis_cells=cells)
+    rep_gen = gamma_ratio_report(rep_poly.gamma_T, rep_poly.gamma_Th, rep_poly.dim, alpha,
+                                 hull_ratio(target, "general"))
     rec = CertificationRecord(
         scen.id, "gamma_hull", rep_poly.gamma_Th,
         rep_poly.L_bound * rep_poly.gamma_T, min(rep_poly.slack, rep_gen.slack),
@@ -351,8 +351,9 @@ def run_scenario(doc: dict, master_seed: int):
     """All checks of one scenario; returns (records, artifacts).
 
     A check that raises on its input (a degenerate body, a non-finite
-    coordinate or parameter) gives a failed record whose ``error`` constant
-    names the exception; the remaining checks still run.
+    coordinate or parameter, a payload without a key the check reads) gives
+    a failed record whose ``error`` constant names the exception; the
+    remaining checks still run.
     """
     scen = Scenario.from_dict(doc)
     records = []
@@ -362,7 +363,7 @@ def run_scenario(doc: dict, master_seed: int):
         t0 = time.perf_counter()
         try:
             rec, files = CHECK_RUNNERS[check](scen, seed)
-        except (HullmetryError, ValueError) as exc:
+        except (HullmetryError, KeyError, ValueError) as exc:
             error = {"error": f"{type(exc).__name__}: {exc}"}
             rec, files = CertificationRecord(scen.id, check, math.nan, math.nan, -1.0, error), {}
         rec.runtime_ms = (time.perf_counter() - t0) * 1000.0

@@ -389,3 +389,26 @@ def empirical_general_ratio(A: BodyApprox, k_h: int) -> GeneralRatioReport:
     # grid volumes carry sampling error; allow it in the certification margin
     slack_tol = 1e-9 if A.kind == "convex" else 0.05
     return GeneralRatioReport(ratio, k_h, c2, bound, ratio <= bound * (1 + slack_tol))
+
+
+GENERAL_K_H = 8
+
+
+def hull_ratio(T, mode: str = "poly") -> float:
+    """The volume ratio R = Vol(T_h)/Vol(T) that the hull certificates scale by.
+
+    "poly" is the exact polyhedral ratio; "general" is the closed-form
+    reverse Brunn-Minkowski bound at k_h = GENERAL_K_H. Finite point sets
+    (a PointCloud, an array, a "points" BodyApprox) have R = 1 in either mode.
+    """
+    if mode not in ("poly", "general"):
+        raise ParamOutOfRange(f"unknown mode {mode!r}")
+    if isinstance(T, Polytope):
+        if mode == "poly":
+            return volume_ratio_poly(T)
+        T = BodyApprox.from_polytope(T)
+    if not isinstance(T, BodyApprox) or T.kind == "points":
+        return 1.0
+    if mode == "general":
+        return empirical_general_ratio(T, GENERAL_K_H).bound
+    return volume_ratio_poly(T.poly if T.poly is not None else quickhull(T.vertices))

@@ -18,6 +18,7 @@ from hullmetry.chaining import (
     entropy_integral,
     gamma_exact_small,
     gamma_greedy,
+    gamma_ratio_report,
     gaussian_sup_mc,
     l_constant,
 )
@@ -45,7 +46,7 @@ from hullmetry.geometry import (
     volume_projected,
     volume_ratio_poly,
 )
-from hullmetry.minkowski import BodyApprox, check_reverse_bm, convexification_gap
+from hullmetry.minkowski import BodyApprox, check_reverse_bm, convexification_gap, hull_ratio
 from hullmetry.profiles import EntropyProfile, l_existence_report
 
 from oracles import halfnormal_mean, max_two_gaussians_mean, shoelace
@@ -154,7 +155,7 @@ def test_criterion_5_covering_sandwich():
         details.append(f"{lo:.2f}<={n_exact}<={n_greedy}<={up:.1f}")
     lp = _body(lshape())
     for eps in (0.2, 0.4, 0.8):
-        cert = check_hull_cover_ratio(lp, eps, "poly")
+        cert = check_hull_cover_ratio(lp, eps, hull_ratio(lp, "poly"))
         ok &= cert.holds and cert.slack >= 0
     _report(5, ok, "sandwich " + "; ".join(details) + "; lshape hull-cover slack >= 0")
 
@@ -224,11 +225,13 @@ def test_criterion_8_hull_gamma_certification():
     ]
     worst_slack = math.inf
     for target in fixtures + clouds:
-        for mode in ("poly", "general"):
-            kwargs = {"axis_cells": 8} if getattr(target, "dim", 2) == 3 else {}
-            rep = certify_hull_gamma(target, 2.0, mode, **kwargs)
-            ok &= rep.holds and rep.slack >= 0
-            worst_slack = min(worst_slack, rep.slack)
+        kwargs = {"axis_cells": 8} if getattr(target, "dim", 2) == 3 else {}
+        rep = certify_hull_gamma(target, 2.0, hull_ratio(target, "poly"), **kwargs)
+        gen = gamma_ratio_report(rep.gamma_T, rep.gamma_Th, rep.dim, 2.0,
+                                 hull_ratio(target, "general"))
+        for cert in (rep, gen):
+            ok &= cert.holds and cert.slack >= 0
+            worst_slack = min(worst_slack, cert.slack)
     _report(8, ok, f"all fixtures certified in both modes, min slack {worst_slack:.3f}, "
                    "L(1,2,2) = 2.0421")
 
@@ -250,6 +253,7 @@ def test_criterion_9_profile_verdicts():
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "bundled_results.json"
+GOLDEN_ARTIFACTS = GOLDEN.parent / "bundled"
 
 
 def _assert_matches_golden(got, want, where):
@@ -258,10 +262,30 @@ def _assert_matches_golden(got, want, where):
         assert isinstance(got, dict) and sorted(got) == sorted(want), where
         for key in want:
             _assert_matches_golden(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (item_got, item_want) in enumerate(zip(got, want)):
+            _assert_matches_golden(item_got, item_want, f"{where}[{i}]")
     elif isinstance(want, float):
         assert isinstance(got, float) and abs(got - want) <= 1e-12 * abs(want), (where, got, want)
     else:
         assert type(got) is type(want) and got == want, (where, got, want)
+
+
+def _csv_cell(cell):
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return cell
+
+
+def _parse_artifact(path):
+    """A JSON artifact as its document, a CSV one as rows of int, float or string cells."""
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    return [[_csv_cell(c) for c in line.split(",")] for line in path.read_text().splitlines()]
 
 
 def test_criterion_10_end_to_end_determinism(tmp_path):
@@ -282,5 +306,13 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
     ok &= [(r["scenario"], r["check"]) for r in got] == [(r["scenario"], r["check"]) for r in want]
     for rec_got, rec_want in zip(got, want):
         _assert_matches_golden(rec_got, rec_want, f"{rec_want['scenario']}/{rec_want['check']}")
-    _report(10, ok, "bundled suite exits 0 twice with byte-identical results.json "
-                    "matching tests/golden/bundled_results.json")
+    # every other artifact is deterministic too; results.csv alone carries run times
+    produced = sorted(p.name for p in (tmp_path / "a").iterdir()
+                      if p.name not in ("results.json", "results.csv"))
+    ok &= produced == sorted(p.name for p in GOLDEN_ARTIFACTS.iterdir())
+    for name in produced:
+        _assert_matches_golden(_parse_artifact(tmp_path / "a" / name),
+                               _parse_artifact(GOLDEN_ARTIFACTS / name), name)
+    _report(10, ok, f"bundled suite exits 0 twice with byte-identical results.json "
+                    f"matching tests/golden/bundled_results.json, and {len(produced)} "
+                    f"artifacts matching tests/golden/bundled/")

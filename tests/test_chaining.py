@@ -20,6 +20,7 @@ from hullmetry.chaining import (
 )
 from hullmetry.fixtures import lshape, unit_square
 from hullmetry.geometry import PointCloud, polytope_from_facets
+from hullmetry.minkowski import hull_ratio
 
 from oracles import (
     farthest_pair,
@@ -261,7 +262,7 @@ def test_l_constant_rejects_bad_params():
 def test_certify_convex_body():
     doc = unit_square()
     poly = polytope_from_facets(np.array(doc["vertices"]), doc["facets"])
-    rep = certify_hull_gamma(poly, 2.0, "poly")
+    rep = certify_hull_gamma(poly, 2.0, hull_ratio(poly, "poly"))
     assert rep.holds
     assert rep.R == pytest.approx(1.0)
     # convex body and its hull sample identically
@@ -272,13 +273,13 @@ def test_certify_lshape_both_modes():
     doc = lshape()
     poly = polytope_from_facets(np.array(doc["vertices"]), doc["facets"])
     for mode in ("poly", "general"):
-        rep = certify_hull_gamma(poly, 2.0, mode)
+        rep = certify_hull_gamma(poly, 2.0, hull_ratio(poly, mode))
         assert rep.holds and rep.slack >= 0
 
 
 def test_certify_small_cloud_uses_exact_identity():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    rep = certify_hull_gamma(pts, 2.0, "poly")
+    rep = certify_hull_gamma(pts, 2.0, hull_ratio(pts, "poly"))
     diam = math.sqrt(2)
     assert rep.gamma_T == pytest.approx(diam, abs=1e-12)
     assert rep.holds
@@ -286,7 +287,7 @@ def test_certify_small_cloud_uses_exact_identity():
 
 def test_certify_rejects_unknown_mode():
     with pytest.raises(ParamOutOfRange):
-        certify_hull_gamma(TWO, 2.0, "weird")
+        hull_ratio(TWO, "weird")
 
 
 def test_mm_two_sided_two_points():

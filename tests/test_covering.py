@@ -18,6 +18,7 @@ from hullmetry.covering import (
 )
 from hullmetry.fixtures import lshape, unit_square
 from hullmetry.geometry import PointCloud, polytope_from_facets, quickhull, unit_ball_volume
+from hullmetry.minkowski import hull_ratio
 
 from oracles import exhaustive_set_cover
 
@@ -202,14 +203,15 @@ def test_volume_lower_bound_below_exact_cover():
 
 @pytest.mark.parametrize("eps", [0.2, 0.4, 0.8])
 def test_hull_cover_lshape_holds(eps):
-    cert = check_hull_cover_ratio(lshape_poly(), eps, "poly")
+    poly = lshape_poly()
+    cert = check_hull_cover_ratio(poly, eps, hull_ratio(poly, "poly"))
     assert cert.holds and cert.slack >= 0
     assert cert.ratio_R == pytest.approx(3.5 / 3, rel=1e-9)
 
 
 def test_hull_cover_convex_body_equal_counts():
     sq = polytope_from_facets(np.array(unit_square()["vertices"]), unit_square()["facets"])
-    cert = check_hull_cover_ratio(sq, 0.3, "poly")
+    cert = check_hull_cover_ratio(sq, 0.3, hull_ratio(sq, "poly"))
     # convex body: T and its hull sample identically, so the 3^n factor is pure slack
     assert cert.n_hull == cert.n_body
     assert cert.slack >= (3.0**2 - 1) * cert.n_body - 1e-9
@@ -224,8 +226,8 @@ def test_hull_cover_two_point_cloud():
 
 def test_hull_cover_general_mode_uses_larger_R():
     poly = lshape_poly()
-    c_poly = check_hull_cover_ratio(poly, 0.4, "poly")
-    c_gen = check_hull_cover_ratio(poly, 0.4, "general")
+    c_poly = check_hull_cover_ratio(poly, 0.4, hull_ratio(poly, "poly"))
+    c_gen = check_hull_cover_ratio(poly, 0.4, hull_ratio(poly, "general"))
     assert c_gen.ratio_R >= c_poly.ratio_R
     assert c_gen.holds
 

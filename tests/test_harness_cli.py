@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from hullmetry import chaining
 from hullmetry.cli import main
 from hullmetry.fixtures import (
     bundled_suite,
@@ -160,12 +161,18 @@ def test_failing_checks_give_failed_records(tmp_path):
                  "facets": [[0, 1], [1, 2], [2, 0]]}
     nan_vertex = dict(unit_square(), vertices=[[0.0, 0.0], [1.0, 0.0], [1.0, float("nan")],
                                                [0.0, 1.0]])
+    no_psi = {k: v for k, v in profile_case(1).items() if k != "psi"}
+    no_vertices = {k: v for k, v in unit_square().items() if k != "vertices"}
     doc = {"suite": "broken", "seed": 3, "scenarios": [
         {"id": "chi_nan", "kind": "profile", "payload": nan_profile,
          "checks": ["l_existence"], "params": {"expect_l_exists": True}},
         {"id": "collinear", "kind": "body", "payload": collinear,
          "checks": ["ratio_poly", "gamma_hull"]},
         {"id": "nan_vertex", "kind": "body", "payload": nan_vertex,
+         "checks": ["volume_xcheck"]},
+        {"id": "no_psi", "kind": "profile", "payload": no_psi,
+         "checks": ["l_existence"], "params": {"expect_l_exists": True}},
+        {"id": "no_vertices", "kind": "body", "payload": no_vertices,
          "checks": ["volume_xcheck"]},
         small_suite()["scenarios"][0],
     ]}
@@ -187,6 +194,8 @@ def test_failing_checks_give_failed_records(tmp_path):
         ("collinear", "gamma_hull"): "DegenerateInput: boundary encloses no volume",
         ("collinear", "ratio_poly"): "DegenerateInput: boundary encloses no volume",
         ("nan_vertex", "volume_xcheck"): "ValueError: point coordinates must be finite",
+        ("no_psi", "l_existence"): "KeyError: 'psi'",
+        ("no_vertices", "volume_xcheck"): "KeyError: 'vertices'",
     }
     assert records[("sq", "volume_xcheck")]["holds"] and records[("sq", "ratio_poly")]["holds"]
     csv_lines = (tmp_path / "ser" / "results.csv").read_text().splitlines()
@@ -194,6 +203,23 @@ def test_failing_checks_give_failed_records(tmp_path):
     assert (tmp_path / "ser" / "gamma_summary.csv").read_text() == (
         "scenario,alpha,gamma_T,gamma_Th,L_bound,esup,L_hat\n"
     )
+
+
+def test_gamma_hull_computes_each_gamma_once(monkeypatch):
+    # the body and hull gammas serve both the polyhedral and the general ratio
+    calls = []
+    real = chaining.gamma_greedy
+
+    def counted(cloud, alpha):
+        calls.append(alpha)
+        return real(cloud, alpha)
+
+    monkeypatch.setattr(chaining, "gamma_greedy", counted)
+    doc = next(s for s in bundled_suite()["scenarios"] if s["id"] == "lshape")
+    records, _ = run_scenario(dict(doc, checks=["gamma_hull"]), 20240501)
+    assert [r.check for r in records] == ["gamma_hull"] and records[0].holds
+    assert {"R_poly", "L_poly", "R_gen", "L_gen"} <= set(records[0].constants)
+    assert len(calls) == 2
 
 
 def test_bundled_suite_is_valid_and_matches_checked_in_copy(tmp_path):
