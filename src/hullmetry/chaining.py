@@ -14,13 +14,15 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import ParamOutOfRange, TooLarge
-from .geometry import Polytope, _points_of, quickhull
+from .geometry import Polytope, _points_of
 from .covering import _greedy_centers
 from .minkowski import BodyApprox, hull_ratio
 from . import sampling
 
 EXACT_CAP = 5
 GREEDY_CAP = 4096
+# diameters this close count as tied when gamma_greedy picks the widest cell
+TIE_TOL = 1e-15
 
 
 def cardinality_limit(m: int) -> int:
@@ -153,9 +155,13 @@ def gamma_exact_small(cloud, alpha: float) -> GammaEstimate:
 def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
     """Upper bound on the chaining functional from farthest-point hierarchical splits.
 
-    At each level the largest-diameter cell splits at its two farthest points
-    until the level's cardinality budget is filled; all ties break toward the
-    lowest index, so the bound is deterministic.
+    At each level the widest cell splits at its two farthest points until the
+    level's cardinality budget is filled; the cells of each level are then
+    ordered by their lowest index. Which cell counts as widest follows a scan
+    of the cells in list order with diameters within TIE_TOL of each other
+    treated as ties that go to the lower min index (see _widest_cell). That
+    rule is not transitive, so it depends on list order as well as on the
+    diameters, but it is deterministic.
     """
     pts = _points_of(cloud)
     n = len(pts)
@@ -164,8 +170,13 @@ def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
     if alpha <= 0:
         raise ParamOutOfRange("alpha must be positive")
 
+    # cells stay ascending index arrays, so a cell's min index is cell[0];
+    # D[i] and M[i] are the diameter and min index of cells[i]
     cells = [np.arange(n)]
     diams = [_cell_diam(pts, cells[0])]
+    D = np.zeros(n)
+    M = np.zeros(n, dtype=np.int64)
+    D[0] = diams[0][0]
     totals = np.zeros(n)
     partitions = [tuple((tuple(cells[0].tolist()),))]
     m = 0
@@ -178,7 +189,7 @@ def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
         m += 1
         budget = cardinality_limit(m)
         while len(cells) < budget:
-            pick = _widest_cell(cells, diams)
+            pick = _widest_cell(D[: len(cells)], M[: len(cells)])
             if pick < 0:
                 break
             cell = cells[pick]
@@ -192,27 +203,59 @@ def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
             diams[pick] = _cell_diam(pts, left)
             cells.append(right)
             diams.append(_cell_diam(pts, right))
-        order = sorted(range(len(cells)), key=lambda ci: int(cells[ci].min()))
+            for ci in (pick, len(cells) - 1):
+                D[ci], M[ci] = diams[ci][0], cells[ci][0]
+        k = len(cells)
+        order = np.argsort(M[:k])
         cells = [cells[ci] for ci in order]
         diams = [diams[ci] for ci in order]
-        partitions.append(tuple(tuple(sorted(c.tolist())) for c in cells))
+        D[:k], M[:k] = D[order], M[order]
+        partitions.append(tuple(tuple(c.tolist()) for c in cells))
 
     witness = AdmissibleSequence(tuple(partitions))
     return GammaEstimate(alpha, float(totals.max()), "greedy", witness)
 
 
-def _widest_cell(cells, diams) -> int:
-    """Index of the largest-diameter splittable cell; ties go to the lowest min index."""
-    pick = -1
-    for ci in range(len(cells)):
-        d = diams[ci][0]
-        if d <= 0.0:
-            continue
-        if pick < 0 or d > diams[pick][0] + 1e-15:
+def _widest_cell(D: np.ndarray, M: np.ndarray) -> int:
+    """Index of the widest splittable cell, as a scan of the cells in list order picks it.
+
+    The scan keeps a pick p and, for each cell i with D[i] > 0, moves to i
+    when D[i] > D[p] + TIE_TOL, or when |D[i] - D[p]| <= TIE_TOL and
+    M[i] < M[p]; it returns -1 when no cell is splittable.
+
+    Only the top band can win. The band holds every splittable diameter
+    down to lo, where lo starts at max D and moves down to the next smaller
+    diameter hi while the scan's own tests fail to separate them
+    (lo > hi + TIE_TOL and lo - hi > TIE_TOL). Every band cell then beats
+    every cell below the band on the first test, and no cell below the band
+    ties with or beats a band pick. So the scan picks the first band cell it
+    meets, whatever it picked before, and keeps a band cell from then on:
+    scanning the band alone, in list order, gives the same pick. When the
+    band spans at most TIE_TOL (top - lo <= TIE_TOL and top <= lo + TIE_TOL),
+    every pair in it ties, so that scan ends at the band's lowest M.
+    """
+    live = D > 0.0
+    if not live.any():
+        return -1
+    top = D.max()
+    lo = top
+    while True:
+        below = D[live & (D < lo)]
+        if not below.size:
+            break
+        hi = below.max()
+        if lo > hi + TIE_TOL and lo - hi > TIE_TOL:
+            break
+        lo = hi
+    band = np.flatnonzero(D >= lo)
+    if top - lo <= TIE_TOL and top <= lo + TIE_TOL:
+        return int(band[np.argmin(M[band])])
+    pick = band[0]
+    for ci in band[1:]:
+        d, dp = D[ci], D[pick]
+        if d > dp + TIE_TOL or (abs(d - dp) <= TIE_TOL and M[ci] < M[pick]):
             pick = ci
-        elif abs(d - diams[pick][0]) <= 1e-15 and cells[ci].min() < cells[pick].min():
-            pick = ci
-    return pick
+    return int(pick)
 
 
 def _cell_diam(pts: np.ndarray, cell: np.ndarray):
@@ -348,8 +391,7 @@ def certify_hull_gamma(T, alpha: float, R: float | None = None,
     if isinstance(T, Polytope):
         T = BodyApprox.from_polytope(T)
     if isinstance(T, BodyApprox) and T.kind != "points":
-        poly = T.poly if T.poly is not None else quickhull(T.vertices)
-        pts_T, h = sampling.sample_polytope(poly, axis_cells=axis_cells)
+        pts_T, h = sampling.sample_polytope(T.polytope(), axis_cells=axis_cells)
         hull_source = T.hull_points()
         dim = T.dim
     else:
@@ -367,7 +409,9 @@ def certify_hull_gamma(T, alpha: float, R: float | None = None,
         raise TooLarge("body sample exceeds the greedy gamma cap; coarsen axis_cells")
 
     g_T = gamma_greedy(pts_T, alpha).value
-    g_Th = gamma_greedy(hull_pts, alpha).value
+    # a convex body's hull sample is its own sample
+    same = hull_pts.shape == pts_T.shape and hull_pts.tobytes() == pts_T.tobytes()
+    g_Th = g_T if same else gamma_greedy(hull_pts, alpha).value
     return gamma_ratio_report(g_T, g_Th, dim, alpha, R)
 
 

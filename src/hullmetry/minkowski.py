@@ -100,8 +100,15 @@ class BodyApprox:
         _, _, rank = sampling.affine_basis(self.vertices)
         if rank < self.dim:
             return 0.0
-        hull = self.poly if self.poly is not None else quickhull(self.vertices)
-        return volume_det(hull.boundary)
+        return volume_det(self.polytope().boundary)
+
+    def polytope(self) -> Polytope:
+        """The body as a Polytope: its solid, or the hull of its convex vertices."""
+        if self.kind == "grid":
+            raise ParamOutOfRange(
+                "grid bodies have no polyhedral ratio: no polytope to hull or sample"
+            )
+        return self.poly if self.poly is not None else quickhull(self.vertices)
 
     def hull_points(self) -> np.ndarray:
         if self.kind == "convex":
@@ -118,8 +125,7 @@ class BodyApprox:
             return self.points, 0.0
         if self.kind == "grid":
             return self.grid.cell_centers(), self.grid.h
-        poly = self.poly if self.poly is not None else quickhull(self.vertices)
-        return sampling.sample_polytope(poly, h=h, axis_cells=self.axis_cells)
+        return sampling.sample_polytope(self.polytope(), h=h, axis_cells=self.axis_cells)
 
     def natural_spacing(self) -> float:
         if self.kind == "grid":
@@ -137,7 +143,7 @@ def _rasterize(body: BodyApprox, h: float) -> GridBody:
         return _grid_from_points(pts, h, body.dim)
     if body.kind == "points":
         return _grid_from_points(body.points, h, body.dim)
-    poly = body.poly if body.poly is not None else quickhull(body.vertices)
+    poly = body.polytope()
     lo = poly.vertices.min(axis=0)
     hi = poly.vertices.max(axis=0)
     shape = tuple(max(int(math.ceil((b - a) / h - 1e-9)), 1) for a, b in zip(lo, hi))
@@ -411,4 +417,4 @@ def hull_ratio(T, mode: str = "poly") -> float:
         return 1.0
     if mode == "general":
         return empirical_general_ratio(T, GENERAL_K_H).bound
-    return volume_ratio_poly(T.poly if T.poly is not None else quickhull(T.vertices))
+    return volume_ratio_poly(T.polytope())

@@ -180,6 +180,75 @@ def gamma_by_enumeration(points, alpha) -> float:
     return best
 
 
+def widest_by_scan(diams, mins, tie=1e-15) -> int:
+    """One pass in list order over cells with positive diameter: a cell takes
+    the pick when its diameter exceeds the pick's by more than ``tie``, or lies
+    within ``tie`` of it and has a lower min index. -1 when none is positive."""
+    pick = -1
+    for ci, diam in enumerate(diams):
+        if diam <= 0:
+            continue
+        if pick < 0 or diam > diams[pick] + tie:
+            pick = ci
+        elif abs(diam - diams[pick]) <= tie and mins[ci] < mins[pick]:
+            pick = ci
+    return pick
+
+
+def gamma_greedy_reference(points, alpha, tie=1e-15):
+    """(value, partitions) of the greedy farthest-point chaining bound, written plainly.
+
+    Level 0 is one cell; level m >= 1 may hold 2^(2^m) cells. A level starts
+    from the previous one (cells ordered by lowest index) and, while under
+    budget, splits the widest cell that ``widest_by_scan`` finds. The split
+    sends each point to the nearer of the cell's first farthest pair
+    (row-major over ordered pairs), ties to the first; the left part keeps
+    the cell's place, the right part goes to the end. Every point adds
+    2^(m/alpha) times its cell's diameter per level; the value is the
+    largest such sum.
+    """
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+
+    def farthest(cell):
+        sub = pts[cell]
+        d = np.sqrt(((sub[:, None, :] - sub[None, :, :]) ** 2).sum(axis=2))
+        i, j = divmod(int(np.argmax(d)), len(cell))
+        return float(d[i, j]), cell[i], cell[j]
+
+    cells = [list(range(n))]
+    far = [farthest(cells[0])]
+    totals = np.zeros(n)
+    partitions = [(tuple(range(n)),)]
+    m = 0
+    while True:
+        for cell, (diam, _, _) in zip(cells, far):
+            if diam > 0:
+                totals[cell] += 2 ** (m / alpha) * diam
+        if all(diam <= 0 for diam, _, _ in far):
+            break
+        m += 1
+        while len(cells) < 2 ** (2**m):
+            pick = widest_by_scan([f[0] for f in far], [min(c) for c in cells], tie)
+            if pick < 0:
+                break
+            _, a, b = far[pick]
+            left, right = [], []
+            for t in cells[pick]:
+                da = math.sqrt(float(((pts[t] - pts[a]) ** 2).sum()))
+                db = math.sqrt(float(((pts[t] - pts[b]) ** 2).sum()))
+                (left if da <= db else right).append(t)
+            cells[pick] = left
+            far[pick] = farthest(left)
+            cells.append(right)
+            far.append(farthest(right))
+        order = sorted(range(len(cells)), key=lambda ci: min(cells[ci]))
+        cells = [cells[ci] for ci in order]
+        far = [far[ci] for ci in order]
+        partitions.append(tuple(tuple(sorted(c)) for c in cells))
+    return float(totals.max()), tuple(partitions)
+
+
 def antiderivative_log_squared(x) -> float:
     """Antiderivative of (ln t)^2 evaluated at x > 0: x (ln^2 x - 2 ln x + 2)."""
     lx = math.log(x)

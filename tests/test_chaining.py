@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,18 +18,22 @@ from hullmetry.chaining import (
     l_constant,
     _cell_diam,
     _diameter_and_gap,
+    _widest_cell,
 )
-from hullmetry.fixtures import lshape, unit_square
-from hullmetry.geometry import PointCloud, polytope_from_facets
+from hullmetry import chaining
+from hullmetry.fixtures import bundled_suite, lshape, unit_square
+from hullmetry.geometry import PointCloud, load_body, polytope_from_facets
 from hullmetry.minkowski import hull_ratio
 
 from oracles import (
     farthest_pair,
     gamma_by_enumeration,
+    gamma_greedy_reference,
     halfnormal_mean,
     max_two_gaussians_mean,
     positive_part_gaussian_mean,
     smallest_positive_gap,
+    widest_by_scan,
 )
 
 TWO = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -111,6 +116,87 @@ def test_greedy_scale_equivariance():
 def test_greedy_handles_duplicates():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     assert gamma_greedy(pts, 2.0).value == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from(["random", "lattice", "near_tie"]),
+)
+def test_greedy_matches_reference_property(seed, kind):
+    # value and witness equal the plain sequential-scan construction exactly
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    n = int(rng.integers(1, 151))
+    if kind == "random":
+        pts = rng.uniform(-1, 1, (n, d))
+    else:
+        side = int(rng.integers(2, 6))
+        axes = np.meshgrid(*[np.arange(side) / 4.0] * d, indexing="ij")
+        lattice = np.stack(axes, -1).reshape(-1, d)
+        pts = lattice[rng.permutation(len(lattice))[:n]]
+        if kind == "near_tie":
+            # a few ulps off the dyadic lattice: many diameters differ by <= 1e-15
+            pts = 1.0 + pts
+            pts = pts + rng.integers(-4, 5, pts.shape) * np.spacing(pts)
+    est = gamma_greedy(pts, 2.0)
+    value, partitions = gamma_greedy_reference(pts, 2.0)
+    assert est.value == value
+    assert est.witness.partitions == partitions
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_widest_cell_matches_sequential_scan_property(seed):
+    # diameters a few ulps apart around a few bases, some cells unsplittable
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 40))
+    base = rng.choice([0.75, 1.0, 1.5, 3.0], k)
+    D = base + rng.integers(0, 13, k) * np.spacing(base)
+    D[rng.random(k) < 0.2] = 0.0
+    M = rng.permutation(10 * k)[:k]
+    assert _widest_cell(D, M) == widest_by_scan(D.tolist(), M.tolist())
+
+
+def test_widest_cell_keeps_an_earlier_pick_that_rounding_ties():
+    # 1 + 5 ulp exceeds 1 by more than 1e-15, yet not 1 + 1e-15 rounded: the
+    # scan moves on neither test and keeps the first, narrower cell
+    D = np.array([1.0, 1.0 + 5 * np.spacing(1.0)])
+    assert _widest_cell(D, np.array([0, 1])) == 0 == widest_by_scan(D.tolist(), [0, 1])
+    assert _widest_cell(D[::-1].copy(), np.array([1, 0])) == 0
+
+
+# sha256 of repr(witness.partitions) for the body and hull samples of the
+# bundled gamma_hull checks, recorded with the greedy construction that
+# scanned every cell per split
+PINNED_WITNESS_DIGESTS = {
+    "unit_cube": [
+        "97e3b2f68efb7a9f7e315a9f5aef7d84392e7839e17abf3ad2d79ffadfb70007",
+        "6957beb0ce476053a80f06e2685a2b61cd92c0a529df934d712518ce33727931",
+    ],
+    "lshape": [
+        "1cb766a9a8540314a437063764314f78980d5376fe30a1d39fcaf815863a4081",
+        "ba3bfe51b521c9c4c9d9c161d44f8304e4329db658e045d0c50ba1ff3cee0b59",
+    ],
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(PINNED_WITNESS_DIGESTS))
+def test_greedy_witnesses_of_bundled_gamma_samples_are_pinned(scenario, monkeypatch):
+    witnesses = []
+    real = chaining.gamma_greedy
+
+    def recorded(cloud, alpha):
+        est = real(cloud, alpha)
+        witnesses.append(est.witness.partitions)
+        return est
+
+    monkeypatch.setattr(chaining, "gamma_greedy", recorded)
+    doc = next(s for s in bundled_suite()["scenarios"] if s["id"] == scenario)
+    cells = int(doc["params"].get("gamma_cells", 24))
+    certify_hull_gamma(load_body(doc["payload"]), 2.0, 1.0, axis_cells=cells)
+    digests = [hashlib.sha256(repr(w).encode()).hexdigest() for w in witnesses]
+    assert digests == PINNED_WITNESS_DIGESTS[scenario]
 
 
 def test_admissible_sequence_validation_rejects_junk():

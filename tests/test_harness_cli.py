@@ -205,8 +205,8 @@ def test_failing_checks_give_failed_records(tmp_path):
     )
 
 
-def test_gamma_hull_computes_each_gamma_once(monkeypatch):
-    # the body and hull gammas serve both the polyhedral and the general ratio
+def _gamma_greedy_calls(monkeypatch, scenario):
+    """Number of gamma_greedy calls made by one bundled gamma_hull check."""
     calls = []
     real = chaining.gamma_greedy
 
@@ -215,11 +215,21 @@ def test_gamma_hull_computes_each_gamma_once(monkeypatch):
         return real(cloud, alpha)
 
     monkeypatch.setattr(chaining, "gamma_greedy", counted)
-    doc = next(s for s in bundled_suite()["scenarios"] if s["id"] == "lshape")
+    doc = next(s for s in bundled_suite()["scenarios"] if s["id"] == scenario)
     records, _ = run_scenario(dict(doc, checks=["gamma_hull"]), 20240501)
     assert [r.check for r in records] == ["gamma_hull"] and records[0].holds
     assert {"R_poly", "L_poly", "R_gen", "L_gen"} <= set(records[0].constants)
-    assert len(calls) == 2
+    return len(calls)
+
+
+def test_gamma_hull_computes_each_gamma_once(monkeypatch):
+    # the body and hull gammas serve both the polyhedral and the general ratio
+    assert _gamma_greedy_calls(monkeypatch, "lshape") == 2
+
+
+def test_gamma_hull_of_convex_body_computes_one_gamma(monkeypatch):
+    # a convex body's hull sample is its body sample, so gamma_Th is gamma_T
+    assert _gamma_greedy_calls(monkeypatch, "unit_square") == 1
 
 
 def test_bundled_suite_is_valid_and_matches_checked_in_copy(tmp_path):

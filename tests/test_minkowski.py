@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from hullmetry.chaining import certify_hull_gamma
 from hullmetry.errors import DegenerateInput, DimensionMismatch, NonpositiveScale, ParamOutOfRange
 from hullmetry.geometry import polytope_from_facets
 from hullmetry.fixtures import lshape, unit_square
 from hullmetry.minkowski import (
     BodyApprox,
+    GridBody,
     body_beta,
     check_reverse_bm,
     convexification_gap,
     empirical_general_ratio,
+    hull_ratio,
     minkowski_average,
     minkowski_sum,
     scale_body,
@@ -336,3 +339,15 @@ def test_general_ratio_cshape_grid_oracle():
 
 def test_body_beta_matches_geometry():
     assert body_beta(square_body()) == pytest.approx(math.pi / 2, rel=1e-9)
+
+
+def test_grid_body_has_general_but_no_polyhedral_ratio():
+    grid = BodyApprox.from_grid(GridBody(np.zeros(2), 0.2, np.ones((5, 5), bool)))
+    assert hull_ratio(grid, "general") == 2.285978726592224
+    for call in (
+        lambda: hull_ratio(grid, "poly"),
+        lambda: certify_hull_gamma(grid, 2.0),
+        lambda: certify_hull_gamma(grid, 2.0, 1.5),
+    ):
+        with pytest.raises(ParamOutOfRange, match="grid bodies have no polyhedral ratio"):
+            call()
