@@ -14,7 +14,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import ParamOutOfRange, TooLarge
 from .geometry import Polytope, unit_ball_volume, volume_det, _halfspaces, _points_of
-from .minkowski import BodyApprox, hull_ratio, minkowski_sum
+from .minkowski import hull_ratio
 from . import sampling
 
 EXACT_COVER_CAP = 24
@@ -179,25 +179,6 @@ def volume_cover_bounds(poly: Polytope, epsilon: float):
         return lower, None
     upper = (3.0 / epsilon) ** n * vol_a / vol_b
     return lower, upper
-
-
-def middle_cover_form(poly: Polytope, epsilon: float) -> float:
-    """Vol(A + (eps/2) B) / Vol((eps/2) B), the middle term of the sandwich."""
-    n = poly.dim
-    ngon = _ball_polytope(n, epsilon / 2.0)
-    body = BodyApprox.from_polytope(poly)
-    summed = minkowski_sum(body, BodyApprox.convex_hull_of(ngon))
-    return summed.volume() / unit_ball_volume(n, epsilon / 2.0)
-
-
-def _ball_polytope(n: int, radius: float, segments: int = 64) -> np.ndarray:
-    if n == 2:
-        ang = 2 * np.pi * np.arange(segments) / segments
-        return radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    rng = np.random.default_rng(0xBA11)
-    pts = rng.standard_normal((segments * 8, n))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return radius * pts
 
 
 @dataclass(frozen=True)

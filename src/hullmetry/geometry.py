@@ -630,15 +630,6 @@ def min_enclosing_ball(cloud: PointCloud | np.ndarray) -> Ball:
 # ---------------------------------------------------------------------------
 
 
-def beta_ratio(poly: Polytope) -> float:
-    """Volume of the circumscribed (minimum enclosing) ball over the body volume."""
-    vol = volume_det(poly.boundary)
-    if vol <= 0:
-        raise DegenerateInput("polytope volume is zero")
-    ball = min_enclosing_ball(poly.vertices)
-    return unit_ball_volume(poly.dim, ball.radius) / vol
-
-
 def volume_ratio_poly(poly: Polytope) -> float:
     """Vol(hull of vertices) / Vol(body); 1 exactly when the body is convex."""
     vol = volume_det(poly.boundary)

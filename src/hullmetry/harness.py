@@ -179,14 +179,18 @@ def _check_revbm(scen: Scenario, seed: int):
     return rec, {}
 
 
+def _load_target(scen: Scenario):
+    """The scenario's payload: a PointCloud for a cloud scenario, else a Polytope."""
+    return load_cloud(scen.payload) if scen.kind == "cloud" else load_body(scen.payload)
+
+
 def _check_convexify(scen: Scenario, seed: int):
+    target = _load_target(scen)
     if scen.kind == "cloud":
-        cloud = load_cloud(scen.payload)
-        approx = BodyApprox.from_points(cloud.points)
+        approx = BodyApprox.from_points(target.points)
         tol = 1e-9
     else:
-        body = load_body(scen.payload)
-        approx = BodyApprox.from_polytope(body, axis_cells=scen.params.get("axis_cells"))
+        approx = BodyApprox.from_polytope(target, axis_cells=scen.params.get("axis_cells"))
         tol = approx.natural_spacing() / 2.0 if approx.kind != "convex" else 1e-9
     k_max = int(scen.params.get("k_max", 8))
     traces = convexification_gap(approx, k_max)
@@ -210,10 +214,7 @@ def _check_convexify(scen: Scenario, seed: int):
 def _check_cover_ratio(scen: Scenario, seed: int):
     epsilons = [float(e) for e in scen.params.get("epsilons", [0.2, 0.4, 0.8])]
     mode = scen.params.get("mode", "poly")
-    if scen.kind == "cloud":
-        target = load_cloud(scen.payload)
-    else:
-        target = load_body(scen.payload)
+    target = _load_target(scen)
     R = hull_ratio(target, mode)
     R_poly = R if mode == "poly" else hull_ratio(target)
     convex_poly = target if scen.kind == "body" and R_poly <= 1.0 + 1e-9 else None
@@ -249,10 +250,7 @@ def _check_cover_ratio(scen: Scenario, seed: int):
 def _check_gamma_hull(scen: Scenario, seed: int):
     alpha = float(scen.params.get("alpha", 2.0))
     cells = int(scen.params.get("gamma_cells", 24))
-    if scen.kind == "cloud":
-        target = load_cloud(scen.payload)
-    else:
-        target = load_body(scen.payload)
+    target = _load_target(scen)
     rep_poly = certify_hull_gamma(target, alpha, hull_ratio(target), axis_cells=cells)
     rep_gen = gamma_ratio_report(rep_poly.gamma_T, rep_poly.gamma_Th, rep_poly.dim, alpha,
                                  hull_ratio(target, "general"))

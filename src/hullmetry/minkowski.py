@@ -180,9 +180,11 @@ def minkowski_sum(A: BodyApprox, B: BodyApprox) -> BodyApprox:
         sums = (A.vertices[:, None, :] + B.vertices[None, :, :]).reshape(-1, A.dim)
         sums = sampling._dedupe(sums)
         _, _, rank = sampling.affine_basis(sums)
+        hull = None
         if rank == A.dim and len(sums) > A.dim + 1:
-            sums = quickhull(sums).vertices
-        return BodyApprox("convex", A.dim, vertices=sums, axis_cells=A.axis_cells)
+            hull = quickhull(sums)
+            sums = hull.vertices
+        return BodyApprox("convex", A.dim, vertices=sums, poly=hull, axis_cells=A.axis_cells)
     if A.kind == "points" and B.kind == "points":
         if len(A.points) * len(B.points) > POINTS_CAP:
             raise TooLarge("pairwise sum of point sets exceeds the cap")
@@ -212,12 +214,9 @@ def minkowski_average(A: BodyApprox, k: int) -> BodyApprox:
     """(1/k) times the k-fold Minkowski sum of A with itself."""
     if k < 1:
         raise ParamOutOfRange("k must be >= 1")
-    if k == 1 or A.kind == "convex":
-        return A
-    acc = A
-    for _ in range(k - 1):
-        acc = minkowski_sum(acc, A)
-    return scale_body(acc, 1.0 / k)
+    for _, Ak in _average_sequence(A, k):
+        pass
+    return Ak
 
 
 def _average_sequence(A: BodyApprox, k_max: int):
@@ -233,13 +232,17 @@ def _average_sequence(A: BodyApprox, k_max: int):
         yield k, scale_body(acc, 1.0 / k)
 
 
+def _ball_volume(A: BodyApprox) -> float:
+    """Volume of A's circumscribed ball: the minimum enclosing ball of its hull points."""
+    return unit_ball_volume(A.dim, min_enclosing_ball(A.hull_points()).radius)
+
+
 def body_beta(A: BodyApprox) -> float:
     """Circumscribed-ball volume over body volume, from the minimum enclosing ball."""
     vol = A.volume()
     if vol <= 0:
         raise DegenerateInput("beta undefined for a volume-zero body")
-    ball = min_enclosing_ball(A.hull_points())
-    return unit_ball_volume(A.dim, ball.radius) / vol
+    return _ball_volume(A) / vol
 
 
 @dataclass(frozen=True)
@@ -269,12 +272,7 @@ def convexification_gap(A: BodyApprox, k_max: int, hausdorff_h: float | None = N
         h_cmp = hausdorff_h or A.natural_spacing()
         hull_sample, _ = sampling.sample_hull(hull_pts, h=h_cmp)
 
-    vols, gaps, betas = [], [], []
-    ball_vol = None
-    if A.kind not in ("points",):
-        # A(k) has the same convex hull as A, hence the same circumscribed ball
-        ball = min_enclosing_ball(hull_pts)
-        ball_vol = unit_ball_volume(A.dim, ball.radius)
+    vols, gaps = [], []
     for k, Ak in _average_sequence(A, k_max):
         if A.kind == "points":
             pts = Ak.points
@@ -284,10 +282,9 @@ def convexification_gap(A: BodyApprox, k_max: int, hausdorff_h: float | None = N
                 pts = _decimate(pts, h_cmp)
         vols.append(Ak.volume() if A.kind != "points" else 0.0)
         gaps.append(sampling.hausdorff_distance(pts, hull_sample))
-        if ball_vol is not None:
-            betas.append(ball_vol / max(vols[-1], 1e-300))
 
-    c2 = max(measured_c2(vols, betas), 1.0) if betas else 1.0
+    # A(k) has the same convex hull as A, hence the same circumscribed ball
+    c2 = measured_c2(vols, _ball_volume(A)) if A.kind != "points" else 1.0
     base_vol = vols[0] if vols else 0.0
     traces = []
     for i, k in enumerate(range(1, k_max + 1)):
@@ -303,10 +300,16 @@ def _decimate(pts: np.ndarray, h: float) -> np.ndarray:
     return lo + (idx[np.sort(keep)] + 0.5) * h
 
 
-def measured_c2(vols: list[float], betas: list[float]) -> float:
-    """Empirical C2 from a trace: max per-step C1 times the largest beta."""
+def measured_c2(vols: list[float], ball_vol: float) -> float:
+    """Empirical C2 from a volume trace, clamped to at least 1.
+
+    beta_k = ball_vol / vols[k-1], with ball_vol the volume of the ball
+    circumscribing every A(k); C2 is the largest per-step C1 times the
+    largest beta.
+    """
     if not vols:
         return 1.0
+    betas = [ball_vol / max(v, 1e-300) for v in vols]
     c1 = 0.0
     for k in range(2, len(vols) + 1):
         denom = (k - 1) / k * betas[k - 2] * vols[k - 2] + 1.0 / k * betas[0] * vols[0]
@@ -314,7 +317,7 @@ def measured_c2(vols: list[float], betas: list[float]) -> float:
             c1 = max(c1, vols[k - 1] / denom)
     if c1 == 0.0:
         c1 = 1.0 / max(betas[0], 1.0)
-    return c1 * max(betas)
+    return max(c1 * max(betas), 1.0)
 
 
 @dataclass(frozen=True)
@@ -383,14 +386,8 @@ def empirical_general_ratio(A: BodyApprox, k_h: int) -> GeneralRatioReport:
     hull = quickhull(A.hull_points())
     ratio = volume_det(hull.boundary) / vol_A
 
-    ball = min_enclosing_ball(A.hull_points())
-    ball_vol = unit_ball_volume(A.dim, ball.radius)
-    vols, betas = [], []
-    for _, Ak in _average_sequence(A, max(k_h, 2)):
-        v = Ak.volume()
-        vols.append(v)
-        betas.append(ball_vol / max(v, 1e-300))
-    c2 = max(measured_c2(vols, betas), 1.0)
+    vols = [Ak.volume() for _, Ak in _average_sequence(A, max(k_h, 2))]
+    c2 = measured_c2(vols, _ball_volume(A))
     bound = volume_ratio_general_bound(max(k_h, 2), c2)
     # grid volumes carry sampling error; allow it in the certification margin
     slack_tol = 1e-9 if A.kind == "convex" else 0.05

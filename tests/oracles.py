@@ -18,9 +18,15 @@ def shoelace(vertices) -> float:
     return abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))) / 2.0
 
 
-def polygon_contains(vertices, point, tol=1e-12) -> bool:
-    """Even-odd point-in-polygon test with boundary points counted inside."""
+def polygon_contains(vertices, point, tol=1e-12):
+    """Even-odd point-in-polygon test with boundary points counted inside.
+
+    `point` is one (x, y) pair, giving a bool, or an (m, 2) array, giving an
+    (m,) bool array by the same rule and tolerance.
+    """
     v = np.asarray(vertices, dtype=float)
+    if np.ndim(point) == 2:
+        return _polygon_contains_many(v, np.asarray(point, dtype=float), tol)
     x, y = float(point[0]), float(point[1])
     n = len(v)
     inside = False
@@ -37,6 +43,24 @@ def polygon_contains(vertices, point, tol=1e-12) -> bool:
             if x_int > x:
                 inside = not inside
     return inside
+
+
+def _polygon_contains_many(v, pts, tol):
+    x, y = pts[:, 0], pts[:, 1]
+    on_edge = np.zeros(len(pts), dtype=bool)
+    inside = np.zeros(len(pts), dtype=bool)
+    for (x1, y1), (x2, y2) in zip(v, np.roll(v, -1, axis=0)):
+        cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+        on_edge |= (
+            (np.abs(cross) <= tol * max(1.0, abs(x2 - x1) + abs(y2 - y1)))
+            & (min(x1, x2) - tol <= x) & (x <= max(x1, x2) + tol)
+            & (min(y1, y2) - tol <= y) & (y <= max(y1, y2) + tol)
+        )
+        if y1 != y2:  # a horizontal edge is never crossed
+            straddles = (y1 > y) != (y2 > y)
+            x_int = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            inside ^= straddles & (x_int > x)
+    return on_edge | inside
 
 
 def extreme_points(points) -> list[int]:

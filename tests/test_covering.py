@@ -12,7 +12,6 @@ from hullmetry.covering import (
     exact_cover_small,
     greedy_cover,
     inradius,
-    middle_cover_form,
     packing_number,
     volume_cover_bounds,
 )
@@ -177,13 +176,6 @@ def test_volume_bounds_upper_needs_inball():
     lo, up = volume_cover_bounds(sq, 0.8)  # inradius is 0.5 < 0.8
     assert up is None
     assert lo == pytest.approx((1 / 0.8) ** 2 / math.pi, rel=1e-9)
-
-
-def test_middle_form_sits_in_the_sandwich():
-    sq4 = quickhull(np.array([[-2.0, -2.0], [2, -2], [2, 2], [-2, 2]]))
-    lo, up = volume_cover_bounds(sq4, 1.0)
-    mid = middle_cover_form(sq4, 1.0)
-    assert lo <= mid <= up
 
 
 def test_volume_lower_bound_below_exact_cover():

@@ -10,7 +10,6 @@ from hullmetry.errors import DegenerateInput, NonOrientable
 from hullmetry.geometry import (
     Ball,
     PointCloud,
-    beta_ratio,
     hull_contains,
     load_body,
     load_cloud,
@@ -24,6 +23,7 @@ from hullmetry.geometry import (
     volume_ratio_poly,
 )
 from hullmetry.fixtures import lshape, star2d, unit_cube, unit_square
+from hullmetry.minkowski import BodyApprox, body_beta
 
 from oracles import extreme_points, shoelace
 
@@ -365,18 +365,18 @@ def test_meb_badoiu_clarkson_branch(n):
 
 def test_beta_unit_square():
     poly = polytope_from_facets(SQ, unit_square()["facets"])
-    assert beta_ratio(poly) == pytest.approx(math.pi / 2, rel=1e-9)
+    assert body_beta(BodyApprox.from_polytope(poly)) == pytest.approx(math.pi / 2, rel=1e-9)
 
 
 def test_beta_lshape():
     poly = lshape_poly()
-    assert beta_ratio(poly) == pytest.approx(math.pi * 2.0 / 3.0, rel=1e-9)
+    assert body_beta(BodyApprox.from_polytope(poly)) == pytest.approx(math.pi * 2.0 / 3.0, rel=1e-9)
 
 
 def test_beta_of_finely_sampled_ball_is_one():
     ang = 2 * np.pi * np.arange(512) / 512
     poly = quickhull(np.stack([np.cos(ang), np.sin(ang)], axis=1))
-    assert beta_ratio(poly) == pytest.approx(1.0, rel=1e-3)
+    assert body_beta(BodyApprox.from_polytope(poly)) == pytest.approx(1.0, rel=1e-3)
 
 
 def test_volume_ratio_poly_convex_is_one():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hullmetry import minkowski
 from hullmetry.chaining import certify_hull_gamma
 from hullmetry.errors import DegenerateInput, DimensionMismatch, NonpositiveScale, ParamOutOfRange
 from hullmetry.geometry import polytope_from_facets
@@ -15,6 +16,7 @@ from hullmetry.minkowski import (
     convexification_gap,
     empirical_general_ratio,
     hull_ratio,
+    measured_c2,
     minkowski_average,
     minkowski_sum,
     scale_body,
@@ -53,6 +55,15 @@ def test_sum_of_orthogonal_segments_is_square():
     b = BodyApprox.convex_hull_of([[0.0, 0.0], [0.0, 1.0]])
     sq = minkowski_sum(a, b)
     assert sq.volume() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_convex_sum_keeps_its_hull(monkeypatch):
+    calls = []
+    real = minkowski.quickhull
+    monkeypatch.setattr(minkowski, "quickhull", lambda pts: calls.append(1) or real(pts))
+    sq = square_body()
+    assert minkowski_sum(sq, scale_body(sq, 2.0)).volume() == pytest.approx(9.0, abs=1e-12)
+    assert len(calls) == 1
 
 
 def test_sum_dimension_mismatch():
@@ -154,15 +165,8 @@ def test_lshape_average2_matches_bruteforce_membership():
     xs = np.arange(0.0, 2.0, h) + h / 2
     grid = np.array([[x, y] for x in xs for y in xs])
 
-    def in_l(p):
-        return polygon_contains(L_VERTS, p)
-
-    a_pts = np.array([p for p in grid if in_l(p)])
-    count = 0
-    for x in grid:
-        refl = 2 * x - a_pts
-        if any(in_l(r) for r in refl):
-            count += 1
+    a_pts = grid[polygon_contains(L_VERTS, grid)]
+    count = sum(bool(polygon_contains(L_VERTS, 2 * x - a_pts).any()) for x in grid)
     oracle_area = count * h * h
 
     a2 = minkowski_average(lshape_body(), 2)
@@ -300,6 +304,23 @@ def test_bound_at_least_one():
             assert volume_ratio_general_bound(k, c2) >= 1.0 - 1e-12
 
 
+def test_measured_c2_empty_trace_is_one():
+    assert measured_c2([], math.pi) == 1.0
+
+
+@pytest.mark.parametrize("vols", [[2.0], [2.0, 2.0, 2.0]])
+def test_measured_c2_constant_trace_is_clamped_to_one(vols):
+    # one step with ball_vol < vol gives C1 = 1 and beta = 0.5: only the clamp reaches 1
+    assert measured_c2(vols, 1.0) >= 1.0
+
+
+def test_measured_c2_three_step_by_hand():
+    # beta_k = B / v_k, so beta_k * v_k = B and every per-step denominator is
+    # (k-1)/k * B + 1/k * B = B: C1 = max(v2, v3) / B = 3.3 / B, and
+    # max beta = B / min(v) = B / 3.0, hence C2 = 3.3 / 3.0 = 1.1
+    assert measured_c2([3.0, 3.2, 3.3], 2.0 * math.pi) == pytest.approx(1.1, rel=1e-12)
+
+
 def test_general_ratio_convex_is_one():
     rep = empirical_general_ratio(square_body(), 4)
     assert rep.ratio == pytest.approx(1.0, rel=1e-9)
@@ -329,7 +350,7 @@ def test_general_ratio_cshape_grid_oracle():
 
     h = 0.02
     xs = np.arange(-outer, outer, h) + h / 2
-    count = sum(polygon_contains(verts, (x, y)) for x in xs for y in xs)
+    count = int(polygon_contains(verts, np.array([[x, y] for x in xs for y in xs])).sum())
     area_oracle = count * h * h
     hull_area = shoelace(np.array([[-2, -2], [2, -2], [2, 2], [-2, 2]]))
 

@@ -1,0 +1,40 @@
+"""Checks on the oracles themselves: independence from the package, and
+agreement of their fast forms with their per-point forms."""
+import ast
+from pathlib import Path
+
+import numpy as np
+
+from hullmetry.fixtures import lshape
+
+from oracles import polygon_contains
+
+ORACLES = Path(__file__).with_name("oracles.py")
+L_VERTS = np.array(lshape()["vertices"])
+
+
+def test_oracles_import_no_package_code():
+    tree = ast.parse(ORACLES.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    offending = {m for m in imported if m.split(".")[0] in ("hullmetry", "")}
+    assert not offending, f"oracles.py imports package code: {sorted(offending)}"
+
+
+def test_polygon_contains_array_matches_per_point_on_lshape_grid():
+    h = 0.05
+    centres = np.arange(0.0, 2.0, h) + h / 2
+    lattice = np.arange(-2, 19) / 8.0  # exact multiples of 1/8: hits every edge and vertex
+    pts = np.array(
+        [[x, y] for x in centres for y in centres] + [[x, y] for x in lattice for y in lattice]
+    )
+    got = polygon_contains(L_VERTS, pts)
+    assert got.dtype == bool and got.shape == (len(pts),)
+    assert got.tolist() == [polygon_contains(L_VERTS, p) for p in pts]
+    for boundary in ([0.0, 0.0], [1.0, 1.0], [1.5, 1.0], [0.0, 1.25], [2.0, 0.5]):
+        assert polygon_contains(L_VERTS, np.array([boundary]))[0]
+    assert not polygon_contains(L_VERTS, np.array([[1.5, 1.5]]))[0]
