@@ -14,9 +14,9 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import ParamOutOfRange, TooLarge
-from .geometry import Polytope, _points_of
+from .geometry import _points_of
 from .covering import _greedy_centers
-from .minkowski import BodyApprox, hull_ratio
+from .minkowski import as_body, hull_ratio
 from . import sampling
 
 EXACT_CAP = 5
@@ -381,30 +381,25 @@ def certify_hull_gamma(T, alpha: float, R: float | None = None,
                        axis_cells: int = 24) -> GammaRatioReport:
     """Certify gamma_alpha(T_h) <= L * gamma_alpha(T) on deterministic samples.
 
-    T may be a PointCloud (used as-is) or a BodyApprox / Polytope (sampled).
-    Both sides are discretized at one resolution: the body's sampling grid,
-    or for finite clouds the cloud's own nearest-neighbor spacing. R defaults
-    to hull_ratio(T).
+    T is coerced by as_body: a body is sampled at axis_cells, a finite point
+    set is used as-is. Both sides are discretized at one resolution: the
+    body's sampling grid, or the point set's nearest-neighbor spacing. R
+    defaults to hull_ratio of the coerced body.
     """
+    A = as_body(T)
     if R is None:
-        R = hull_ratio(T)
-    if isinstance(T, Polytope):
-        T = BodyApprox.from_polytope(T)
-    if isinstance(T, BodyApprox) and T.kind != "points":
-        pts_T, h = sampling.sample_polytope(T.polytope(), axis_cells=axis_cells)
-        hull_source = T.hull_points()
-        dim = T.dim
-    else:
-        pts_T = T.points if isinstance(T, BodyApprox) else _points_of(T)
-        hull_source = pts_T
-        dim = pts_T.shape[1]
+        R = hull_ratio(A)
+    if A.kind == "points":
+        pts_T = A.points
         h = _diameter_and_gap(pts_T)[1] or 1.0  # the cloud's own resolution
+    else:
+        pts_T, h = sampling.sample_polytope(A.polytope(), axis_cells=axis_cells)
 
     while True:
-        hull_pts, _ = sampling.sample_hull(hull_source, h=h)
+        hull_pts, _ = sampling.sample_hull(A.hull_points(), h)
         if len(hull_pts) <= GREEDY_CAP:
             break
-        h = (h or 1.0) * 2.0
+        h *= 2.0
     if len(pts_T) > GREEDY_CAP:
         raise TooLarge("body sample exceeds the greedy gamma cap; coarsen axis_cells")
 
@@ -412,7 +407,7 @@ def certify_hull_gamma(T, alpha: float, R: float | None = None,
     # a convex body's hull sample is its own sample
     same = hull_pts.shape == pts_T.shape and hull_pts.tobytes() == pts_T.tobytes()
     g_Th = g_T if same else gamma_greedy(hull_pts, alpha).value
-    return gamma_ratio_report(g_T, g_Th, dim, alpha, R)
+    return gamma_ratio_report(g_T, g_Th, A.dim, alpha, R)
 
 
 def _diameter_and_gap(pts: np.ndarray) -> tuple[float, float]:

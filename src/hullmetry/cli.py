@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import HullmetryError
 from .geometry import load_body, load_cloud, quickhull, volume_det, volume_projected
-from .minkowski import BodyApprox, check_reverse_bm, minkowski_average
+from .minkowski import BodyApprox, as_body, check_reverse_bm, minkowski_average
 from .covering import exact_cover_small, greedy_cover
 from .chaining import entropy_integral, gamma_exact_small, gamma_greedy, gaussian_sup_mc
 from .profiles import EntropyProfile, l_existence_report
@@ -41,10 +41,12 @@ def cmd_run(args) -> int:
         return 2
 
 
+def _body_or_cloud(args) -> BodyApprox:
+    return as_body(load_cloud(args.cloud) if args.cloud else load_body(args.body))
+
+
 def cmd_hull(args) -> int:
-    body = load_cloud(args.cloud) if args.cloud else load_body(args.body)
-    pts = body.points if args.cloud else body.vertices
-    hull = quickhull(pts)
+    hull = quickhull(_body_or_cloud(args).hull_points())
     _emit(
         {
             "dim": hull.dim,
@@ -64,11 +66,7 @@ def cmd_volume(args) -> int:
 
 
 def cmd_minkavg(args) -> int:
-    if args.cloud:
-        approx = BodyApprox.from_points(load_cloud(args.cloud).points)
-    else:
-        approx = BodyApprox.from_polytope(load_body(args.body))
-    avg = minkowski_average(approx, args.k)
+    avg = minkowski_average(_body_or_cloud(args), args.k)
     doc = {"k": args.k, "kind": avg.kind, "volume": avg.volume()}
     if avg.kind == "points":
         doc["points"] = np.round(avg.points, 12).tolist()

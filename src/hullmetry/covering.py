@@ -14,7 +14,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import ParamOutOfRange, TooLarge
 from .geometry import Polytope, unit_ball_volume, volume_det, _halfspaces, _points_of
-from .minkowski import hull_ratio
+from .minkowski import as_body, hull_ratio
 from . import sampling
 
 EXACT_COVER_CAP = 24
@@ -191,39 +191,36 @@ class HullCoverCertificate:
     bound: float
     slack: float
     holds: bool
+    body_sample: np.ndarray = field(repr=False, compare=False)
 
 
 def check_hull_cover_ratio(T, epsilon: float, R: float | None = None) -> HullCoverCertificate:
     """Certify N(T_h, eps) <= R * 3^n * N(T, eps) on deterministic samples.
 
-    T may be a Polytope (sampled at eps/4 together with its hull) or a
-    PointCloud (used as-is, hull sampled at eps/4). R defaults to
-    hull_ratio(T): the polyhedral volume ratio, and 1 for point sets.
+    T is coerced by as_body. A body and the hull are sampled at eps/4, a
+    finite point set is used as-is; the body sample is kept as ``body_sample``.
+    R defaults to hull_ratio of the coerced body (1 for point sets).
     """
     if epsilon <= 0:
         raise ParamOutOfRange("epsilon must be positive")
+    A = as_body(T)
     if R is None:
-        R = hull_ratio(T)
+        R = hull_ratio(A)
     h = epsilon / 4.0
-    if isinstance(T, Polytope):
-        body_pts, _ = sampling.sample_polytope(T, h=h)
-        hull_source = T.vertices
-        dim = T.dim
-    else:
-        body_pts = hull_source = _points_of(T)
-        dim = body_pts.shape[1]
-    hull_pts, _ = sampling.sample_hull(hull_source, h=h)
+    body_pts, _ = A.sample(h)
+    hull_pts, _ = sampling.sample_hull(A.hull_points(), h)
     n_body = len(_greedy_centers(body_pts, epsilon))
     n_hull = len(_greedy_centers(hull_pts, epsilon))
-    bound = R * 3.0**dim * n_body
+    bound = R * 3.0**A.dim * n_body
     slack = bound - n_hull
     return HullCoverCertificate(
         epsilon=float(epsilon),
         n_hull=n_hull,
         n_body=n_body,
         ratio_R=float(R),
-        dim=dim,
+        dim=A.dim,
         bound=float(bound),
         slack=float(slack),
         holds=bool(slack >= 0.0),
+        body_sample=body_pts,
     )

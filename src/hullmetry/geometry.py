@@ -124,9 +124,9 @@ class Ball:
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
 
-    def contains(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         d = np.linalg.norm(np.atleast_2d(points) - self.center, axis=1)
-        return d <= self.radius + tol
+        return d <= self.radius
 
 
 def unit_ball_volume(n: int, radius: float = 1.0) -> float:
@@ -397,11 +397,10 @@ def _halfspaces(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
     return normals, np.array([offset for _, offset in planes])
 
 
-def hull_contains(poly: Polytope, points: np.ndarray, tol: float | None = None) -> np.ndarray:
+def hull_contains(poly: Polytope, points: np.ndarray) -> np.ndarray:
     """Membership in a convex hull via its facet halfspaces."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if tol is None:
-        tol = TAU_GEOM * _scale_of(poly.vertices)
+    tol = TAU_GEOM * _scale_of(poly.vertices)
     normals, offsets = _halfspaces(poly)
     return np.all(pts @ normals.T - offsets <= tol, axis=1)
 
@@ -592,9 +591,9 @@ def _welzl(points: np.ndarray, order: list[int], tau: float) -> tuple[np.ndarray
     return solve(order, [])
 
 
-def _badoiu_clarkson(points: np.ndarray, iterations: int = 2000) -> tuple[np.ndarray, float]:
+def _badoiu_clarkson(points: np.ndarray) -> tuple[np.ndarray, float]:
     center = points.mean(axis=0)
-    for t in range(iterations):
+    for t in range(2000):
         d = np.linalg.norm(points - center, axis=1)
         far = int(np.argmax(d))
         center = center + (points[far] - center) / (t + 2)

@@ -3,7 +3,8 @@
 Runs every scenario x check of a suite, collects CertificationRecords, and
 writes results.json / results.csv plus plot-ready CSV data. results.json is
 byte-deterministic for a fixed suite and master seed; wall-clock timings go
-to results.csv only.
+to results.csv only. Each scenario's payload is loaded once, and its checks
+share the one T, BodyApprox and R_poly cached on the Scenario.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +28,11 @@ from .geometry import (
     quickhull,
     volume_det,
     volume_projected,
-    volume_ratio_poly,
 )
 from .minkowski import BodyApprox, check_reverse_bm, convexification_gap, hull_ratio
-from .covering import CoveringReport, check_hull_cover_ratio, greedy_cover, volume_cover_bounds
+from .covering import CoveringReport, check_hull_cover_ratio, packing_number, volume_cover_bounds
 from .chaining import certify_hull_gamma, certify_mm_two_sided, gamma_ratio_report
 from .profiles import EntropyProfile, l_existence_report
-from . import sampling
 
 VALID_CHECKS = {
     "body": {"volume_xcheck", "ratio_poly", "revbm", "convexify", "cover_ratio", "gamma_hull"},
@@ -111,6 +111,23 @@ class Scenario:
             raise SuiteError(f"scenario {scen.id}: l_existence needs a boolean expect_l_exists")
         return scen
 
+    # a cached_property caches no exception, so a payload that fails to load
+    # fails each check that reads it with the same named error
+    @cached_property
+    def target(self):
+        """The space T: a PointCloud for a cloud scenario, else a Polytope."""
+        return load_cloud(self.payload) if self.kind == "cloud" else load_body(self.payload)
+
+    @cached_property
+    def approx(self) -> BodyApprox:
+        if self.kind == "cloud":
+            return BodyApprox.from_points(self.target.points)
+        return BodyApprox.from_polytope(self.target, axis_cells=self.params.get("axis_cells"))
+
+    @cached_property
+    def R_poly(self) -> float:
+        return hull_ratio(self.approx)
+
 
 def derive_seed(master: int, scenario_id: str, check: str) -> int:
     tag = zlib.crc32(f"{scenario_id}:{check}".encode())
@@ -128,7 +145,7 @@ def _finite(x) -> float:
 
 
 def _check_volume_xcheck(scen: Scenario, seed: int):
-    body = load_body(scen.payload)
+    body = scen.target
     vd = volume_det(body.boundary)
     vp = volume_projected(body.boundary)
     rel = abs(vd - vp) / max(abs(vd), 1e-300)
@@ -140,8 +157,8 @@ def _check_volume_xcheck(scen: Scenario, seed: int):
 
 
 def _check_ratio_poly(scen: Scenario, seed: int):
-    body = load_body(scen.payload)
-    R = volume_ratio_poly(body)
+    body = scen.target
+    R = scen.R_poly
     hull = quickhull(body.vertices)
     rehull = quickhull(hull.vertices)
     idempotent = sorted(map(tuple, hull.vertices.tolist())) == sorted(
@@ -157,8 +174,6 @@ def _check_ratio_poly(scen: Scenario, seed: int):
 
 
 def _check_revbm(scen: Scenario, seed: int):
-    body = load_body(scen.payload)
-    approx = BodyApprox.from_polytope(body, axis_cells=scen.params.get("axis_cells"))
     cap = float(scen.params.get("c1_cap", 10.0))
     worst = -math.inf
     beta_a = beta_b = float("nan")
@@ -166,7 +181,7 @@ def _check_revbm(scen: Scenario, seed: int):
     for s in scen.params.get("s_values", [1.0]):
         for t in scen.params.get("t_values", [1.0]):
             for m in scen.params.get("m_values", [1]):
-                rep = check_reverse_bm(approx, approx, float(s), float(t), int(m))
+                rep = check_reverse_bm(scen.approx, scen.approx, float(s), float(t), int(m))
                 cases += 1
                 if rep.empirical_C1 > worst:
                     worst = rep.empirical_C1
@@ -179,19 +194,9 @@ def _check_revbm(scen: Scenario, seed: int):
     return rec, {}
 
 
-def _load_target(scen: Scenario):
-    """The scenario's payload: a PointCloud for a cloud scenario, else a Polytope."""
-    return load_cloud(scen.payload) if scen.kind == "cloud" else load_body(scen.payload)
-
-
 def _check_convexify(scen: Scenario, seed: int):
-    target = _load_target(scen)
-    if scen.kind == "cloud":
-        approx = BodyApprox.from_points(target.points)
-        tol = 1e-9
-    else:
-        approx = BodyApprox.from_polytope(target, axis_cells=scen.params.get("axis_cells"))
-        tol = approx.natural_spacing() / 2.0 if approx.kind != "convex" else 1e-9
+    approx = scen.approx
+    tol = approx.natural_spacing() / 2.0 if approx.kind == "solid" else 1e-9
     k_max = int(scen.params.get("k_max", 8))
     traces = convexification_gap(approx, k_max)
     gaps = [t.hausdorff_to_hull for t in traces]
@@ -214,26 +219,19 @@ def _check_convexify(scen: Scenario, seed: int):
 def _check_cover_ratio(scen: Scenario, seed: int):
     epsilons = [float(e) for e in scen.params.get("epsilons", [0.2, 0.4, 0.8])]
     mode = scen.params.get("mode", "poly")
-    target = _load_target(scen)
-    R = hull_ratio(target, mode)
-    R_poly = R if mode == "poly" else hull_ratio(target)
-    convex_poly = target if scen.kind == "body" and R_poly <= 1.0 + 1e-9 else None
+    R = scen.R_poly if mode == "poly" else hull_ratio(scen.target, mode)
     worst_slack = math.inf
     worst = None
     report_rows = [CoveringReport.csv_header()]
     plot_rows = ["epsilon,n_greedy"]
     for eps in epsilons:
-        cert = check_hull_cover_ratio(target, eps, R)
+        cert = check_hull_cover_ratio(scen.approx, eps, R)
         if cert.slack < worst_slack:
             worst_slack = cert.slack
             worst = cert
-        if scen.kind == "cloud":
-            pts = target.points
-        else:
-            pts, _ = sampling.sample_polytope(target, h=eps / 4.0)
-        rep = greedy_cover(pts, eps)
-        if convex_poly is not None:
-            rep.vol_lower, rep.vol_upper = volume_cover_bounds(convex_poly, eps)
+        rep = CoveringReport(eps, cert.n_body, packing_number(cert.body_sample, eps))
+        if scen.approx.kind == "convex":
+            rep.vol_lower, rep.vol_upper = volume_cover_bounds(scen.target, eps)
         report_rows.append(rep.to_csv_row())
         plot_rows.append(f"{eps!r},{rep.n_greedy}")
     rec = CertificationRecord(
@@ -250,10 +248,11 @@ def _check_cover_ratio(scen: Scenario, seed: int):
 def _check_gamma_hull(scen: Scenario, seed: int):
     alpha = float(scen.params.get("alpha", 2.0))
     cells = int(scen.params.get("gamma_cells", 24))
-    target = _load_target(scen)
-    rep_poly = certify_hull_gamma(target, alpha, hull_ratio(target), axis_cells=cells)
+    rep_poly = certify_hull_gamma(scen.approx, alpha, scen.R_poly, axis_cells=cells)
+    # R_gen rasterizes at hull_ratio's default axis cells, not the scenario's:
+    # moving it to axis_cells changes results.json, so that is its own change
     rep_gen = gamma_ratio_report(rep_poly.gamma_T, rep_poly.gamma_Th, rep_poly.dim, alpha,
-                                 hull_ratio(target, "general"))
+                                 hull_ratio(scen.target, "general"))
     rec = CertificationRecord(
         scen.id, "gamma_hull", rep_poly.gamma_Th,
         rep_poly.L_bound * rep_poly.gamma_T, min(rep_poly.slack, rep_gen.slack),
@@ -271,7 +270,7 @@ def _check_gamma_hull(scen: Scenario, seed: int):
 
 
 def _check_mm_two_sided(scen: Scenario, seed: int):
-    cloud = load_cloud(scen.payload)
+    cloud = scen.target
     trials = int(scen.params.get("trials", 20000))
     cap = float(scen.params.get("l_hat_cap", 100.0))
     rep = certify_mm_two_sided(cloud, trials, seed)

@@ -22,6 +22,7 @@ from .geometry import (
     volume_det,
     volume_ratio_poly,
     _as_points,
+    _points_of,
 )
 from . import sampling
 
@@ -61,12 +62,9 @@ class BodyApprox:
     axis_cells: int = sampling.DEFAULT_AXIS_CELLS
 
     @staticmethod
-    def convex_hull_of(points, axis_cells: int | None = None) -> "BodyApprox":
+    def convex_hull_of(points) -> "BodyApprox":
         pts = _as_points(points)
-        return BodyApprox(
-            "convex", pts.shape[1], vertices=pts,
-            axis_cells=axis_cells or sampling.DEFAULT_AXIS_CELLS,
-        )
+        return BodyApprox("convex", pts.shape[1], vertices=pts)
 
     @staticmethod
     def from_polytope(poly: Polytope, axis_cells: int | None = None) -> "BodyApprox":
@@ -253,7 +251,7 @@ class ConvexificationTrace:
     bound_value: float
 
 
-def convexification_gap(A: BodyApprox, k_max: int, hausdorff_h: float | None = None):
+def convexification_gap(A: BodyApprox, k_max: int):
     """Hausdorff gap of A(k) to the hull and the volume trace for k = 1..k_max.
 
     Distances are taken brute-force between samples decimated to a common
@@ -269,7 +267,7 @@ def convexification_gap(A: BodyApprox, k_max: int, hausdorff_h: float | None = N
         hull_sample, _ = sampling.sample_hull(hull_pts, h=fine)
         h_cmp = 0.0
     else:
-        h_cmp = hausdorff_h or A.natural_spacing()
+        h_cmp = A.natural_spacing()
         hull_sample, _ = sampling.sample_hull(hull_pts, h=h_cmp)
 
     vols, gaps = [], []
@@ -397,21 +395,28 @@ def empirical_general_ratio(A: BodyApprox, k_h: int) -> GeneralRatioReport:
 GENERAL_K_H = 8
 
 
+def as_body(T) -> BodyApprox:
+    """T as a BodyApprox: a BodyApprox as is, a Polytope through from_polytope,
+    and anything else (a PointCloud, an array of points) as a finite point set."""
+    if isinstance(T, BodyApprox):
+        return T
+    if isinstance(T, Polytope):
+        return BodyApprox.from_polytope(T)
+    return BodyApprox.from_points(_points_of(T))
+
+
 def hull_ratio(T, mode: str = "poly") -> float:
     """The volume ratio R = Vol(T_h)/Vol(T) that the hull certificates scale by.
 
     "poly" is the exact polyhedral ratio; "general" is the closed-form
-    reverse Brunn-Minkowski bound at k_h = GENERAL_K_H. Finite point sets
-    (a PointCloud, an array, a "points" BodyApprox) have R = 1 in either mode.
+    reverse Brunn-Minkowski bound at k_h = GENERAL_K_H. T is coerced by
+    as_body; finite point sets have R = 1 in either mode.
     """
     if mode not in ("poly", "general"):
         raise ParamOutOfRange(f"unknown mode {mode!r}")
-    if isinstance(T, Polytope):
-        if mode == "poly":
-            return volume_ratio_poly(T)
-        T = BodyApprox.from_polytope(T)
-    if not isinstance(T, BodyApprox) or T.kind == "points":
+    A = as_body(T)
+    if A.kind == "points":
         return 1.0
     if mode == "general":
-        return empirical_general_ratio(T, GENERAL_K_H).bound
-    return volume_ratio_poly(T.polytope())
+        return empirical_general_ratio(A, GENERAL_K_H).bound
+    return volume_ratio_poly(A.polytope())

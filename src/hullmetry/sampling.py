@@ -147,26 +147,25 @@ def _sample_simplex(verts: np.ndarray, h: float) -> np.ndarray:
     return bary @ verts
 
 
-def _dedupe(pts: np.ndarray, decimals: int = 9) -> np.ndarray:
-    snapped = np.round(pts, decimals=decimals)
+def _dedupe(pts: np.ndarray) -> np.ndarray:
+    snapped = np.round(pts, decimals=9)
     _, idx = np.unique(snapped, axis=0, return_index=True)
     return pts[np.sort(idx)]
 
 
-def affine_basis(points: np.ndarray, tau: float | None = None):
+def affine_basis(points: np.ndarray):
     """Origin and orthonormal basis of the affine hull, via SVD rank detection."""
     pts = _as_points(points)
     origin = pts[0]
     rel = pts - origin
-    if tau is None:
-        tau = TAU_GEOM * _scale_of(pts)
+    tau = TAU_GEOM * _scale_of(pts)
     u, s, vt = np.linalg.svd(rel, full_matrices=False)
     rank = int(np.sum(s > max(tau, s[0] * 1e-12 if len(s) else 0)))
     return origin, vt[:rank], rank
 
 
-def sample_hull(points: np.ndarray, h: float | None = None, axis_cells: int | None = None):
-    """Deterministic sample of the convex hull of a point set.
+def sample_hull(points: np.ndarray, h: float):
+    """Deterministic sample of the convex hull of a point set at spacing h.
 
     Handles hulls that are lower-dimensional than the ambient space by
     working inside the affine hull. For affine dimension > 3 a coarse
@@ -179,22 +178,19 @@ def sample_hull(points: np.ndarray, h: float | None = None, axis_cells: int | No
     if rank == 1:
         coords = (pts - origin) @ basis[0]
         lo, hi = float(coords.min()), float(coords.max())
-        if h is None:
-            h = (hi - lo) / (axis_cells or DEFAULT_AXIS_CELLS)
         m = max(int(math.ceil((hi - lo) / h)), 1)
         line = lo + (hi - lo) * np.arange(m + 1) / m
         return origin + np.outer(line, basis[0]), h
     if rank == pts.shape[1] and rank <= 3:
-        return sample_polytope(quickhull(pts), h=h, axis_cells=axis_cells)
+        return sample_polytope(quickhull(pts), h=h)
     if rank > 3:
-        hull_pts = pts
         mids = (pts[:, None, :] + pts[None, :, :]) / 2.0
         mids = mids.reshape(-1, pts.shape[1])
-        sample = np.vstack([hull_pts, mids, pts.mean(axis=0, keepdims=True)])
+        sample = np.vstack([pts, mids, pts.mean(axis=0, keepdims=True)])
         return _dedupe(sample), float("nan")
     reduced = (pts - origin) @ basis.T
     hull = quickhull(reduced)
-    sample, h_used = sample_polytope(hull, h=h, axis_cells=axis_cells)
+    sample, h_used = sample_polytope(hull, h=h)
     return origin + sample @ basis, h_used
 
 

@@ -6,11 +6,12 @@ import pytest
 from hullmetry import minkowski
 from hullmetry.chaining import certify_hull_gamma
 from hullmetry.errors import DegenerateInput, DimensionMismatch, NonpositiveScale, ParamOutOfRange
-from hullmetry.geometry import polytope_from_facets
+from hullmetry.geometry import PointCloud, polytope_from_facets
 from hullmetry.fixtures import lshape, unit_square
 from hullmetry.minkowski import (
     BodyApprox,
     GridBody,
+    as_body,
     body_beta,
     check_reverse_bm,
     convexification_gap,
@@ -372,3 +373,16 @@ def test_grid_body_has_general_but_no_polyhedral_ratio():
     ):
         with pytest.raises(ParamOutOfRange, match="grid bodies have no polyhedral ratio"):
             call()
+
+
+def test_as_body_coerces_each_kind_of_space_once():
+    square = polytope_from_facets(np.array(unit_square()["vertices"]), unit_square()["facets"])
+    lpoly = polytope_from_facets(L_VERTS, L_DOC["facets"])
+    assert as_body(square).kind == "convex" and as_body(square).poly is square
+    assert as_body(lpoly).kind == "solid" and as_body(lpoly).poly is lpoly
+    two = [[0.0, 0.0], [1.0, 0.0]]
+    for cloud in (PointCloud(np.array(two)), np.array(two), two):
+        body = as_body(cloud)
+        assert body.kind == "points" and body.points.tolist() == two
+    for body in (square_body(), lshape_body(), BodyApprox.from_points(two)):
+        assert as_body(body) is body
