@@ -112,6 +112,14 @@ class Polytope:
     def volume(self) -> float:
         return volume_det(self.boundary)
 
+    @functools.cached_property
+    def volume_ratio(self) -> float:
+        """Vol(hull of vertices) / Vol(body), computed once per Polytope."""
+        vol = volume_det(self.boundary)
+        if vol <= 0:
+            raise DegenerateInput("polytope volume is zero")
+        return volume_det(quickhull(self.vertices).boundary) / vol
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -630,12 +638,12 @@ def min_enclosing_ball(cloud: PointCloud | np.ndarray) -> Ball:
 
 
 def volume_ratio_poly(poly: Polytope) -> float:
-    """Vol(hull of vertices) / Vol(body); 1 exactly when the body is convex."""
-    vol = volume_det(poly.boundary)
-    if vol <= 0:
-        raise DegenerateInput("polytope volume is zero")
-    hull = quickhull(poly.vertices)
-    return volume_det(hull.boundary) / vol
+    """Vol(hull of vertices) / Vol(body); 1 exactly when the body is convex.
+
+    The ratio is kept on the Polytope, so classifying a body and then
+    reporting its ratio builds one hull.
+    """
+    return poly.volume_ratio
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,9 @@ def _average_sequence(A: BodyApprox, k_max: int):
         for k in range(2, k_max + 1):
             yield k, A
         return
+    if A.kind == "solid":
+        # every sum rasterizes A at its own spacing: do it once
+        A = BodyApprox.from_grid(_rasterize(A, A.natural_spacing()))
     acc = A
     for k in range(2, k_max + 1):
         acc = minkowski_sum(acc, A)
@@ -254,8 +257,9 @@ class ConvexificationTrace:
 def convexification_gap(A: BodyApprox, k_max: int):
     """Hausdorff gap of A(k) to the hull and the volume trace for k = 1..k_max.
 
-    Distances are taken brute-force between samples decimated to a common
-    comparison resolution, so the gaps of successive k are comparable.
+    Distances are nearest-neighbour (cKDTree) distances between samples
+    decimated to a common comparison resolution, so the gaps of successive k
+    are comparable.
     """
     if k_max < 1:
         raise ParamOutOfRange("k_max must be >= 1")
@@ -274,10 +278,10 @@ def convexification_gap(A: BodyApprox, k_max: int):
     for k, Ak in _average_sequence(A, k_max):
         if A.kind == "points":
             pts = Ak.points
+        elif Ak.kind == "grid" and Ak.grid.h < h_cmp:
+            pts = _decimate(Ak.grid, h_cmp)
         else:
-            pts, h_k = Ak.sample()
-            if h_k and h_k < h_cmp:
-                pts = _decimate(pts, h_cmp)
+            pts, _ = Ak.sample()
         vols.append(Ak.volume() if A.kind != "points" else 0.0)
         gaps.append(sampling.hausdorff_distance(pts, hull_sample))
 
@@ -291,11 +295,33 @@ def convexification_gap(A: BodyApprox, k_max: int):
     return traces
 
 
-def _decimate(pts: np.ndarray, h: float) -> np.ndarray:
-    lo = pts.min(axis=0)
-    idx = np.floor((pts - lo) / h).astype(int)
-    _, keep = np.unique(idx, axis=0, return_index=True)
-    return lo + (idx[np.sort(keep)] + 0.5) * h
+def _decimate(grid: GridBody, h: float) -> np.ndarray:
+    """Centres of the h-cells that the grid's cell centres fall in, in lexicographic order.
+
+    A cell centre floors to coarse index floor((c - lo) / h), with lo the
+    lowest occupied centre. Coordinate j of a centre depends on index j alone,
+    so each axis maps its fine indices to coarse ones once, and the occupancy
+    is OR-reduced over each run of equal coarse indices. The fine centre list
+    is never built.
+    """
+    occ = grid.occ
+    if not occ.any():
+        raise DegenerateInput("cannot decimate an empty grid")
+    lo = np.empty(grid.dim)
+    for j in range(grid.dim):
+        hit = np.flatnonzero(occ.any(axis=tuple(a for a in range(grid.dim) if a != j)))
+        first, last = hit[0], hit[-1]
+        centres = grid.origin[j] + (np.arange(first, last + 1) + 0.5) * grid.h
+        lo[j] = centres[0]
+        coarse = np.floor((centres - lo[j]) / h).astype(int)
+        starts = np.flatnonzero(np.diff(coarse, prepend=-1))
+        before = (slice(None),) * j
+        blocks = np.logical_or.reduceat(occ[before + (slice(first, last + 1),)], starts, axis=j)
+        shape = list(occ.shape)
+        shape[j] = coarse[-1] + 1
+        occ = np.zeros(shape, dtype=bool)
+        occ[before + (coarse[starts],)] = blocks
+    return lo + (np.argwhere(occ) + 0.5) * h
 
 
 def measured_c2(vols: list[float], ball_vol: float) -> float:

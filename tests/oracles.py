@@ -289,3 +289,22 @@ def max_two_gaussians_mean() -> float:
 
 def positive_part_gaussian_mean() -> float:
     return 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def decimate_first_occurrence(origin, h_fine, occ, h):
+    """Centres of the h-cells hit by the occupied cell centres of a fine grid.
+
+    Fine cell (i, ...) is centred at origin + (i + 1/2) h_fine. Each occupied
+    centre c falls in the coarse cell floor((c - lo) / h), with lo the
+    coordinate-wise minimum of the centres. The coarse cells are kept in order
+    of first occurrence, one pass over the centres, and returned as the points
+    lo + (cell + 1/2) h.
+    """
+    occ = np.asarray(occ, dtype=bool)
+    centres = np.asarray(origin, dtype=float) + (np.argwhere(occ) + 0.5) * h_fine
+    lo = centres.min(axis=0)
+    seen = {}
+    for cell in np.floor((centres - lo) / h).astype(int):
+        seen.setdefault(tuple(cell.tolist()), None)
+    cells = np.array(list(seen), dtype=int).reshape(-1, occ.ndim)
+    return lo + (cells + 0.5) * h

@@ -205,53 +205,40 @@ def test_failing_checks_give_failed_records(tmp_path):
     )
 
 
-def _counted(monkeypatch, module, name):
-    """Replace module.name by a wrapper that counts its calls; return the call list."""
-    calls = []
-    real = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def _bundled(scenario):
     return next(s for s in bundled_suite()["scenarios"] if s["id"] == scenario)
 
 
-def _gamma_greedy_calls(monkeypatch, scenario):
+def _gamma_greedy_calls(count_calls, scenario):
     """Number of gamma_greedy calls made by one bundled gamma_hull check."""
-    calls = _counted(monkeypatch, chaining, "gamma_greedy")
+    calls = count_calls(chaining, "gamma_greedy")
     records, _ = run_scenario(dict(_bundled(scenario), checks=["gamma_hull"]), 20240501)
     assert [r.check for r in records] == ["gamma_hull"] and records[0].holds
     assert {"R_poly", "L_poly", "R_gen", "L_gen"} <= set(records[0].constants)
     return len(calls)
 
 
-def test_gamma_hull_computes_each_gamma_once(monkeypatch):
+def test_gamma_hull_computes_each_gamma_once(count_calls):
     # the body and hull gammas serve both the polyhedral and the general ratio
-    assert _gamma_greedy_calls(monkeypatch, "lshape") == 2
+    assert _gamma_greedy_calls(count_calls, "lshape") == 2
 
 
-def test_gamma_hull_of_convex_body_computes_one_gamma(monkeypatch):
+def test_gamma_hull_of_convex_body_computes_one_gamma(count_calls):
     # a convex body's hull sample is its body sample, so gamma_Th is gamma_T
-    assert _gamma_greedy_calls(monkeypatch, "unit_square") == 1
+    assert _gamma_greedy_calls(count_calls, "unit_square") == 1
 
 
-def test_scenario_loads_its_payload_once(monkeypatch):
-    loads = _counted(monkeypatch, harness, "load_body")
+def test_scenario_loads_its_payload_once(count_calls):
+    loads = count_calls(harness, "load_body")
     records, _ = run_scenario(_bundled("lshape"), 20240501)
     assert len(records) == 6 and all(r.holds for r in records)
     assert len(loads) == 1
 
 
-def test_cover_ratio_covers_each_sample_once(monkeypatch):
+def test_cover_ratio_covers_each_sample_once(count_calls):
     # per epsilon: one cover of the body sample and one of the hull sample; the
     # CSV row reuses the certificate's body cover instead of sampling again
-    covers = _counted(monkeypatch, covering, "_greedy_centers")
+    covers = count_calls(covering, "_greedy_centers")
     records, _ = run_scenario(dict(_bundled("lshape"), checks=["cover_ratio"]), 20240501)
     assert records[0].holds and records[0].constants["epsilons"] == 3
     assert len(covers) == 6

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hullmetry import minkowski
+from hullmetry import geometry, minkowski, sampling
 from hullmetry.chaining import certify_hull_gamma
 from hullmetry.errors import DegenerateInput, DimensionMismatch, NonpositiveScale, ParamOutOfRange
 from hullmetry.geometry import PointCloud, polytope_from_facets
-from hullmetry.fixtures import lshape, unit_square
+from hullmetry.fixtures import bundled_suite, lshape, unit_square
+from hullmetry.harness import Scenario
 from hullmetry.minkowski import (
     BodyApprox,
     GridBody,
@@ -24,7 +26,7 @@ from hullmetry.minkowski import (
     volume_ratio_general_bound,
 )
 
-from oracles import polygon_contains, shoelace
+from oracles import decimate_first_occurrence, polygon_contains, shoelace
 
 L_DOC = lshape()
 L_VERTS = np.array(L_DOC["vertices"])
@@ -37,6 +39,10 @@ def lshape_body(axis_cells=100):
 
 def square_body():
     return BodyApprox.convex_hull_of(unit_square()["vertices"])
+
+
+def bundled_lshape() -> Scenario:
+    return Scenario.from_dict(next(s for s in bundled_suite()["scenarios"] if s["id"] == "lshape"))
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +223,51 @@ def test_lshape_gap_sequence_decreases():
     assert gaps[-1] <= gaps[0]
 
 
+def test_convexification_gap_builds_no_fine_cell_centres(count_calls):
+    scen = bundled_lshape()
+    centres = count_calls(GridBody, "cell_centers")
+    traces = convexification_gap(scen.approx, scen.params["k_max"])
+    assert len(traces) == 8 and centres == []
+
+
+@st.composite
+def decimation_cases(draw):
+    """(grid, h): a random occupancy in d = 1..3 padded with empty border
+    slabs, an origin of either sign, and a fine spacing h/k (k = 2..9) or h/r
+    for a non-integer r in (1, 4]."""
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    core = rng.random(tuple(draw(st.integers(1, 9)) for _ in range(dim))) < draw(
+        st.floats(0.05, 1.0)
+    )
+    core.flat[rng.integers(core.size)] = True
+    pads = [(draw(st.integers(0, 3)), draw(st.integers(0, 3))) for _ in range(dim)]
+    occ = np.pad(core, pads)
+    origin = np.array([draw(st.floats(-5.0, 5.0)) for _ in range(dim)])
+    h = draw(st.floats(0.01, 2.0))
+    ratio = draw(st.one_of(st.integers(2, 9), st.floats(1.0, 4.0, exclude_min=True)))
+    return GridBody(origin, h / ratio, occ), h
+
+
+def _lex_sorted(pts):
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(decimation_cases())
+def test_decimate_matches_first_occurrence_oracle(case):
+    grid, h = case
+    got = minkowski._decimate(grid, h)
+    want = decimate_first_occurrence(grid.origin, grid.h, grid.occ, h)
+    assert got.shape == want.shape
+    assert _lex_sorted(got).tobytes() == _lex_sorted(want).tobytes()
+
+
+def test_decimate_rejects_an_empty_grid():
+    with pytest.raises(DegenerateInput):
+        minkowski._decimate(GridBody(np.zeros(2), 0.1, np.zeros((3, 4), bool)), 0.3)
+
+
 # ---------------------------------------------------------------------------
 # reverse Brunn-Minkowski
 # ---------------------------------------------------------------------------
@@ -335,6 +386,14 @@ def test_general_ratio_lshape():
     assert rep.bound >= rep.ratio
 
 
+def test_general_ratio_rasterizes_a_solid_body_once(count_calls):
+    A = bundled_lshape().approx
+    assert A.kind == "solid"
+    rasters = count_calls(sampling, "membership")
+    assert empirical_general_ratio(A, 8).holds
+    assert len(rasters) == 1
+
+
 def test_general_ratio_cshape_grid_oracle():
     # annulus-like C-shape: square ring with a slit
     outer, inner, slit = 2.0, 1.0, 0.4
@@ -373,6 +432,13 @@ def test_grid_body_has_general_but_no_polyhedral_ratio():
     ):
         with pytest.raises(ParamOutOfRange, match="grid bodies have no polyhedral ratio"):
             call()
+
+
+def test_hull_ratio_of_a_polytope_builds_one_hull(count_calls):
+    lpoly = polytope_from_facets(L_VERTS, L_DOC["facets"])
+    hulls = [count_calls(geometry, "quickhull"), count_calls(minkowski, "quickhull")]
+    assert hull_ratio(lpoly) == pytest.approx(3.5 / 3, rel=1e-9)
+    assert sum(map(len, hulls)) == 1
 
 
 def test_as_body_coerces_each_kind_of_space_once():

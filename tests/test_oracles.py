@@ -7,7 +7,7 @@ import numpy as np
 
 from hullmetry.fixtures import lshape
 
-from oracles import polygon_contains
+from oracles import decimate_first_occurrence, polygon_contains
 
 ORACLES = Path(__file__).with_name("oracles.py")
 L_VERTS = np.array(lshape()["vertices"])
@@ -38,3 +38,11 @@ def test_polygon_contains_array_matches_per_point_on_lshape_grid():
     for boundary in ([0.0, 0.0], [1.0, 1.0], [1.5, 1.0], [0.0, 1.25], [2.0, 0.5]):
         assert polygon_contains(L_VERTS, np.array([boundary]))[0]
     assert not polygon_contains(L_VERTS, np.array([[1.5, 1.5]]))[0]
+
+
+def test_decimate_first_occurrence_by_hand():
+    # centres 0.375, 0.625, 0.875, 1.125 fall in the 0.5-cells 0, 0, 1, 1
+    # counted from lo = 0.375, whose centres are 0.625 and 1.125
+    occ = [False, True, True, True, True, False]
+    got = decimate_first_occurrence([0.0], 0.25, occ, 0.5)
+    assert got.tolist() == [[0.625], [1.125]]
