@@ -15,7 +15,7 @@ from scipy.spatial.distance import cdist, pdist
 
 from .errors import ParamOutOfRange, TooLarge
 from .geometry import _points_of
-from .covering import _greedy_centers
+from .covering import _gonzalez
 from .minkowski import as_body, hull_ratio
 from . import sampling
 
@@ -281,11 +281,13 @@ def entropy_integral(cloud, alpha: float) -> GammaEstimate:
 
     Grid ratio 2^(-1/4) from the diameter down to the smallest interpoint
     gap; natural logarithms; the constant tail below the smallest gap is
-    added in closed form. N = 1 contributes nothing.
+    added in closed form. N = 1 contributes nothing. One farthest-point
+    traversal down to the smallest grid eps gives every N(eps) as the
+    number of insertion radii above eps.
     """
     pts = np.unique(_points_of(cloud), axis=0)
-    if alpha <= 0:
-        raise ParamOutOfRange("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ParamOutOfRange("alpha must be positive and finite")
     diam, min_gap = _diameter_and_gap(pts)
     if min_gap == 0.0:
         return GammaEstimate(alpha, 0.0, "entropy_integral")
@@ -297,13 +299,13 @@ def entropy_integral(cloud, alpha: float) -> GammaEstimate:
     if grid[-1] > min_gap * (1 + 1e-12):
         grid.append(min_gap)
 
-    def f(eps: float) -> float:
-        cover = len(_greedy_centers(pts, eps))
-        return math.log(cover) ** (1.0 / alpha) if cover > 1 else 0.0
+    # radii never increase, so N(eps) = #{radius > eps} = n - #{radius <= eps}
+    ascending = _gonzalez(pts, grid[-1])[1][::-1]
+    covers = len(ascending) - np.searchsorted(ascending, grid, side="right")
 
     total = 0.0
-    for hi, lo in zip(grid, grid[1:]):
-        total += (hi - lo) * f(lo)
+    for hi, lo, cover in zip(grid, grid[1:], covers[1:].tolist()):
+        total += (hi - lo) * (math.log(cover) ** (1.0 / alpha) if cover > 1 else 0.0)
     # below the smallest gap every point needs its own ball
     total += grid[-1] * math.log(len(pts)) ** (1.0 / alpha)
     return GammaEstimate(alpha, total, "entropy_integral")

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import ParamOutOfRange, TooLarge
@@ -56,25 +57,52 @@ class CoveringReport:
         return ",".join(cells)
 
 
-def _greedy_centers(pts: np.ndarray, epsilon: float) -> list[int]:
-    """Indices of the farthest-point greedy epsilon-cover centers, in pick order."""
-    n = len(pts)
-    mind = np.full(n, np.inf)
-    centers: list[int] = []
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ParamOutOfRange("epsilon must be positive and finite")
+
+
+def _gonzalez(pts: np.ndarray, stop: float) -> tuple[np.ndarray, np.ndarray]:
+    """Farthest-point traversal (Gonzalez 1985) down to insertion radius ``stop``.
+
+    Returns the pick order and each pick's insertion radius, its distance to
+    the earlier picks (inf for the first); the radii never increase. A pick is
+    made while its radius exceeds ``stop``, so the greedy eps-cover for any
+    eps >= stop is the prefix of picks with radius > eps. Distances are numpy
+    row norms of C-contiguous rows. After the first pick every distance to
+    the picks is at most the new pick's radius, so only the points within
+    that radius of it, found by a cKDTree, can move closer.
+    """
+    pts = np.ascontiguousarray(pts)
+    tree = cKDTree(pts)
+    mind = np.full(len(pts), np.inf)
+    order: list[int] = []
+    radii: list[float] = []
     while True:
         far = int(np.argmax(mind))  # argmax takes the lowest index on ties
-        if mind[far] <= epsilon:
+        radius = float(mind[far])
+        if radius <= stop:
             break
-        centers.append(far)
-        d = np.linalg.norm(pts - pts[far], axis=1)
-        mind = np.minimum(mind, d)
-    return centers
+        order.append(far)
+        radii.append(radius)
+        if math.isinf(radius):  # the first pick
+            mind = np.linalg.norm(pts - pts[far], axis=1)
+            continue
+        # every mind is <= radius, so no point farther than radius can change
+        idx = np.asarray(tree.query_ball_point(pts[far], radius * (1 + 1e-12)), dtype=np.intp)
+        d = np.linalg.norm(pts[idx] - pts[far], axis=1)
+        mind[idx] = np.minimum(mind[idx], d)
+    return np.array(order, dtype=np.intp), np.array(radii)
+
+
+def _greedy_centers(pts: np.ndarray, epsilon: float) -> np.ndarray:
+    """Indices of the farthest-point greedy epsilon-cover centers, in pick order."""
+    return _gonzalez(pts, epsilon)[0]
 
 
 def greedy_cover(cloud, epsilon: float) -> CoveringReport:
     """Farthest-point greedy cover; an upper bound on the covering number."""
-    if epsilon <= 0:
-        raise ParamOutOfRange("epsilon must be positive")
+    _check_epsilon(epsilon)
     pts = _points_of(cloud)
     centers = _greedy_centers(pts, epsilon)
     return CoveringReport(
@@ -90,8 +118,7 @@ def exact_cover_small(cloud, epsilon: float) -> int:
 
     Exhaustive branch-and-bound set cover; capped at 24 points.
     """
-    if epsilon <= 0:
-        raise ParamOutOfRange("epsilon must be positive")
+    _check_epsilon(epsilon)
     pts = _points_of(cloud)
     n = len(pts)
     if n > EXACT_COVER_CAP:
@@ -131,17 +158,25 @@ def exact_cover_small(cloud, epsilon: float) -> int:
 
 
 def packing_number(cloud, epsilon: float) -> int:
-    """Size of the greedy maximal epsilon-separated subset (pairwise distance > eps)."""
-    if epsilon <= 0:
-        raise ParamOutOfRange("epsilon must be positive")
-    pts = _points_of(cloud)
-    chosen: list[int] = []
-    mind = np.full(len(pts), np.inf)
+    """Size of the greedy maximal epsilon-separated subset (pairwise distance > eps).
+
+    Points are taken in index order; a point is kept unless an earlier kept
+    point lies within eps. The points a kept one blocks come from a cKDTree
+    ball of radius eps (1 + 1e-12), filtered by the numpy row norm ``<= eps``,
+    so a distance of exactly eps is settled by the norm alone.
+    """
+    _check_epsilon(epsilon)
+    pts = np.ascontiguousarray(_points_of(cloud))
+    tree = cKDTree(pts)
+    blocked = np.zeros(len(pts), dtype=bool)
+    count = 0
     for i in range(len(pts)):
-        if mind[i] > epsilon:
-            chosen.append(i)
-            mind = np.minimum(mind, np.linalg.norm(pts - pts[i], axis=1))
-    return len(chosen)
+        if blocked[i]:
+            continue
+        count += 1
+        idx = np.asarray(tree.query_ball_point(pts[i], epsilon * (1 + 1e-12)), dtype=np.intp)
+        blocked[idx[np.linalg.norm(pts[idx] - pts[i], axis=1) <= epsilon]] = True
+    return count
 
 
 def inradius(poly: Polytope) -> float:
@@ -169,8 +204,7 @@ def volume_cover_bounds(poly: Polytope, epsilon: float):
     unit euclidean ball. The upper form needs eps B to fit inside A (checked by
     the Chebyshev inradius); when it does not, upper is None.
     """
-    if epsilon <= 0:
-        raise ParamOutOfRange("epsilon must be positive")
+    _check_epsilon(epsilon)
     n = poly.dim
     vol_a = volume_det(poly.boundary)
     vol_b = unit_ball_volume(n)
@@ -201,13 +235,12 @@ def check_hull_cover_ratio(T, epsilon: float, R: float | None = None) -> HullCov
     finite point set is used as-is; the body sample is kept as ``body_sample``.
     R defaults to hull_ratio of the coerced body (1 for point sets).
     """
-    if epsilon <= 0:
-        raise ParamOutOfRange("epsilon must be positive")
+    _check_epsilon(epsilon)
     A = as_body(T)
     if R is None:
         R = hull_ratio(A)
     h = epsilon / 4.0
-    body_pts, _ = A.sample(h)
+    body_pts = A.sample(h)
     hull_pts, _ = sampling.sample_hull(A.hull_points(), h)
     n_body = len(_greedy_centers(body_pts, epsilon))
     n_hull = len(_greedy_centers(hull_pts, epsilon))

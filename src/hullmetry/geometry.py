@@ -563,13 +563,12 @@ def volume_projected(boundary: SimplicialBoundary) -> float:
 _WELZL_DIM_CAP = 10
 
 
-def _circumball(support: list[np.ndarray]) -> tuple[np.ndarray, float]:
-    """Smallest ball with every support point on its sphere."""
-    k = len(support)
-    p0 = support[0]
-    if k == 1:
+def _circumball(points: np.ndarray, support: list[int]) -> tuple[np.ndarray, float]:
+    """Smallest ball with every support point (rows of ``points``) on its sphere."""
+    p0 = points[support[0]]
+    if len(support) == 1:
         return p0.copy(), 0.0
-    Q = np.array([p - p0 for p in support[1:]])
+    Q = points[support[1:]] - p0
     gram = 2.0 * Q @ Q.T
     rhs = np.einsum("ij,ij->i", Q, Q)
     try:
@@ -577,26 +576,51 @@ def _circumball(support: list[np.ndarray]) -> tuple[np.ndarray, float]:
     except np.linalg.LinAlgError:
         lam = np.linalg.lstsq(gram, rhs, rcond=None)[0]
     center = p0 + lam @ Q
-    radius = float(max(np.linalg.norm(p - center) for p in support))
+    # v @ v is the dot product np.linalg.norm takes of a 1-d vector: same bits
+    radius = max(math.sqrt(v @ v) for v in points[support] - center)
     return center, radius
 
 
 def _welzl(points: np.ndarray, order: list[int], tau: float) -> tuple[np.ndarray, float, list[int]]:
-    dim = points.shape[1]
+    """Welzl's recursion over ``points`` taken in ``order``; (center, radius, support).
 
-    def solve(active: list[int], boundary: list[int]):
-        if len(boundary) == dim + 1 or not active:
+    A point is outside the current ball when its distance to the centre, the
+    norm of one vector, exceeds r + tau. A scan computes the squared distances
+    of all its remaining points at once, flags those beyond (r + tau)(1 - 1e-12)
+    and confirms the first flagged point with the one-vector norm. Unflagged
+    points cannot pass that test, so the recursion makes the same decisions,
+    in the same order, as a point-by-point scan.
+    """
+    dim = points.shape[1]
+    ordered = points[order]
+
+    # the active points of every call are a prefix ordered[:m] of the order
+    def solve(m: int, boundary: list[int]):
+        if len(boundary) == dim + 1 or m == 0:
             if not boundary:
                 return None, -1.0, []
-            c, r = _circumball([points[i] for i in boundary])
+            c, r = _circumball(ordered, boundary)
             return c, r, list(boundary)
-        c, r, sup = solve([], boundary)
-        for pos, idx in enumerate(active):
-            if c is None or np.linalg.norm(points[idx] - c) > r + tau:
-                c, r, sup = solve(active[:pos], boundary + [idx])
+        c, r, sup = solve(0, boundary)
+        pos = 0
+        if c is None:  # no boundary yet: the first point starts the ball
+            c, r, sup = solve(0, [0])
+            pos = 1
+        while pos < m:
+            diff = ordered[pos:m] - c
+            flagged = np.einsum("ij,ij->i", diff, diff) > ((r + tau) * (1 - 1e-12)) ** 2
+            j = int(flagged.argmax())
+            if not flagged[j]:
+                break
+            v = diff[j]
+            pos += j
+            if math.sqrt(v @ v) > r + tau:
+                c, r, sup = solve(pos, boundary + [pos])
+            pos += 1
         return c, r, sup
 
-    return solve(order, [])
+    center, radius, sup = solve(len(ordered), [])
+    return center, radius, [order[k] for k in sup]
 
 
 def _badoiu_clarkson(points: np.ndarray) -> tuple[np.ndarray, float]:
@@ -612,8 +636,12 @@ def _badoiu_clarkson(points: np.ndarray) -> tuple[np.ndarray, float]:
 def min_enclosing_ball(cloud: PointCloud | np.ndarray) -> Ball:
     """Smallest ball containing all points.
 
-    Exact Welzl recursion up to dimension 10; beyond that an iterative
-    refinement whose reported radius always covers every point.
+    Exact Welzl recursion up to dimension 10, over the distinct points in a
+    fixed seeded order. Each scan for points outside the current ball checks
+    its remaining points with one vectorised distance array and confirms the
+    flagged ones one by one, so the support and its order are those of a
+    point-by-point scan. Beyond dimension 10 an iterative refinement whose
+    reported radius always covers every point.
     """
     pts = _points_of(cloud)
     tau = TAU_GEOM * _scale_of(pts)

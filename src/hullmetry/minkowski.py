@@ -117,13 +117,13 @@ class BodyApprox:
             return self.points
         return self.grid.cell_centers()
 
-    def sample(self, h: float | None = None):
-        """(points, spacing) sample of the body for distance computations."""
+    def sample(self, h: float | None = None) -> np.ndarray:
+        """Sample points of the body for distance computations."""
         if self.kind == "points":
-            return self.points, 0.0
+            return self.points
         if self.kind == "grid":
-            return self.grid.cell_centers(), self.grid.h
-        return sampling.sample_polytope(self.polytope(), h=h, axis_cells=self.axis_cells)
+            return self.grid.cell_centers()
+        return sampling.sample_polytope(self.polytope(), h=h, axis_cells=self.axis_cells)[0]
 
     def natural_spacing(self) -> float:
         if self.kind == "grid":
@@ -281,7 +281,7 @@ def convexification_gap(A: BodyApprox, k_max: int):
         elif Ak.kind == "grid" and Ak.grid.h < h_cmp:
             pts = _decimate(Ak.grid, h_cmp)
         else:
-            pts, _ = Ak.sample()
+            pts = Ak.sample()
         vols.append(Ak.volume() if A.kind != "points" else 0.0)
         gaps.append(sampling.hausdorff_distance(pts, hull_sample))
 

@@ -308,3 +308,118 @@ def decimate_first_occurrence(origin, h_fine, occ, h):
         seen.setdefault(tuple(cell.tolist()), None)
     cells = np.array(list(seen), dtype=int).reshape(-1, occ.ndim)
     return lo + (cells + 0.5) * h
+
+
+def farthest_point_reference(points, epsilon):
+    """(picks, radii) of the farthest-point greedy epsilon-cover, one full pass per pick.
+
+    Rows are taken as a C-contiguous float array. Every point keeps its
+    distance to the nearest pick, starting at inf; the next pick is the
+    first point at the largest such distance, its insertion radius, and
+    picking stops once that distance is <= epsilon. Distances are numpy
+    row norms of all points to the new pick.
+    """
+    pts = np.ascontiguousarray(points, dtype=float)
+    mind = np.full(len(pts), np.inf)
+    picks, radii = [], []
+    while True:
+        far = int(np.argmax(mind))
+        if mind[far] <= epsilon:
+            return picks, radii
+        picks.append(far)
+        radii.append(float(mind[far]))
+        mind = np.minimum(mind, np.linalg.norm(pts - pts[far], axis=1))
+
+
+def packing_reference(points, epsilon) -> int:
+    """Size of the index-order greedy epsilon-separated subset.
+
+    A point is kept when every earlier kept point is at numpy row-norm
+    distance > epsilon, one full pass of distances per kept point.
+    """
+    pts = np.ascontiguousarray(points, dtype=float)
+    mind = np.full(len(pts), np.inf)
+    kept = 0
+    for i in range(len(pts)):
+        if mind[i] > epsilon:
+            kept += 1
+            mind = np.minimum(mind, np.linalg.norm(pts - pts[i], axis=1))
+    return kept
+
+
+def welzl_reference(points):
+    """(center, radius, support) of the smallest enclosing ball, for dimension <= 10.
+
+    The distinct points, first occurrences in input order, are visited in
+    the order of ``np.random.default_rng(0x5EED).permutation``. Welzl's
+    recursion scans them one by one; a point is outside the current ball
+    when ``np.linalg.norm(p - c) > r + tau``, with tau = 1e-9 times the
+    bounding-box diagonal (at least 1). A ball through boundary points comes
+    from the 2 Q Q^T linear system of their differences to the first one,
+    its radius the largest norm distance to them. The reported radius also
+    covers every input point.
+    """
+    pts = np.asarray(points, dtype=float)
+    tau = 1e-9 * float(max(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)), 1.0))
+    _, first = np.unique(pts, axis=0, return_index=True)
+    uniq = pts[np.sort(first)]
+    if len(uniq) == 1:
+        return uniq[0], 0.0, uniq[:1]
+    dim = pts.shape[1]
+
+    def ball(support):
+        p0 = support[0]
+        if len(support) == 1:
+            return p0.copy(), 0.0
+        q = np.array([p - p0 for p in support[1:]])
+        gram = 2.0 * q @ q.T
+        rhs = np.einsum("ij,ij->i", q, q)
+        try:
+            lam = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            lam = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+        center = p0 + lam @ q
+        return center, float(max(np.linalg.norm(p - center) for p in support))
+
+    def solve(active, boundary):
+        if len(boundary) == dim + 1 or not active:
+            if not boundary:
+                return None, -1.0, []
+            c, r = ball([uniq[i] for i in boundary])
+            return c, r, list(boundary)
+        c, r, sup = solve([], boundary)
+        for pos, idx in enumerate(active):
+            if c is None or np.linalg.norm(uniq[idx] - c) > r + tau:
+                c, r, sup = solve(active[:pos], boundary + [idx])
+        return c, r, sup
+
+    order = list(np.random.default_rng(0x5EED).permutation(len(uniq)))
+    center, radius, sup = solve(order, [])
+    radius = max(radius, float(np.max(np.linalg.norm(pts - center, axis=1))))
+    return center, radius, uniq[sup]
+
+
+def entropy_integral_reference(points, alpha) -> float:
+    """Upper Riemann sum of (log N(eps))^(1/alpha) with one greedy cover per grid eps.
+
+    Over the distinct points: the grid starts at the diameter and shrinks by
+    2^(-1/4) while it stays above the smallest positive gap (relative margin
+    1e-12), then ends at that gap; N(eps) is the size of
+    ``farthest_point_reference`` at each step's lower end, and the gap times
+    (log n)^(1/alpha) is added for the scales below it.
+    """
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    diam = farthest_pair(pts)[0]
+    gap = smallest_positive_gap(pts)
+    if gap == 0.0:
+        return 0.0
+    grid = [diam]
+    while grid[-1] * 2 ** (-0.25) > gap * (1 + 1e-12):
+        grid.append(grid[-1] * 2 ** (-0.25))
+    if grid[-1] > gap * (1 + 1e-12):
+        grid.append(gap)
+    total = 0.0
+    for hi, lo in zip(grid, grid[1:]):
+        cover = len(farthest_point_reference(pts, lo)[0])
+        total += (hi - lo) * (math.log(cover) ** (1.0 / alpha) if cover > 1 else 0.0)
+    return total + grid[-1] * math.log(len(pts)) ** (1.0 / alpha)

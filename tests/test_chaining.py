@@ -26,6 +26,7 @@ from hullmetry.geometry import PointCloud, load_body, polytope_from_facets
 from hullmetry.minkowski import hull_ratio
 
 from oracles import (
+    entropy_integral_reference,
     farthest_pair,
     gamma_by_enumeration,
     gamma_greedy_reference,
@@ -270,6 +271,44 @@ def test_entropy_integral_grows_with_grid_size():
         grid = np.array([[i / (2**k - 1)] for i in range(2**k)])
         values.append(entropy_integral(grid, 2.0).value)
     assert values[0] < values[1] < values[2]
+
+
+def test_entropy_integral_makes_one_traversal(count_calls):
+    # every N(eps) on the grid is read off one farthest-point traversal
+    pts = np.random.default_rng(11).standard_normal((200, 3))
+    traversals = count_calls(chaining, "_gonzalez")
+    assert entropy_integral(pts, 2.0).value > 0
+    assert len(traversals) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([1, 2, 3]),
+    st.booleans(),
+    st.sampled_from([1.0, 2.0]),
+)
+def test_entropy_integral_matches_one_cover_per_grid_epsilon(seed, dim, lattice, alpha):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    pts = rng.integers(-3, 4, (n, dim)) * 0.5 if lattice else rng.standard_normal((n, dim))
+    assert repr(entropy_integral(pts, alpha).value) == repr(entropy_integral_reference(pts, alpha))
+
+
+def test_entropy_integral_counts_only_radii_above_a_grid_epsilon():
+    # the third pick's insertion radius is exactly the grid's sixth eps, where
+    # the cover has two centres, not three
+    x = 1.0
+    for _ in range(5):
+        x *= 2 ** (-0.25)
+    pts = np.array([[0.0], [1.0], [x], [1e-3]])
+    assert repr(entropy_integral(pts, 2.0).value) == repr(entropy_integral_reference(pts, 2.0))
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+def test_entropy_integral_rejects_nonfinite_or_nonpositive_alpha(alpha):
+    with pytest.raises(ParamOutOfRange):
+        entropy_integral(TWO, alpha)
 
 
 def test_greedy_within_factor_four_of_entropy_integral():

@@ -8,6 +8,8 @@ from hullmetry import covering
 from hullmetry.chaining import entropy_integral
 from hullmetry.errors import ParamOutOfRange, TooLarge
 from hullmetry.covering import (
+    _gonzalez,
+    _greedy_centers,
     check_hull_cover_ratio,
     exact_cover_small,
     greedy_cover,
@@ -19,7 +21,7 @@ from hullmetry.fixtures import lshape, unit_square
 from hullmetry.geometry import PointCloud, polytope_from_facets, quickhull, unit_ball_volume
 from hullmetry.minkowski import hull_ratio
 
-from oracles import exhaustive_set_cover
+from oracles import exhaustive_set_cover, farthest_point_reference, packing_reference
 
 TWO = np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -50,6 +52,73 @@ def test_greedy_covers_everything():
 def test_greedy_rejects_bad_epsilon():
     with pytest.raises(ParamOutOfRange):
         greedy_cover(TWO, 0.0)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+@pytest.mark.parametrize(
+    "fn", [greedy_cover, packing_number, exact_cover_small, check_hull_cover_ratio]
+)
+def test_covering_rejects_nonfinite_or_nonpositive_epsilon(fn, epsilon):
+    # a nan epsilon used to make the greedy loop pick forever; inf gave 0 centres
+    with pytest.raises(ParamOutOfRange):
+        fn(TWO, epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0])
+def test_volume_bounds_reject_nonfinite_or_nonpositive_epsilon(epsilon):
+    with pytest.raises(ParamOutOfRange):
+        volume_cover_bounds(quickhull(np.array(unit_square()["vertices"])), epsilon)
+
+
+@st.composite
+def metric_clouds(draw):
+    """(points, epsilon): Gaussian clouds, clouds with repeated rows, or dyadic
+    lattices with epsilon a multiple of the step, so some distances are exactly
+    epsilon; in d = 1, 2, 3 or 8 (numpy's pairwise row sums start at 8
+    columns), C- or Fortran-ordered."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    d = draw(st.sampled_from([1, 2, 3, 8]))
+    n = draw(st.integers(min_value=1, max_value=70))
+    kind = draw(st.sampled_from(["gauss", "repeats", "lattice"]))
+    if kind == "lattice":
+        step = 2.0 ** -draw(st.integers(min_value=0, max_value=3))
+        pts = rng.integers(-3, 4, (n, d)) * step
+        epsilon = step * draw(st.sampled_from([1, 2]))
+    else:
+        pts = rng.standard_normal((n, d))
+        if kind == "repeats":
+            pts = pts[rng.integers(0, max(n // 3, 1), n)]
+        epsilon = float(rng.uniform(0.1, 1.5)) * math.sqrt(d)
+    if draw(st.booleans()):
+        pts = np.asfortranarray(pts)
+    return pts, epsilon
+
+
+@settings(max_examples=150, deadline=None)
+@given(metric_clouds())
+def test_traversal_and_packing_replay_the_full_pass_loops(cloud):
+    pts, eps = cloud
+    picks, radii = farthest_point_reference(pts, eps)
+    order, got_radii = _gonzalez(pts, eps)
+    assert order.tolist() == picks
+    assert got_radii.tobytes() == np.array(radii).tobytes()
+    rep = greedy_cover(pts, eps)
+    assert rep.centers.tobytes() == np.ascontiguousarray(pts)[picks].tobytes()
+    assert rep.n_greedy == len(picks)
+    assert rep.n_packing == packing_number(pts, eps) == packing_reference(pts, eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(metric_clouds(), st.lists(st.floats(min_value=1.0, max_value=8.0), min_size=1, max_size=6))
+def test_cover_size_is_monotone_and_read_off_one_traversal(cloud, scales):
+    pts, eps = cloud
+    _, radii = _gonzalez(pts, eps)
+    assert (np.diff(radii) <= 0).all()
+    sizes = []
+    for e in sorted({eps} | {eps * s for s in scales}):
+        sizes.append(len(_greedy_centers(pts, e)))
+        assert sizes[-1] == int(np.count_nonzero(radii > e))
+    assert sizes == sorted(sizes, reverse=True)
 
 
 def test_exact_singleton():

@@ -25,7 +25,7 @@ from hullmetry.geometry import (
 from hullmetry.fixtures import lshape, star2d, unit_cube, unit_square
 from hullmetry.minkowski import BodyApprox, body_beta
 
-from oracles import extreme_points, shoelace
+from oracles import extreme_points, shoelace, welzl_reference
 
 L_VERTS = np.array(lshape()["vertices"])
 L_FACETS = lshape()["facets"]
@@ -345,6 +345,31 @@ def test_meb_covers_every_point_with_support_on_sphere(seed, dim, lattice):
     assert (dist <= ball.radius * (1 + 1e-9)).all()
     sup = np.linalg.norm(ball.support - ball.center, axis=1)
     assert (np.abs(sup - ball.radius) <= 1e-9 * ball.radius).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([1, 2, 3, 6, 8]),
+    st.sampled_from(["gauss", "repeats", "lattice"]),
+    st.booleans(),
+)
+def test_meb_replays_the_point_by_point_welzl_scan(seed, dim, kind, fortran):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 45))
+    if kind == "lattice":
+        pts = rng.integers(-3, 4, (n, dim)) * 0.25
+    else:
+        pts = rng.standard_normal((n, dim))
+        if kind == "repeats":
+            pts = pts[rng.integers(0, max(n // 3, 1), n)]
+    if fortran:
+        pts = np.asfortranarray(pts)
+    center, radius, support = welzl_reference(pts)
+    ball = min_enclosing_ball(pts)
+    assert ball.center.tobytes() == center.tobytes()
+    assert repr(ball.radius) == repr(radius)
+    assert ball.support.tobytes() == support.tobytes()
 
 
 @pytest.mark.parametrize("n", [11, 16])
