@@ -7,6 +7,7 @@ Exit codes: 0 all certifications hold, 1 some failed, 2 usage/parse error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -77,19 +78,7 @@ def cmd_minkavg(args) -> int:
 def cmd_revbm(args) -> int:
     A = BodyApprox.from_polytope(load_body(args.body_a))
     B = BodyApprox.from_polytope(load_body(args.body_b or args.body_a))
-    rep = check_reverse_bm(A, B, args.s, args.t, args.m)
-    _emit(
-        {
-            "lhs_vol": rep.lhs_vol,
-            "rhs_terms": list(rep.rhs_terms),
-            "empirical_C1": rep.empirical_C1,
-            "s": rep.s,
-            "t": rep.t,
-            "m": rep.m,
-            "beta_A": rep.beta_A,
-            "beta_B": rep.beta_B,
-        }
-    )
+    _emit(dataclasses.asdict(check_reverse_bm(A, B, args.s, args.t, args.m)))
     return 0
 
 
@@ -116,10 +105,7 @@ def cmd_gamma(args) -> int:
 def cmd_supgauss(args) -> int:
     cloud = load_cloud(args.cloud)
     seed = _seed_default(args.seed) or 0
-    est = gaussian_sup_mc(cloud, args.trials, seed)
-    _emit(
-        {"mean": est.mean, "std_error": est.std_error, "trials": est.trials, "seed": est.seed}
-    )
+    _emit(dataclasses.asdict(gaussian_sup_mc(cloud, args.trials, seed)))
     return 0
 
 

@@ -14,7 +14,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import ParamOutOfRange, TooLarge
-from .geometry import Polytope, unit_ball_volume, volume_det, _halfspaces, _points_of
+from .geometry import Polytope, unit_ball_volume, volume_det, _points_of
 from .minkowski import as_body, hull_ratio
 from . import sampling
 
@@ -182,7 +182,7 @@ def packing_number(cloud, epsilon: float) -> int:
 def inradius(poly: Polytope) -> float:
     """Chebyshev radius of a convex polytope via linear programming."""
     n = poly.dim
-    normals, offsets = _halfspaces(poly)
+    normals, offsets = poly.halfspaces
     c = np.zeros(n + 1)
     c[-1] = -1.0
     res = linprog(
@@ -241,7 +241,7 @@ def check_hull_cover_ratio(T, epsilon: float, R: float | None = None) -> HullCov
         R = hull_ratio(A)
     h = epsilon / 4.0
     body_pts = A.sample(h)
-    hull_pts, _ = sampling.sample_hull(A.hull_points(), h)
+    hull_pts = sampling.sample_hull(A.hull_points(), h)
     n_body = len(_greedy_centers(body_pts, epsilon))
     n_hull = len(_greedy_centers(hull_pts, epsilon))
     bound = R * 3.0**A.dim * n_body

@@ -80,31 +80,6 @@ def profile_case(case: int) -> dict:
     return {"chi": chi, "psi": psi, "delta": 1.0, "C": 1.0}
 
 
-BODY_FIXTURES = {
-    "unit_square": unit_square,
-    "unit_cube": unit_cube,
-    "simplex3": simplex3,
-    "lshape": lshape,
-    "star2d": star2d,
-}
-
-CLOUD_FIXTURES = {
-    "twopoint": two_point_cloud,
-    "pm_e1": pm_e1_cloud,
-    "two_cluster": two_cluster_cloud,
-    "basis_2": lambda: basis_cloud(2),
-    "basis_4": lambda: basis_cloud(4),
-    "basis_8": lambda: basis_cloud(8),
-    "basis_16": lambda: basis_cloud(16),
-}
-
-PROFILE_FIXTURES = {
-    "profile_case1": lambda: profile_case(1),
-    "profile_case2": lambda: profile_case(2),
-    "profile_case3": lambda: profile_case(3),
-}
-
-
 def bundled_suite() -> dict:
     """The default scenario suite covering every certified lemma and theorem."""
     body_common = {

@@ -109,16 +109,31 @@ class Polytope:
     def __post_init__(self):
         object.__setattr__(self, "vertices", _as_points(self.vertices))
 
-    def volume(self) -> float:
-        return volume_det(self.boundary)
+    @functools.cached_property
+    def hull(self) -> "Polytope":
+        """Quickhull of the vertices, built once per Polytope."""
+        return quickhull(self.vertices)
+
+    @functools.cached_property
+    def halfspaces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked unit normals (F, n) and offsets (F,) of the boundary simplices' hyperplanes.
+
+        Each normal faces away from the vertex centroid, so a convex polytope
+        is ``{x : normals @ x <= offsets}``. Degenerate simplices are skipped.
+        """
+        centroid = self.vertices.mean(axis=0)
+        planes = [_facet_normal(self.vertices, simp, centroid) for simp in self.boundary.simplices]
+        planes = [(normal, offset) for normal, offset in planes if normal is not None]
+        normals = np.array([normal for normal, _ in planes]).reshape(-1, self.dim)
+        return normals, np.array([offset for _, offset in planes])
 
     @functools.cached_property
     def volume_ratio(self) -> float:
-        """Vol(hull of vertices) / Vol(body), computed once per Polytope."""
+        """Vol(hull of vertices) / Vol(body); 1 exactly when the body is convex."""
         vol = volume_det(self.boundary)
         if vol <= 0:
             raise DegenerateInput("polytope volume is zero")
-        return volume_det(quickhull(self.vertices).boundary) / vol
+        return volume_det(self.hull.boundary) / vol
 
 
 @dataclass(frozen=True)
@@ -392,24 +407,11 @@ def quickhull(cloud: PointCloud | np.ndarray) -> Polytope:
     return Polytope(vertices, SimplicialBoundary(vertices, simplices_arr, n), n)
 
 
-def _halfspaces(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked unit normals (F, n) and offsets (F,) of the boundary simplices' hyperplanes.
-
-    Each normal faces away from the vertex centroid, so a convex ``poly`` is
-    ``{x : normals @ x <= offsets}``. Degenerate simplices are skipped.
-    """
-    centroid = poly.vertices.mean(axis=0)
-    planes = [_facet_normal(poly.vertices, simp, centroid) for simp in poly.boundary.simplices]
-    planes = [(normal, offset) for normal, offset in planes if normal is not None]
-    normals = np.array([normal for normal, _ in planes]).reshape(-1, poly.dim)
-    return normals, np.array([offset for _, offset in planes])
-
-
 def hull_contains(poly: Polytope, points: np.ndarray) -> np.ndarray:
     """Membership in a convex hull via its facet halfspaces."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     tol = TAU_GEOM * _scale_of(poly.vertices)
-    normals, offsets = _halfspaces(poly)
+    normals, offsets = poly.halfspaces
     return np.all(pts @ normals.T - offsets <= tol, axis=1)
 
 
@@ -419,22 +421,10 @@ def hull_contains(poly: Polytope, points: np.ndarray) -> np.ndarray:
 
 
 def _perm_parity(seq) -> int:
+    """Sign of the permutation that sorts ``seq``: -1 for an odd number of inversions."""
     seq = list(seq)
-    parity = 1
-    order = sorted(range(len(seq)), key=lambda i: seq[i])
-    seen = [False] * len(seq)
-    for i in range(len(seq)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :])
+    return -1 if inversions % 2 else 1
 
 
 def _ridge_signature(simplex) -> list[tuple[tuple, int]]:
@@ -641,9 +631,10 @@ def min_enclosing_ball(cloud: PointCloud | np.ndarray) -> Ball:
     its remaining points with one vectorised distance array and confirms the
     flagged ones one by one, so the support and its order are those of a
     point-by-point scan. Beyond dimension 10 an iterative refinement whose
-    reported radius always covers every point.
+    reported radius always covers every point. The points are taken in C
+    order, so the result does not depend on the input's memory layout.
     """
-    pts = _points_of(cloud)
+    pts = np.ascontiguousarray(_points_of(cloud))
     tau = TAU_GEOM * _scale_of(pts)
     _, first_idx = np.unique(pts, axis=0, return_index=True)
     uniq = pts[np.sort(first_idx)]
@@ -658,20 +649,6 @@ def min_enclosing_ball(cloud: PointCloud | np.ndarray) -> Ball:
     # report the radius that certifiably covers everything
     radius = max(radius, float(np.max(np.linalg.norm(pts - center, axis=1))))
     return Ball(center, radius, support=uniq[sup])
-
-
-# ---------------------------------------------------------------------------
-# Ratios
-# ---------------------------------------------------------------------------
-
-
-def volume_ratio_poly(poly: Polytope) -> float:
-    """Vol(hull of vertices) / Vol(body); 1 exactly when the body is convex.
-
-    The ratio is kept on the Polytope, so classifying a body and then
-    reporting its ratio builds one hull.
-    """
-    return poly.volume_ratio
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Runs every scenario x check of a suite, collects CertificationRecords, and
 writes results.json / results.csv plus plot-ready CSV data. results.json is
 byte-deterministic for a fixed suite and master seed; wall-clock timings go
 to results.csv only. Each scenario's payload is loaded once, and its checks
-share the one T, BodyApprox and R_poly cached on the Scenario.
+share the one T and BodyApprox cached on the Scenario; the hull ratio R is
+cached on the Polytope itself.
 """
 from __future__ import annotations
 
@@ -13,8 +14,10 @@ import math
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -124,10 +127,6 @@ class Scenario:
             return BodyApprox.from_points(self.target.points)
         return BodyApprox.from_polytope(self.target, axis_cells=self.params.get("axis_cells"))
 
-    @cached_property
-    def R_poly(self) -> float:
-        return hull_ratio(self.approx)
-
 
 def derive_seed(master: int, scenario_id: str, check: str) -> int:
     tag = zlib.crc32(f"{scenario_id}:{check}".encode())
@@ -158,8 +157,9 @@ def _check_volume_xcheck(scen: Scenario, seed: int):
 
 def _check_ratio_poly(scen: Scenario, seed: int):
     body = scen.target
-    R = scen.R_poly
-    hull = quickhull(body.vertices)
+    R = body.volume_ratio
+    hull = body.hull
+    # a fresh hull, not a cached one: rebuilding is what checks idempotence
     rehull = quickhull(hull.vertices)
     idempotent = sorted(map(tuple, hull.vertices.tolist())) == sorted(
         map(tuple, rehull.vertices.tolist())
@@ -218,14 +218,12 @@ def _check_convexify(scen: Scenario, seed: int):
 
 def _check_cover_ratio(scen: Scenario, seed: int):
     epsilons = [float(e) for e in scen.params.get("epsilons", [0.2, 0.4, 0.8])]
-    mode = scen.params.get("mode", "poly")
-    R = scen.R_poly if mode == "poly" else hull_ratio(scen.target, mode)
     worst_slack = math.inf
     worst = None
     report_rows = [CoveringReport.csv_header()]
     plot_rows = ["epsilon,n_greedy"]
     for eps in epsilons:
-        cert = check_hull_cover_ratio(scen.approx, eps, R)
+        cert = check_hull_cover_ratio(scen.approx, eps)
         if cert.slack < worst_slack:
             worst_slack = cert.slack
             worst = cert
@@ -248,7 +246,7 @@ def _check_cover_ratio(scen: Scenario, seed: int):
 def _check_gamma_hull(scen: Scenario, seed: int):
     alpha = float(scen.params.get("alpha", 2.0))
     cells = int(scen.params.get("gamma_cells", 24))
-    rep_poly = certify_hull_gamma(scen.approx, alpha, scen.R_poly, axis_cells=cells)
+    rep_poly = certify_hull_gamma(scen.approx, alpha, axis_cells=cells)
     # R_gen rasterizes at hull_ratio's default axis cells, not the scenario's:
     # moving it to axis_cells changes results.json, so that is its own change
     rep_gen = gamma_ratio_report(rep_poly.gamma_T, rep_poly.gamma_Th, rep_poly.dim, alpha,
@@ -391,19 +389,12 @@ def run_suite(suite_file, out_dir, seed: int | None = None, jobs: int = 1) -> in
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    scenario_docs = suite["scenarios"]
+    docs = suite["scenarios"]
     all_records: list[CertificationRecord] = []
     artifacts: dict[str, str] = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_scenario, doc, master) for doc in scenario_docs]
-            for fut in futures:
-                records, files = fut.result()
-                all_records.extend(records)
-                artifacts.update(files)
-    else:
-        for doc in scenario_docs:
-            records, files = run_scenario(doc, master)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        outcomes = (pool.map if pool else map)(run_scenario, docs, repeat(master))
+        for records, files in outcomes:
             all_records.extend(records)
             artifacts.update(files)
 

@@ -20,7 +20,6 @@ from .geometry import (
     quickhull,
     unit_ball_volume,
     volume_det,
-    volume_ratio_poly,
     _as_points,
     _points_of,
 )
@@ -68,13 +67,10 @@ class BodyApprox:
 
     @staticmethod
     def from_polytope(poly: Polytope, axis_cells: int | None = None) -> "BodyApprox":
-        if volume_ratio_poly(poly) <= 1.0 + 1e-9:
-            return BodyApprox(
-                "convex", poly.dim, vertices=poly.vertices, poly=poly,
-                axis_cells=axis_cells or sampling.DEFAULT_AXIS_CELLS,
-            )
+        convex = poly.volume_ratio <= 1.0 + 1e-9
         return BodyApprox(
-            "solid", poly.dim, poly=poly,
+            "convex" if convex else "solid", poly.dim,
+            vertices=poly.vertices if convex else None, poly=poly,
             axis_cells=axis_cells or sampling.DEFAULT_AXIS_CELLS,
         )
 
@@ -268,11 +264,11 @@ def convexification_gap(A: BodyApprox, k_max: int):
         fine = min(1.0 / (16.0 * k_max), 0.01) * max(
             1.0, float(np.linalg.norm(hull_pts.max(axis=0) - hull_pts.min(axis=0)))
         )
-        hull_sample, _ = sampling.sample_hull(hull_pts, h=fine)
+        hull_sample = sampling.sample_hull(hull_pts, h=fine)
         h_cmp = 0.0
     else:
         h_cmp = A.natural_spacing()
-        hull_sample, _ = sampling.sample_hull(hull_pts, h=h_cmp)
+        hull_sample = sampling.sample_hull(hull_pts, h=h_cmp)
 
     vols, gaps = [], []
     for k, Ak in _average_sequence(A, k_max):
@@ -445,4 +441,4 @@ def hull_ratio(T, mode: str = "poly") -> float:
         return 1.0
     if mode == "general":
         return empirical_general_ratio(A, GENERAL_K_H).bound
-    return volume_ratio_poly(A.polytope())
+    return A.polytope().volume_ratio

@@ -30,17 +30,26 @@ class EntropyProfile:
             raise ParamOutOfRange(f"unknown profile form {self.form!r}")
 
 
-def hull_profile(p: EntropyProfile) -> EntropyProfile:
-    """Entropy profile of the convex hull under the three stated regimes."""
+def _regime(p: EntropyProfile) -> int:
+    """Which of the three stated regimes a plain profile is in: chi > 2 (0),
+    chi = 2 with psi > -2 (1), or chi = 2 with psi = -3 (2)."""
     if p.form != "plain":
         raise Unsupported("hull transformation applies to plain profiles only")
     if p.chi > 2.0 + _EXACT:
-        return EntropyProfile(p.chi, p.psi, "plain")
+        return 0
     if p.psi > -2.0 + _EXACT:
-        return EntropyProfile(2.0, p.psi + 2.0, "plain")
+        return 1
     if abs(p.psi + 3.0) <= _EXACT:
-        return EntropyProfile(2.0, 2.0 + p.psi, "loglog")
+        return 2
     raise Unsupported(f"no stated hull profile for chi=2, psi={p.psi}")
+
+
+def hull_profile(p: EntropyProfile) -> EntropyProfile:
+    """Entropy profile of the convex hull under the three stated regimes."""
+    regime = _regime(p)
+    if regime == 0:
+        return EntropyProfile(p.chi, p.psi, "plain")
+    return EntropyProfile(2.0, p.psi + 2.0, "plain" if regime == 1 else "loglog")
 
 
 @dataclass(frozen=True)
@@ -77,15 +86,8 @@ class RatioFunction:
 
 def ratio_bound(p: EntropyProfile) -> RatioFunction:
     """The stated covering-ratio bound for a profile's regime."""
-    if p.form != "plain":
-        raise Unsupported("ratio bounds are stated for plain input profiles")
-    if p.chi > 2.0 + _EXACT:
-        return RatioFunction("constant", 1.0, "C3")
-    if p.psi > -2.0 + _EXACT:
-        return RatioFunction("logsq", 1.0, "C4")
-    if abs(p.psi + 3.0) <= _EXACT:
-        return RatioFunction("log3_over_loglog", 1.0, "C5")
-    raise Unsupported(f"no stated ratio bound for chi=2, psi={p.psi}")
+    kind, label = (("constant", "C3"), ("logsq", "C4"), ("log3_over_loglog", "C5"))[_regime(p)]
+    return RatioFunction(kind, 1.0, label)
 
 
 @dataclass(frozen=True)

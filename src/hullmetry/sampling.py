@@ -164,7 +164,7 @@ def affine_basis(points: np.ndarray):
     return origin, vt[:rank], rank
 
 
-def sample_hull(points: np.ndarray, h: float):
+def sample_hull(points: np.ndarray, h: float) -> np.ndarray:
     """Deterministic sample of the convex hull of a point set at spacing h.
 
     Handles hulls that are lower-dimensional than the ambient space by
@@ -174,24 +174,21 @@ def sample_hull(points: np.ndarray, h: float):
     pts = _as_points(points)
     origin, basis, rank = affine_basis(pts)
     if rank == 0:
-        return pts[:1].copy(), 0.0
+        return pts[:1].copy()
     if rank == 1:
         coords = (pts - origin) @ basis[0]
         lo, hi = float(coords.min()), float(coords.max())
         m = max(int(math.ceil((hi - lo) / h)), 1)
         line = lo + (hi - lo) * np.arange(m + 1) / m
-        return origin + np.outer(line, basis[0]), h
+        return origin + np.outer(line, basis[0])
     if rank == pts.shape[1] and rank <= 3:
-        return sample_polytope(quickhull(pts), h=h)
+        return sample_polytope(quickhull(pts), h=h)[0]
     if rank > 3:
         mids = (pts[:, None, :] + pts[None, :, :]) / 2.0
         mids = mids.reshape(-1, pts.shape[1])
-        sample = np.vstack([pts, mids, pts.mean(axis=0, keepdims=True)])
-        return _dedupe(sample), float("nan")
+        return _dedupe(np.vstack([pts, mids, pts.mean(axis=0, keepdims=True)]))
     reduced = (pts - origin) @ basis.T
-    hull = quickhull(reduced)
-    sample, h_used = sample_polytope(hull, h=h)
-    return origin + sample @ basis, h_used
+    return origin + sample_polytope(quickhull(reduced), h=h)[0] @ basis
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -44,7 +44,6 @@ from hullmetry.geometry import (
     quickhull,
     volume_det,
     volume_projected,
-    volume_ratio_poly,
 )
 from hullmetry.minkowski import BodyApprox, check_reverse_bm, convexification_gap, hull_ratio
 from hullmetry.profiles import EntropyProfile, l_existence_report
@@ -88,10 +87,10 @@ def test_criterion_1_volume_formula_equivalence():
 
 def test_criterion_2_hull_ratio_correctness():
     lp = _body(lshape())
-    ratio_l = volume_ratio_poly(lp)
+    ratio_l = lp.volume_ratio
     ok = abs(ratio_l - 3.5 / 3.0) <= 1e-9 * (3.5 / 3.0)
     for doc in CONVEX_DOCS:
-        ok &= abs(volume_ratio_poly(_body(doc)) - 1.0) <= 1e-9
+        ok &= abs(_body(doc).volume_ratio - 1.0) <= 1e-9
     for doc in BODY_DOCS:
         verts = np.array(doc["vertices"])
         hull = quickhull(verts)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hullmetry import covering
+from hullmetry import covering, geometry
 from hullmetry.chaining import entropy_integral
 from hullmetry.errors import ParamOutOfRange, TooLarge
 from hullmetry.covering import (
@@ -245,6 +245,14 @@ def test_volume_bounds_upper_needs_inball():
     lo, up = volume_cover_bounds(sq, 0.8)  # inradius is 0.5 < 0.8
     assert up is None
     assert lo == pytest.approx((1 / 0.8) ** 2 / math.pi, rel=1e-9)
+
+
+def test_volume_cover_bounds_reads_the_cached_halfspaces(count_calls):
+    sq = quickhull(np.array(unit_square()["vertices"]))
+    normals = count_calls(geometry, "_facet_normal")
+    for eps in (0.2, 0.4, 0.8):
+        volume_cover_bounds(sq, eps)
+    assert len(normals) == 4  # one per edge of the square, on the first call only
 
 
 def test_volume_lower_bound_below_exact_cover():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hullmetry.errors import DegenerateInput, NonOrientable
 from hullmetry.geometry import (
@@ -20,7 +20,6 @@ from hullmetry.geometry import (
     unit_ball_volume,
     volume_det,
     volume_projected,
-    volume_ratio_poly,
 )
 from hullmetry.fixtures import lshape, star2d, unit_cube, unit_square
 from hullmetry.minkowski import BodyApprox, body_beta
@@ -354,6 +353,8 @@ def test_meb_covers_every_point_with_support_on_sphere(seed, dim, lattice):
     st.sampled_from(["gauss", "repeats", "lattice"]),
     st.booleans(),
 )
+# a cloud whose radius differs in the last bit between C and Fortran row sums
+@example(233, 8, "gauss", True)
 def test_meb_replays_the_point_by_point_welzl_scan(seed, dim, kind, fortran):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 45))
@@ -365,11 +366,16 @@ def test_meb_replays_the_point_by_point_welzl_scan(seed, dim, kind, fortran):
             pts = pts[rng.integers(0, max(n // 3, 1), n)]
     if fortran:
         pts = np.asfortranarray(pts)
-    center, radius, support = welzl_reference(pts)
+    # min_enclosing_ball scans the C-order copy, whatever the input's layout
+    center, radius, support = welzl_reference(np.ascontiguousarray(pts))
     ball = min_enclosing_ball(pts)
     assert ball.center.tobytes() == center.tobytes()
     assert repr(ball.radius) == repr(radius)
     assert ball.support.tobytes() == support.tobytes()
+    other = min_enclosing_ball(np.ascontiguousarray(pts) if fortran else np.asfortranarray(pts))
+    assert other.center.tobytes() == ball.center.tobytes()
+    assert repr(other.radius) == repr(ball.radius)
+    assert other.support.tobytes() == ball.support.tobytes()
 
 
 @pytest.mark.parametrize("n", [11, 16])
@@ -407,11 +413,17 @@ def test_beta_of_finely_sampled_ball_is_one():
 def test_volume_ratio_poly_convex_is_one():
     for doc in (unit_square(), unit_cube()):
         poly = polytope_from_facets(np.array(doc["vertices"]), doc["facets"])
-        assert volume_ratio_poly(poly) == pytest.approx(1.0, rel=1e-12)
+        assert poly.volume_ratio == pytest.approx(1.0, rel=1e-12)
+
+
+def test_polytope_keeps_its_hull_and_halfspaces():
+    poly = lshape_poly()
+    assert poly.hull is poly.hull
+    assert poly.halfspaces is poly.halfspaces
 
 
 def test_volume_ratio_poly_lshape():
-    assert volume_ratio_poly(lshape_poly()) == pytest.approx(3.5 / 3.0, rel=1e-9)
+    assert lshape_poly().volume_ratio == pytest.approx(3.5 / 3.0, rel=1e-9)
 
 
 def test_volume_ratio_poly_star_matches_shoelace():
@@ -421,8 +433,8 @@ def test_volume_ratio_poly_star_matches_shoelace():
     hv = quickhull(verts).vertices
     order = np.argsort(np.arctan2(hv[:, 1] - verts[:, 1].mean(), hv[:, 0] - verts[:, 0].mean()))
     hull_area = shoelace(hv[order])
-    assert volume_ratio_poly(poly) == pytest.approx(hull_area / shoelace(verts), rel=1e-9)
-    assert volume_ratio_poly(poly) > 1.0
+    assert poly.volume_ratio == pytest.approx(hull_area / shoelace(verts), rel=1e-9)
+    assert poly.volume_ratio > 1.0
 
 
 def test_unit_ball_volume_values():

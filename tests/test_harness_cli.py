@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from hullmetry import chaining, covering, harness
+from hullmetry import chaining, covering, geometry, harness
 from hullmetry.cli import main
 from hullmetry.fixtures import (
     bundled_suite,
@@ -242,6 +242,16 @@ def test_cover_ratio_covers_each_sample_once(count_calls):
     records, _ = run_scenario(dict(_bundled("lshape"), checks=["cover_ratio"]), 20240501)
     assert records[0].holds and records[0].constants["epsilons"] == 3
     assert len(covers) == 6
+
+
+def test_ratio_poly_builds_the_hull_once_and_rebuilds_it_once(count_calls):
+    # R and the hull come from the body's one cached hull; the one fresh
+    # rebuild is the idempotence check
+    hulls = count_calls(geometry, "quickhull")
+    rehulls = count_calls(harness, "quickhull")
+    records, _ = run_scenario(dict(_bundled("lshape"), checks=["ratio_poly"]), 20240501)
+    assert records[0].holds and records[0].constants["idempotent"]
+    assert len(hulls) + len(rehulls) == 2
 
 
 def test_bundled_suite_is_valid_and_matches_checked_in_copy(tmp_path):

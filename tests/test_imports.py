@@ -30,3 +30,70 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(module):
     assert unused_imports(module.read_text()) == []
+
+
+SOURCES = (PACKAGE.parent, PACKAGE.parents[1] / "tests")
+
+
+def _defined_names(tree: ast.Module) -> dict:
+    """Module-level function, class and variable names, each with its defining node."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node
+    return defined
+
+
+def _references(node) -> list[str]:
+    """Names read in node: loaded names and attribute names."""
+    refs = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            refs.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.append(sub.attr)
+    return refs
+
+
+def unreferenced_names(source: str, others: list[str]) -> list[str]:
+    """Module-level names of source that neither source (outside their own
+    definition) nor any of the other sources reads."""
+    tree = ast.parse(source)
+    refs = _references(tree)
+    for other in others:
+        refs += _references(ast.parse(other))
+    dead = []
+    for name, node in _defined_names(tree).items():
+        outside = refs.count(name) - _references(node).count(name)
+        if outside == 0:
+            dead.append(name)
+    return sorted(dead)
+
+
+def test_unreferenced_names_are_found():
+    source = (
+        "import math\n"
+        "LIMIT = 3\n"
+        "TABLE = {'a': LIMIT}\n"
+        "def used():\n    return math.pi\n"
+        "def loop(n):\n    return loop(n - 1) if n else 0\n"
+        "class Dead:\n    pass\n"
+    )
+    assert unreferenced_names(source, ["x = mod.used()\n"]) == ["Dead", "TABLE", "loop"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_module_level_names_are_referenced(module):
+    others = [
+        path.read_text()
+        for root in SOURCES
+        for path in sorted(root.rglob("*.py"))
+        if path != module and path.name != "__init__.py"
+    ]
+    assert unreferenced_names(module.read_text(), others) == []
