@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import HullmetryError
-from .geometry import load_body, load_cloud, quickhull, volume_det, volume_projected
+from .geometry import load_body, load_cloud, volume_det, volume_projected
 from .minkowski import BodyApprox, as_body, check_reverse_bm, minkowski_average
 from .covering import exact_cover_small, greedy_cover
 from .chaining import entropy_integral, gamma_exact_small, gamma_greedy, gaussian_sup_mc
@@ -47,7 +47,7 @@ def _body_or_cloud(args) -> BodyApprox:
 
 
 def cmd_hull(args) -> int:
-    hull = quickhull(_body_or_cloud(args).hull_points())
+    hull = _body_or_cloud(args).hull()
     _emit(
         {
             "dim": hull.dim,

@@ -32,7 +32,7 @@ from .geometry import (
     volume_det,
     volume_projected,
 )
-from .minkowski import BodyApprox, check_reverse_bm, convexification_gap, hull_ratio
+from .minkowski import BodyApprox, convexification_gap, hull_ratio, reverse_bm_sweep
 from .covering import CoveringReport, check_hull_cover_ratio, packing_number, volume_cover_bounds
 from .chaining import certify_hull_gamma, certify_mm_two_sided, gamma_ratio_report
 from .profiles import EntropyProfile, l_existence_report
@@ -178,14 +178,16 @@ def _check_revbm(scen: Scenario, seed: int):
     worst = -math.inf
     beta_a = beta_b = float("nan")
     cases = 0
-    for s in scen.params.get("s_values", [1.0]):
-        for t in scen.params.get("t_values", [1.0]):
-            for m in scen.params.get("m_values", [1]):
-                rep = check_reverse_bm(scen.approx, scen.approx, float(s), float(t), int(m))
-                cases += 1
-                if rep.empirical_C1 > worst:
-                    worst = rep.empirical_C1
-                    beta_a, beta_b = rep.beta_A, rep.beta_B
+    for rep in reverse_bm_sweep(
+        scen.approx, scen.approx,
+        [float(s) for s in scen.params.get("s_values", [1.0])],
+        [float(t) for t in scen.params.get("t_values", [1.0])],
+        [int(m) for m in scen.params.get("m_values", [1])],
+    ):
+        cases += 1
+        if rep.empirical_C1 > worst:
+            worst = rep.empirical_C1
+            beta_a, beta_b = rep.beta_A, rep.beta_B
     slack = cap - worst if math.isfinite(worst) else -1.0
     rec = CertificationRecord(
         scen.id, "revbm", _finite(worst), cap, slack,

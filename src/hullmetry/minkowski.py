@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import DegenerateInput, DimensionMismatch, NonpositiveScale, ParamOutOfRange, TooLarge
 from .geometry import (
@@ -113,6 +113,14 @@ class BodyApprox:
             return self.points
         return self.grid.cell_centers()
 
+    def hull(self) -> Polytope:
+        """Quickhull of hull_points(): the polytope's cached hull when it is built
+        from the same vertex array, else a fresh one."""
+        pts = self.hull_points()
+        if self.poly is not None and self.poly.vertices is pts:
+            return self.poly.hull
+        return quickhull(pts)
+
     def sample(self, h: float | None = None) -> np.ndarray:
         """Sample points of the body for distance computations."""
         if self.kind == "points":
@@ -158,10 +166,25 @@ def _grid_from_points(pts: np.ndarray, h: float, dim: int) -> GridBody:
 
 
 def _dilate(a: GridBody, b: GridBody) -> GridBody:
+    """The grid of a + b: cell i + j is occupied when cell i of a and cell j of b are.
+
+    The full linear convolution of the two 0/1 grids is taken by FFT, zero
+    padded to ``next_fast_len(m + n - 1, True)`` on each axis and cropped
+    back to ``m + n - 1``. Each exact convolution value is an integer count
+    of occupied pairs, so thresholding at 0.5 is exact whenever the FFT
+    round-off stays below 0.5. That round-off is about
+    eps_mach * log2(N) * ||a||_2 * ||b||_2, with N the padded cell count and
+    ||.||_2 of a 0/1 grid the square root of its occupied count. Both norms
+    are at most sqrt(N), so the estimate stays below 0.5 while N log2 N is
+    below about 2e15. The largest dilation of the bundled suite (640 000
+    padded cells) estimates 4e-10 and measures 2.5e-11.
+    """
     if abs(a.h - b.h) > 1e-12 * max(a.h, b.h):
         raise ValueError("grid dilation requires equal spacings")
-    conv = fftconvolve(a.occ.astype(float), b.occ.astype(float))
-    occ = conv > 0.5
+    shape = tuple(m + n - 1 for m, n in zip(a.occ.shape, b.occ.shape))
+    fast = tuple(next_fast_len(n, True) for n in shape)
+    conv = irfftn(rfftn(a.occ.astype(float), fast) * rfftn(b.occ.astype(float), fast), fast)
+    occ = conv[tuple(slice(n) for n in shape)] > 0.5
     origin = a.origin + b.origin + a.h / 2.0
     return GridBody(origin, a.h, occ)
 
@@ -358,19 +381,40 @@ def check_reverse_bm(A: BodyApprox, B: BodyApprox, s: float, t: float, m: int) -
     Linear positioning maps are fixed to the identity; the harness keeps the
     running maximum of the reported constant across a scenario suite.
     """
+    return reverse_bm_sweep(A, B, [s], [t], [m])[0]
+
+
+def reverse_bm_sweep(
+    A: BodyApprox, B: BodyApprox, s_values, t_values, m_values
+) -> list[RevBMReport]:
+    """check_reverse_bm(A, B, s, t, m) for every s, t, m, nested in that order.
+
+    The volumes and betas are computed once, and the Minkowski sum sA + tB
+    once per (s, t): neither depends on m. Each case is validated, and
+    raises, in the order that one check_reverse_bm call per case would.
+    """
     if A.dim != B.dim:
         raise DimensionMismatch(f"dimensions {A.dim} and {B.dim} differ")
-    if s <= 0 or t <= 0 or m < 1:
-        raise ParamOutOfRange("need s, t > 0 and m >= 1")
-    vol_A, vol_B = A.volume(), B.volume()
-    if vol_A <= 0 or vol_B <= 0:
-        raise DegenerateInput("reverse-BM check needs bodies with interior")
-    beta_A, beta_B = body_beta(A), body_beta(B)
-    lhs_vol = minkowski_sum(scale_body(A, s), scale_body(B, t)).volume()
-    term_a = s * (beta_A * vol_A) ** (1.0 / m)
-    term_b = t * (beta_B * vol_B) ** (1.0 / m)
-    c1 = lhs_vol ** (1.0 / m) / (term_a + term_b)
-    return RevBMReport(lhs_vol, (term_a, term_b), c1, s, t, m, beta_A, beta_B)
+    reports = []
+    vol_A = vol_B = beta_A = beta_B = None
+    for s in s_values:
+        for t in t_values:
+            lhs_vol = None
+            for m in m_values:
+                if s <= 0 or t <= 0 or m < 1:
+                    raise ParamOutOfRange("need s, t > 0 and m >= 1")
+                if vol_A is None:
+                    vol_A, vol_B = A.volume(), B.volume()
+                    if vol_A <= 0 or vol_B <= 0:
+                        raise DegenerateInput("reverse-BM check needs bodies with interior")
+                    beta_A, beta_B = body_beta(A), body_beta(B)
+                if lhs_vol is None:
+                    lhs_vol = minkowski_sum(scale_body(A, s), scale_body(B, t)).volume()
+                term_a = s * (beta_A * vol_A) ** (1.0 / m)
+                term_b = t * (beta_B * vol_B) ** (1.0 / m)
+                c1 = lhs_vol ** (1.0 / m) / (term_a + term_b)
+                reports.append(RevBMReport(lhs_vol, (term_a, term_b), c1, s, t, m, beta_A, beta_B))
+    return reports
 
 
 def volume_ratio_general_bound(k_h: int, C2: float) -> float:
@@ -403,8 +447,7 @@ def empirical_general_ratio(A: BodyApprox, k_h: int) -> GeneralRatioReport:
     vol_A = A.volume()
     if vol_A <= 0:
         raise DegenerateInput("volume ratio needs a body with interior")
-    hull = quickhull(A.hull_points())
-    ratio = volume_det(hull.boundary) / vol_A
+    ratio = volume_det(A.hull().boundary) / vol_A
 
     vols = [Ak.volume() for _, Ak in _average_sequence(A, max(k_h, 2))]
     c2 = measured_c2(vols, _ball_volume(A))

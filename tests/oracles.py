@@ -310,6 +310,21 @@ def decimate_first_occurrence(origin, h_fine, occ, h):
     return lo + (cells + 0.5) * h
 
 
+def dilation_reference(a_occ, b_occ):
+    """Full dilation of the 0/1 grid a by the 0/1 grid b.
+
+    The result has extent m + n - 1 on each axis, and cell i + j is set for
+    every set cell i of a and set cell j of b: a copy of a is OR-ed in at
+    every occupied offset j of b.
+    """
+    a = np.asarray(a_occ, dtype=bool)
+    b = np.asarray(b_occ, dtype=bool)
+    out = np.zeros(tuple(m + n - 1 for m, n in zip(a.shape, b.shape)), dtype=bool)
+    for offset in np.argwhere(b):
+        out[tuple(slice(j, j + m) for j, m in zip(offset, a.shape))] |= a
+    return out
+
+
 def farthest_point_reference(points, epsilon):
     """(picks, radii) of the farthest-point greedy epsilon-cover, one full pass per pick.
 

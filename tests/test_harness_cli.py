@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from hullmetry import chaining, covering, geometry, harness
+from hullmetry import chaining, covering, geometry, harness, minkowski
 from hullmetry.cli import main
 from hullmetry.fixtures import (
     bundled_suite,
@@ -252,6 +252,14 @@ def test_ratio_poly_builds_the_hull_once_and_rebuilds_it_once(count_calls):
     records, _ = run_scenario(dict(_bundled("lshape"), checks=["ratio_poly"]), 20240501)
     assert records[0].holds and records[0].constants["idempotent"]
     assert len(hulls) + len(rehulls) == 2
+
+
+def test_revbm_builds_each_sum_once(count_calls):
+    # the sum sA + tA does not depend on m: 3 x 3 (s, t) pairs, 9 dilations
+    dilations = count_calls(minkowski, "_dilate")
+    records, _ = run_scenario(dict(_bundled("lshape"), checks=["revbm"]), 20240501)
+    assert records[0].holds and records[0].constants["cases"] == 18
+    assert len(dilations) == 9
 
 
 def test_bundled_suite_is_valid_and_matches_checked_in_copy(tmp_path):

@@ -1,5 +1,8 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and importing
+the package leaves out the heavy scipy subpackages it does not call."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +100,15 @@ def test_module_level_names_are_referenced(module):
         if path != module and path.name != "__init__.py"
     ]
     assert unreferenced_names(module.read_text(), others) == []
+
+
+def test_import_loads_neither_scipy_signal_nor_scipy_stats():
+    # the package calls neither; scipy.signal alone pulls in scipy.stats and
+    # costs about 0.4 s of a fresh process
+    probe = (
+        "import sys, hullmetry, hullmetry.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -22,11 +22,12 @@ from hullmetry.minkowski import (
     measured_c2,
     minkowski_average,
     minkowski_sum,
+    reverse_bm_sweep,
     scale_body,
     volume_ratio_general_bound,
 )
 
-from oracles import decimate_first_occurrence, polygon_contains, shoelace
+from oracles import decimate_first_occurrence, dilation_reference, polygon_contains, shoelace
 
 L_DOC = lshape()
 L_VERTS = np.array(L_DOC["vertices"])
@@ -263,6 +264,50 @@ def test_decimate_matches_first_occurrence_oracle(case):
     assert _lex_sorted(got).tobytes() == _lex_sorted(want).tobytes()
 
 
+@st.composite
+def dilation_pairs(draw):
+    """Two grids of one dimension d = 1..3 and one spacing: random, full or
+    single-cell occupancies, sometimes with one empty slab, on extents that
+    include 7, 11 and 13 (7 in 3-D), where next_fast_len pads."""
+    dim = draw(st.integers(1, 3))
+    h = draw(st.floats(0.01, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extents = st.one_of(st.integers(1, 6), st.sampled_from([7, 11, 13] if dim < 3 else [7]))
+    grids = []
+    for _ in range(2):
+        shape = tuple(draw(extents) for _ in range(dim))
+        fill = draw(st.sampled_from(["random", "full", "single"]))
+        if fill == "random":
+            occ = rng.random(shape) < draw(st.floats(0.05, 0.95))
+        elif fill == "full":
+            occ = np.ones(shape, dtype=bool)
+        else:
+            occ = np.zeros(shape, dtype=bool)
+            occ.flat[rng.integers(occ.size)] = True
+        if draw(st.booleans()):
+            axis = draw(st.integers(0, dim - 1))
+            occ[(slice(None),) * axis + (draw(st.integers(0, shape[axis] - 1)),)] = False
+        origin = np.array([draw(st.floats(-5.0, 5.0)) for _ in range(dim)])
+        grids.append(GridBody(origin, h, occ))
+    return grids
+
+
+@settings(max_examples=200, deadline=None)
+@given(dilation_pairs())
+def test_dilate_matches_shift_or_oracle(pair):
+    a, b = pair
+    got = minkowski._dilate(a, b)
+    want = dilation_reference(a.occ, b.occ)
+    assert got.occ.dtype == want.dtype and got.occ.shape == want.shape
+    assert got.occ.tobytes() == want.tobytes()
+    # every pairwise sum of cell centres is the centre of an occupied cell
+    sums = (a.cell_centers()[:, None, :] + b.cell_centers()[None, :, :]).reshape(-1, a.dim)
+    idx = (sums - got.origin) / got.h - 0.5
+    cells = np.rint(idx).astype(int)
+    assert np.allclose(idx, cells, atol=1e-6)
+    assert np.array_equal(np.unique(cells, axis=0), np.argwhere(got.occ).reshape(-1, a.dim))
+
+
 def test_decimate_rejects_an_empty_grid():
     with pytest.raises(DegenerateInput):
         minkowski._decimate(GridBody(np.zeros(2), 0.1, np.zeros((3, 4), bool)), 0.3)
@@ -316,6 +361,22 @@ def test_revbm_rejects_degenerate_and_bad_params():
     sq = square_body()
     with pytest.raises(ParamOutOfRange):
         check_reverse_bm(sq, sq, -1.0, 1.0, 1)
+
+
+def test_revbm_sweep_matches_one_check_per_case():
+    body = bundled_lshape().approx
+    cases = [(s, t, m) for s in (0.5, 2.0) for t in (1.0, 2.0) for m in (1, 2)]
+    sweep = reverse_bm_sweep(body, body, (0.5, 2.0), (1.0, 2.0), (1, 2))
+    assert sweep == [check_reverse_bm(body, body, s, t, m) for s, t, m in cases]
+
+
+def test_revbm_sweep_raises_where_the_first_bad_case_is():
+    seg = BodyApprox.convex_hull_of([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ParamOutOfRange):
+        reverse_bm_sweep(seg, seg, [1.0], [1.0], [0, 1])
+    with pytest.raises(DegenerateInput):
+        reverse_bm_sweep(seg, seg, [1.0], [1.0], [1, 0])
+    assert reverse_bm_sweep(seg, seg, [1.0], [1.0], []) == []
 
 
 def test_revbm_fixture_suite_constant_bounded():
@@ -438,6 +499,8 @@ def test_hull_ratio_of_a_polytope_builds_one_hull(count_calls):
     lpoly = polytope_from_facets(L_VERTS, L_DOC["facets"])
     hulls = [count_calls(geometry, "quickhull"), count_calls(minkowski, "quickhull")]
     assert hull_ratio(lpoly) == pytest.approx(3.5 / 3, rel=1e-9)
+    # the general ratio reads the same cached hull
+    assert hull_ratio(lpoly, "general") >= hull_ratio(lpoly)
     assert sum(map(len, hulls)) == 1
 
 
