@@ -398,7 +398,7 @@ def certify_hull_gamma(T, alpha: float, R: float | None = None,
         pts_T, h = sampling.sample_polytope(A.polytope(), axis_cells=axis_cells)
 
     while True:
-        hull_pts = sampling.sample_hull(A.hull_points(), h)
+        hull_pts = sampling.sample_hull(A, h)
         if len(hull_pts) <= GREEDY_CAP:
             break
         h *= 2.0

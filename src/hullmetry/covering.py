@@ -241,7 +241,7 @@ def check_hull_cover_ratio(T, epsilon: float, R: float | None = None) -> HullCov
         R = hull_ratio(A)
     h = epsilon / 4.0
     body_pts = A.sample(h)
-    hull_pts = sampling.sample_hull(A.hull_points(), h)
+    hull_pts = sampling.sample_hull(A, h)
     n_body = len(_greedy_centers(body_pts, epsilon))
     n_hull = len(_greedy_centers(hull_pts, epsilon))
     bound = R * 3.0**A.dim * n_body

@@ -670,7 +670,7 @@ def load_body(source) -> Polytope:
 def load_cloud(source) -> PointCloud:
     """PointCloud from {"dim": n, "points": [[...]]}."""
     doc = _load_doc(source)
-    pts = np.asarray(doc["points"], dtype=float)
+    pts = _as_points(doc["points"])
     if pts.shape[1] != int(doc["dim"]):
         raise ValueError("declared dim disagrees with point coordinates")
     return PointCloud(pts, metric=doc.get("metric", "euclidean"))

@@ -94,6 +94,13 @@ class Scenario:
 
     @staticmethod
     def from_dict(doc: dict) -> "Scenario":
+        if not isinstance(doc, dict):
+            raise SuiteError(f"malformed scenario: {doc!r} is not an object")
+        sid = doc.get("id")
+        for key, want, name in (("payload", dict, "object"), ("checks", list, "list"),
+                                ("params", dict, "object")):
+            if key in doc and not isinstance(doc[key], want):
+                raise SuiteError(f"scenario {sid}: {key} must be a JSON {name}")
         try:
             scen = Scenario(
                 id=str(doc["id"]),
@@ -102,11 +109,12 @@ class Scenario:
                 checks=list(doc["checks"]),
                 params=dict(doc.get("params", {})),
             )
-        except (KeyError, TypeError) as exc:
-            raise SuiteError(f"malformed scenario: {exc}") from exc
+        except KeyError as exc:
+            raise SuiteError(f"scenario {sid}: missing key {exc}") from exc
         if scen.kind not in VALID_CHECKS:
             raise SuiteError(f"scenario {scen.id}: unknown kind {scen.kind!r}")
-        bad = [c for c in scen.checks if c not in VALID_CHECKS[scen.kind]]
+        valid = VALID_CHECKS[scen.kind]
+        bad = [c for c in scen.checks if not isinstance(c, str) or c not in valid]
         if bad:
             raise SuiteError(f"scenario {scen.id}: checks {bad} invalid for kind {scen.kind!r}")
         expect = scen.params.get("expect_l_exists")
@@ -347,8 +355,8 @@ CHECK_RUNNERS = {
 def run_scenario(doc: dict, master_seed: int):
     """All checks of one scenario; returns (records, artifacts).
 
-    A check that raises on its input (a degenerate body, a non-finite
-    coordinate or parameter, a payload without a key the check reads) gives
+    A check that raises on its input (a degenerate body, a non-finite or
+    null coordinate or parameter, a payload without a key the check reads) gives
     a failed record whose ``error`` constant names the exception; the
     remaining checks still run.
     """
@@ -360,7 +368,7 @@ def run_scenario(doc: dict, master_seed: int):
         t0 = time.perf_counter()
         try:
             rec, files = CHECK_RUNNERS[check](scen, seed)
-        except (HullmetryError, KeyError, ValueError) as exc:
+        except (HullmetryError, KeyError, TypeError, ValueError) as exc:
             error = {"error": f"{type(exc).__name__}: {exc}"}
             rec, files = CertificationRecord(scen.id, check, math.nan, math.nan, -1.0, error), {}
         rec.runtime_ms = (time.perf_counter() - t0) * 1000.0
@@ -374,20 +382,25 @@ def load_suite(suite_file) -> dict:
         doc = json.loads(Path(suite_file).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise SuiteError(f"cannot parse suite file: {exc}") from exc
-    if "scenarios" not in doc:
-        raise SuiteError("suite file has no 'scenarios' list")
-    ids = [s.get("id") for s in doc["scenarios"]]
+    if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), list):
+        raise SuiteError("suite file is not an object with a 'scenarios' list")
+    _check_seed(doc.get("seed", 0))
+    ids = [Scenario.from_dict(s).id for s in doc["scenarios"]]
     if len(ids) != len(set(ids)):
         raise SuiteError("scenario ids must be unique within a suite")
-    for s in doc["scenarios"]:
-        Scenario.from_dict(s)
     return doc
+
+
+def _check_seed(seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise SuiteError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 def run_suite(suite_file, out_dir, seed: int | None = None, jobs: int = 1) -> int:
     """Execute a suite and write reports; exit status 0 iff every check holds."""
     suite = load_suite(suite_file)
-    master = int(seed if seed is not None else suite.get("seed", 0))
+    master = _check_seed(seed if seed is not None else suite.get("seed", 0))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -287,11 +287,11 @@ def convexification_gap(A: BodyApprox, k_max: int):
         fine = min(1.0 / (16.0 * k_max), 0.01) * max(
             1.0, float(np.linalg.norm(hull_pts.max(axis=0) - hull_pts.min(axis=0)))
         )
-        hull_sample = sampling.sample_hull(hull_pts, h=fine)
+        hull_sample = sampling.sample_hull(A, h=fine)
         h_cmp = 0.0
     else:
         h_cmp = A.natural_spacing()
-        hull_sample = sampling.sample_hull(hull_pts, h=h_cmp)
+        hull_sample = sampling.sample_hull(A, h=h_cmp)
 
     vols, gaps = [], []
     for k, Ak in _average_sequence(A, k_max):

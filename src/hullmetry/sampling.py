@@ -164,14 +164,16 @@ def affine_basis(points: np.ndarray):
     return origin, vt[:rank], rank
 
 
-def sample_hull(points: np.ndarray, h: float) -> np.ndarray:
-    """Deterministic sample of the convex hull of a point set at spacing h.
+def sample_hull(A, h: float) -> np.ndarray:
+    """Deterministic sample of the convex hull of a BodyApprox A at spacing h.
 
     Handles hulls that are lower-dimensional than the ambient space by
-    working inside the affine hull. For affine dimension > 3 a coarse
-    combinatorial sample (vertices, edge midpoints, centroid) is used.
+    working inside the affine hull. A full-rank hull in dimension <= 3 is
+    A.hull(), the polytope's cached hull when A has one. For affine
+    dimension > 3 a coarse combinatorial sample (vertices, edge midpoints,
+    centroid) is used.
     """
-    pts = _as_points(points)
+    pts = A.hull_points()
     origin, basis, rank = affine_basis(pts)
     if rank == 0:
         return pts[:1].copy()
@@ -182,7 +184,7 @@ def sample_hull(points: np.ndarray, h: float) -> np.ndarray:
         line = lo + (hi - lo) * np.arange(m + 1) / m
         return origin + np.outer(line, basis[0])
     if rank == pts.shape[1] and rank <= 3:
-        return sample_polytope(quickhull(pts), h=h)[0]
+        return sample_polytope(A.hull(), h=h)[0]
     if rank > 3:
         mids = (pts[:, None, :] + pts[None, :, :]) / 2.0
         mids = mids.reshape(-1, pts.shape[1])

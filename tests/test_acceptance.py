@@ -28,16 +28,6 @@ from hullmetry.covering import (
     greedy_cover,
     volume_cover_bounds,
 )
-from hullmetry.fixtures import (
-    basis_cloud,
-    lshape,
-    pm_e1_cloud,
-    simplex3,
-    star2d,
-    two_point_cloud,
-    unit_cube,
-    unit_square,
-)
 from hullmetry.geometry import (
     hull_contains,
     polytope_from_facets,
@@ -48,6 +38,7 @@ from hullmetry.geometry import (
 from hullmetry.minkowski import BodyApprox, check_reverse_bm, convexification_gap, hull_ratio
 from hullmetry.profiles import EntropyProfile, l_existence_report
 
+import bundled
 from oracles import halfnormal_mean, max_two_gaussians_mean, shoelace
 
 
@@ -60,8 +51,12 @@ def _body(doc):
     return polytope_from_facets(np.array(doc["vertices"]), doc["facets"])
 
 
-BODY_DOCS = [unit_square(), unit_cube(), simplex3(), lshape(), star2d()]
-CONVEX_DOCS = [unit_square(), unit_cube(), simplex3()]
+def _points(sid):
+    return np.array(bundled.payload(sid)["points"])
+
+
+CONVEX_DOCS = [bundled.payload(sid) for sid in ("unit_square", "unit_cube", "simplex3")]
+BODY_DOCS = CONVEX_DOCS + [bundled.payload("lshape"), bundled.payload("star2d")]
 
 
 def test_criterion_1_volume_formula_equivalence():
@@ -76,9 +71,10 @@ def test_criterion_1_volume_formula_equivalence():
             vp = volume_projected(hull.boundary)
             worst = max(worst, abs(vd - vp) / abs(vd))
             count += 1
-    lp = _body(lshape())
+    ldoc = bundled.payload("lshape")
+    lp = _body(ldoc)
     l_ok = abs(volume_det(lp.boundary) - 3.0) <= 1e-12
-    l_ok &= abs(volume_det(lp.boundary) - shoelace(np.array(lshape()["vertices"]))) <= 1e-12
+    l_ok &= abs(volume_det(lp.boundary) - shoelace(np.array(ldoc["vertices"]))) <= 1e-12
     elapsed = time.perf_counter() - t0
     ok = count >= 50 and worst <= 1e-9 and l_ok and elapsed < 10.0
     _report(1, ok, f"{count} polytopes, worst rel diff {worst:.2e}, "
@@ -86,7 +82,7 @@ def test_criterion_1_volume_formula_equivalence():
 
 
 def test_criterion_2_hull_ratio_correctness():
-    lp = _body(lshape())
+    lp = _body(bundled.payload("lshape"))
     ratio_l = lp.volume_ratio
     ok = abs(ratio_l - 3.5 / 3.0) <= 1e-9 * (3.5 / 3.0)
     for doc in CONVEX_DOCS:
@@ -105,12 +101,12 @@ def test_criterion_2_hull_ratio_correctness():
 
 def test_criterion_3_convexification():
     t0 = time.perf_counter()
-    lbody = BodyApprox.from_polytope(_body(lshape()))  # default sampling cap
+    lbody = BodyApprox.from_polytope(_body(bundled.payload("lshape")))  # default sampling cap
     traces = convexification_gap(lbody, 8)
     gaps = [t.hausdorff_to_hull for t in traces]
     monotone = all(b <= a for a, b in zip(gaps, gaps[1:]))
     shrunk = gaps[7] < 0.25 * gaps[0]
-    tp = BodyApprox.from_points(np.array(two_point_cloud()["points"]))
+    tp = BodyApprox.from_points(_points("twopoint"))
     tp_traces = convexification_gap(tp, 8)
     grid_tol = 0.01
     tp_ok = all(abs(t.hausdorff_to_hull - 1 / (2 * t.k)) <= grid_tol for t in tp_traces)
@@ -129,7 +125,7 @@ def test_criterion_4_reverse_bm_ledger():
                 for m in (1, 2):
                     rep = check_reverse_bm(body, body, s, t, m)
                     worst = max(worst, rep.empirical_C1)
-    sq = BodyApprox.convex_hull_of(unit_square()["vertices"])
+    sq = BodyApprox.convex_hull_of(bundled.payload("unit_square")["vertices"])
     c1 = check_reverse_bm(sq, sq, 1.0, 1.0, 1).empirical_C1
     square_ok = abs(c1 - 4 / math.pi) <= 1e-6
     ok = math.isfinite(worst) and worst <= 10.0 and square_ok
@@ -138,9 +134,9 @@ def test_criterion_4_reverse_bm_ledger():
 
 def test_criterion_5_covering_sandwich():
     instances = [
-        (unit_square(), _square_sample(), 0.34),
-        (unit_cube(), _cube_sample(), 0.45),
-        (simplex3(), _simplex_sample(), 0.2),
+        (bundled.payload("unit_square"), _square_sample(), 0.34),
+        (bundled.payload("unit_cube"), _cube_sample(), 0.45),
+        (bundled.payload("simplex3"), _simplex_sample(), 0.2),
     ]
     ok = True
     details = []
@@ -152,7 +148,7 @@ def test_criterion_5_covering_sandwich():
         ok &= up is not None
         ok &= lo <= n_exact <= n_greedy <= up
         details.append(f"{lo:.2f}<={n_exact}<={n_greedy}<={up:.1f}")
-    lp = _body(lshape())
+    lp = _body(bundled.payload("lshape"))
     for eps in (0.2, 0.4, 0.8):
         cert = check_hull_cover_ratio(lp, eps, hull_ratio(lp, "poly"))
         ok &= cert.holds and cert.slack >= 0
@@ -164,23 +160,18 @@ def _square_sample():
 
 
 def _cube_sample():
-    corners = np.array(unit_cube()["vertices"], dtype=float)
+    corners = np.array(bundled.payload("unit_cube")["vertices"], dtype=float)
     return np.vstack([corners, [[0.5, 0.5, 0.5]]])
 
 
 def _simplex_sample():
-    v = np.array(simplex3()["vertices"], dtype=float)
+    v = np.array(bundled.payload("simplex3")["vertices"], dtype=float)
     mids = [(v[i] + v[j]) / 2 for i in range(4) for j in range(i + 1, 4)]
     return np.vstack([v, mids])
 
 
 def test_criterion_6_gamma_exactness():
-    clouds = [
-        np.array(two_point_cloud()["points"]),
-        np.array(pm_e1_cloud()["points"]),
-        np.array(basis_cloud(2)["points"]),
-        np.array(basis_cloud(4)["points"]),
-    ]
+    clouds = [_points(sid) for sid in ("twopoint", "pm_e1", "basis_2", "basis_4")]
     ok = True
     for pts in clouds:
         d = max(
@@ -192,7 +183,7 @@ def test_criterion_6_gamma_exactness():
         greedy = gamma_greedy(pts, 2.0).value
         ok &= abs(exact - d) <= 1e-12
         ok &= abs(greedy - exact) <= 1e-12
-    ent = entropy_integral(np.array(two_point_cloud()["points"]), 2.0).value
+    ent = entropy_integral(_points("twopoint"), 2.0).value
     ent_ok = abs(ent - math.sqrt(math.log(2))) <= 0.02 * math.sqrt(math.log(2))
     ok &= ent_ok
     _report(6, ok, f"exact=diam and greedy=exact on 2-4 point clouds, "
@@ -202,7 +193,7 @@ def test_criterion_6_gamma_exactness():
 def test_criterion_7_gaussian_sup():
     t0 = time.perf_counter()
     e12 = gaussian_sup_mc(np.eye(2), 100000, 7001)
-    pm = gaussian_sup_mc(np.array(pm_e1_cloud()["points"]), 100000, 7002)
+    pm = gaussian_sup_mc(_points("pm_e1"), 100000, 7002)
     ok = abs(e12.mean - max_two_gaussians_mean()) <= 3 * e12.std_error
     ok &= abs(pm.mean - halfnormal_mean()) <= 3 * pm.std_error
     rerun = gaussian_sup_mc(np.eye(2), 100000, 7001)
@@ -216,12 +207,7 @@ def test_criterion_7_gaussian_sup():
 def test_criterion_8_hull_gamma_certification():
     ok = abs(l_constant(1.0, 2, 2.0) - 2.0420394221077887) <= 1e-6
     fixtures = [_body(doc) for doc in BODY_DOCS]
-    clouds = [
-        np.array(two_point_cloud()["points"]),
-        np.array(pm_e1_cloud()["points"]),
-        np.array(basis_cloud(4)["points"]),
-        np.array(basis_cloud(16)["points"]),
-    ]
+    clouds = [_points(sid) for sid in ("twopoint", "pm_e1", "basis_4", "basis_16")]
     worst_slack = math.inf
     for target in fixtures + clouds:
         kwargs = {"axis_cells": 8} if getattr(target, "dim", 2) == 3 else {}
@@ -288,7 +274,7 @@ def _parse_artifact(path):
 
 
 def test_criterion_10_end_to_end_determinism(tmp_path):
-    suite = Path(__file__).resolve().parent.parent / "suites" / "bundled_suite.json"
+    suite = bundled.SUITE_FILE
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / tag

@@ -21,10 +21,10 @@ from hullmetry.chaining import (
     _widest_cell,
 )
 from hullmetry import chaining
-from hullmetry.fixtures import bundled_suite, lshape, unit_square
 from hullmetry.geometry import PointCloud, load_body, polytope_from_facets
 from hullmetry.minkowski import hull_ratio
 
+import bundled
 from oracles import (
     entropy_integral_reference,
     farthest_pair,
@@ -193,7 +193,7 @@ def test_greedy_witnesses_of_bundled_gamma_samples_are_pinned(scenario, monkeypa
         return est
 
     monkeypatch.setattr(chaining, "gamma_greedy", recorded)
-    doc = next(s for s in bundled_suite()["scenarios"] if s["id"] == scenario)
+    doc = bundled.scenario(scenario)
     cells = int(doc["params"].get("gamma_cells", 24))
     certify_hull_gamma(load_body(doc["payload"]), 2.0, 1.0, axis_cells=cells)
     digests = [hashlib.sha256(repr(w).encode()).hexdigest() for w in witnesses]
@@ -385,7 +385,7 @@ def test_l_constant_rejects_bad_params():
 
 
 def test_certify_convex_body():
-    doc = unit_square()
+    doc = bundled.payload("unit_square")
     poly = polytope_from_facets(np.array(doc["vertices"]), doc["facets"])
     rep = certify_hull_gamma(poly, 2.0, hull_ratio(poly, "poly"))
     assert rep.holds
@@ -395,7 +395,7 @@ def test_certify_convex_body():
 
 
 def test_certify_lshape_both_modes():
-    doc = lshape()
+    doc = bundled.payload("lshape")
     poly = polytope_from_facets(np.array(doc["vertices"]), doc["facets"])
     for mode in ("poly", "general"):
         rep = certify_hull_gamma(poly, 2.0, hull_ratio(poly, mode))

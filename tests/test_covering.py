@@ -17,18 +17,23 @@ from hullmetry.covering import (
     packing_number,
     volume_cover_bounds,
 )
-from hullmetry.fixtures import lshape, unit_square
 from hullmetry.geometry import PointCloud, polytope_from_facets, quickhull, unit_ball_volume
 from hullmetry.minkowski import hull_ratio
 
+import bundled
 from oracles import exhaustive_set_cover, farthest_point_reference, packing_reference
 
 TWO = np.array([[0.0, 0.0], [1.0, 0.0]])
+SQ_VERTS = np.array(bundled.payload("unit_square")["vertices"])
+
+
+def bundled_poly(sid):
+    doc = bundled.payload(sid)
+    return polytope_from_facets(np.array(doc["vertices"]), doc["facets"])
 
 
 def lshape_poly():
-    doc = lshape()
-    return polytope_from_facets(np.array(doc["vertices"]), doc["facets"])
+    return bundled_poly("lshape")
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +72,7 @@ def test_covering_rejects_nonfinite_or_nonpositive_epsilon(fn, epsilon):
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0])
 def test_volume_bounds_reject_nonfinite_or_nonpositive_epsilon(epsilon):
     with pytest.raises(ParamOutOfRange):
-        volume_cover_bounds(quickhull(np.array(unit_square()["vertices"])), epsilon)
+        volume_cover_bounds(quickhull(SQ_VERTS), epsilon)
 
 
 @st.composite
@@ -241,14 +246,14 @@ def test_volume_bounds_centered_square():
 
 
 def test_volume_bounds_upper_needs_inball():
-    sq = quickhull(np.array(unit_square()["vertices"]))
+    sq = quickhull(SQ_VERTS)
     lo, up = volume_cover_bounds(sq, 0.8)  # inradius is 0.5 < 0.8
     assert up is None
     assert lo == pytest.approx((1 / 0.8) ** 2 / math.pi, rel=1e-9)
 
 
 def test_volume_cover_bounds_reads_the_cached_halfspaces(count_calls):
-    sq = quickhull(np.array(unit_square()["vertices"]))
+    sq = quickhull(SQ_VERTS)
     normals = count_calls(geometry, "_facet_normal")
     for eps in (0.2, 0.4, 0.8):
         volume_cover_bounds(sq, eps)
@@ -279,7 +284,7 @@ def test_hull_cover_lshape_holds(eps):
 
 
 def test_hull_cover_convex_body_equal_counts():
-    sq = polytope_from_facets(np.array(unit_square()["vertices"]), unit_square()["facets"])
+    sq = bundled_poly("unit_square")
     cert = check_hull_cover_ratio(sq, 0.3, hull_ratio(sq, "poly"))
     # convex body: T and its hull sample identically, so the 3^n factor is pure slack
     assert cert.n_hull == cert.n_body

@@ -21,14 +21,14 @@ from hullmetry.geometry import (
     volume_det,
     volume_projected,
 )
-from hullmetry.fixtures import lshape, star2d, unit_cube, unit_square
 from hullmetry.minkowski import BodyApprox, body_beta
 
+import bundled
 from oracles import extreme_points, shoelace, welzl_reference
 
-L_VERTS = np.array(lshape()["vertices"])
-L_FACETS = lshape()["facets"]
-SQ = np.array(unit_square()["vertices"])
+L_DOC, SQ_DOC = bundled.payload("lshape"), bundled.payload("unit_square")
+L_VERTS, L_FACETS = np.array(L_DOC["vertices"]), L_DOC["facets"]
+SQ = np.array(SQ_DOC["vertices"])
 
 
 def lshape_poly():
@@ -61,7 +61,8 @@ def test_quickhull_collinear_raises():
 
 
 def test_quickhull_idempotent_on_fixtures():
-    for verts in (SQ, L_VERTS, np.array(unit_cube()["vertices"]), np.array(star2d()["vertices"])):
+    others = [np.array(bundled.payload(sid)["vertices"]) for sid in ("unit_cube", "star2d")]
+    for verts in [SQ, L_VERTS] + others:
         hull = quickhull(verts)
         again = quickhull(hull.vertices)
         assert sorted(map(tuple, hull.vertices.tolist())) == sorted(
@@ -186,12 +187,12 @@ def test_quickhull_vertices_match_extreme_points_property(seed, kind):
 
 
 def test_triangulate_square_gives_four_edges():
-    b = triangulate_facets(SQ, unit_square()["facets"], 2)
+    b = triangulate_facets(SQ, SQ_DOC["facets"], 2)
     assert b.n_simplices == 4
 
 
 def test_triangulate_cube_gives_twelve_triangles():
-    doc = unit_cube()
+    doc = bundled.payload("unit_cube")
     b = triangulate_facets(np.array(doc["vertices"]), doc["facets"], 3)
     assert b.n_simplices == 12
     assert volume_det(b) == pytest.approx(1.0, abs=1e-12)
@@ -222,7 +223,7 @@ def test_triangulate_boundary_of_polytope():
 
 
 def test_volume_unit_square():
-    poly = polytope_from_facets(SQ, unit_square()["facets"])
+    poly = polytope_from_facets(SQ, SQ_DOC["facets"])
     assert volume_det(poly.boundary) == pytest.approx(1.0, abs=1e-12)
     assert volume_projected(poly.boundary) == pytest.approx(1.0, abs=1e-12)
 
@@ -395,7 +396,7 @@ def test_meb_badoiu_clarkson_branch(n):
 
 
 def test_beta_unit_square():
-    poly = polytope_from_facets(SQ, unit_square()["facets"])
+    poly = polytope_from_facets(SQ, SQ_DOC["facets"])
     assert body_beta(BodyApprox.from_polytope(poly)) == pytest.approx(math.pi / 2, rel=1e-9)
 
 
@@ -411,7 +412,7 @@ def test_beta_of_finely_sampled_ball_is_one():
 
 
 def test_volume_ratio_poly_convex_is_one():
-    for doc in (unit_square(), unit_cube()):
+    for doc in (bundled.payload("unit_square"), bundled.payload("unit_cube")):
         poly = polytope_from_facets(np.array(doc["vertices"]), doc["facets"])
         assert poly.volume_ratio == pytest.approx(1.0, rel=1e-12)
 
@@ -427,7 +428,7 @@ def test_volume_ratio_poly_lshape():
 
 
 def test_volume_ratio_poly_star_matches_shoelace():
-    doc = star2d()
+    doc = bundled.payload("star2d")
     verts = np.array(doc["vertices"])
     poly = polytope_from_facets(verts, doc["facets"])
     hv = quickhull(verts).vertices
@@ -450,7 +451,7 @@ def test_unit_ball_volume_values():
 
 def test_load_body_roundtrip(tmp_path):
     path = tmp_path / "l.json"
-    path.write_text(json.dumps(lshape()))
+    path.write_text(json.dumps(L_DOC))
     poly = load_body(path)
     assert volume_det(poly.boundary) == pytest.approx(3.0, abs=1e-12)
 

@@ -1,19 +1,12 @@
 import json
-import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from hullmetry import chaining, covering, geometry, harness, minkowski
+from hullmetry import chaining, covering, geometry, harness, minkowski, sampling
 from hullmetry.cli import main
-from hullmetry.fixtures import (
-    bundled_suite,
-    lshape,
-    profile_case,
-    two_point_cloud,
-    unit_square,
-    write_bundled_suite,
-)
 from hullmetry.harness import (
     Scenario,
     SuiteError,
@@ -22,6 +15,8 @@ from hullmetry.harness import (
     run_scenario,
     run_suite,
 )
+
+import bundled
 
 
 def small_suite():
@@ -32,14 +27,14 @@ def small_suite():
             {
                 "id": "sq",
                 "kind": "body",
-                "payload": unit_square(),
+                "payload": bundled.payload("unit_square"),
                 "checks": ["volume_xcheck", "ratio_poly"],
                 "params": {},
             },
             {
                 "id": "p3",
                 "kind": "profile",
-                "payload": profile_case(3),
+                "payload": bundled.payload("profile_case3"),
                 "checks": ["l_existence"],
                 "params": {"expect_l_exists": False},
             },
@@ -156,13 +151,13 @@ def test_l_existence_needs_an_expectation(tmp_path):
 
 
 def test_failing_checks_give_failed_records(tmp_path):
-    nan_profile = dict(profile_case(1), chi="nan")
+    profile, square = bundled.payload("profile_case1"), bundled.payload("unit_square")
+    nan_profile = dict(profile, chi="nan")
     collinear = {"dim": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
                  "facets": [[0, 1], [1, 2], [2, 0]]}
-    nan_vertex = dict(unit_square(), vertices=[[0.0, 0.0], [1.0, 0.0], [1.0, float("nan")],
-                                               [0.0, 1.0]])
-    no_psi = {k: v for k, v in profile_case(1).items() if k != "psi"}
-    no_vertices = {k: v for k, v in unit_square().items() if k != "vertices"}
+    nan_vertex = dict(square, vertices=[[0.0, 0.0], [1.0, 0.0], [1.0, float("nan")], [0.0, 1.0]])
+    no_psi = {k: v for k, v in profile.items() if k != "psi"}
+    no_vertices = {k: v for k, v in square.items() if k != "vertices"}
     doc = {"suite": "broken", "seed": 3, "scenarios": [
         {"id": "chi_nan", "kind": "profile", "payload": nan_profile,
          "checks": ["l_existence"], "params": {"expect_l_exists": True}},
@@ -174,6 +169,14 @@ def test_failing_checks_give_failed_records(tmp_path):
          "checks": ["l_existence"], "params": {"expect_l_exists": True}},
         {"id": "no_vertices", "kind": "body", "payload": no_vertices,
          "checks": ["volume_xcheck"]},
+        {"id": "flat_points", "kind": "cloud", "payload": {"dim": 2, "points": [1.0, 2.0]},
+         "checks": ["gamma_hull"]},
+        {"id": "no_points", "kind": "cloud", "payload": {"dim": 2, "points": []},
+         "checks": ["mm_two_sided"]},
+        {"id": "null_dim", "kind": "body", "payload": dict(square, dim=None),
+         "checks": ["volume_xcheck"]},
+        {"id": "null_chi", "kind": "profile", "payload": dict(profile, chi=None),
+         "checks": ["l_existence"], "params": {"expect_l_exists": True}},
         small_suite()["scenarios"][0],
     ]}
     suite_path = tmp_path / "suite.json"
@@ -196,6 +199,13 @@ def test_failing_checks_give_failed_records(tmp_path):
         ("nan_vertex", "volume_xcheck"): "ValueError: point coordinates must be finite",
         ("no_psi", "l_existence"): "KeyError: 'psi'",
         ("no_vertices", "volume_xcheck"): "KeyError: 'vertices'",
+        ("flat_points", "gamma_hull"): "ValueError: expected a 2-d array of point coordinates",
+        ("no_points", "mm_two_sided"): "ValueError: expected a 2-d array of point coordinates",
+        ("null_dim", "volume_xcheck"):
+            "TypeError: int() argument must be a string, a bytes-like object or a real number, "
+            "not 'NoneType'",
+        ("null_chi", "l_existence"):
+            "TypeError: float() argument must be a string or a real number, not 'NoneType'",
     }
     assert records[("sq", "volume_xcheck")]["holds"] and records[("sq", "ratio_poly")]["holds"]
     csv_lines = (tmp_path / "ser" / "results.csv").read_text().splitlines()
@@ -205,14 +215,10 @@ def test_failing_checks_give_failed_records(tmp_path):
     )
 
 
-def _bundled(scenario):
-    return next(s for s in bundled_suite()["scenarios"] if s["id"] == scenario)
-
-
 def _gamma_greedy_calls(count_calls, scenario):
     """Number of gamma_greedy calls made by one bundled gamma_hull check."""
     calls = count_calls(chaining, "gamma_greedy")
-    records, _ = run_scenario(dict(_bundled(scenario), checks=["gamma_hull"]), 20240501)
+    records, _ = run_scenario(dict(bundled.scenario(scenario), checks=["gamma_hull"]), 20240501)
     assert [r.check for r in records] == ["gamma_hull"] and records[0].holds
     assert {"R_poly", "L_poly", "R_gen", "L_gen"} <= set(records[0].constants)
     return len(calls)
@@ -230,7 +236,7 @@ def test_gamma_hull_of_convex_body_computes_one_gamma(count_calls):
 
 def test_scenario_loads_its_payload_once(count_calls):
     loads = count_calls(harness, "load_body")
-    records, _ = run_scenario(_bundled("lshape"), 20240501)
+    records, _ = run_scenario(bundled.scenario("lshape"), 20240501)
     assert len(records) == 6 and all(r.holds for r in records)
     assert len(loads) == 1
 
@@ -239,7 +245,7 @@ def test_cover_ratio_covers_each_sample_once(count_calls):
     # per epsilon: one cover of the body sample and one of the hull sample; the
     # CSV row reuses the certificate's body cover instead of sampling again
     covers = count_calls(covering, "_greedy_centers")
-    records, _ = run_scenario(dict(_bundled("lshape"), checks=["cover_ratio"]), 20240501)
+    records, _ = run_scenario(dict(bundled.scenario("lshape"), checks=["cover_ratio"]), 20240501)
     assert records[0].holds and records[0].constants["epsilons"] == 3
     assert len(covers) == 6
 
@@ -249,7 +255,7 @@ def test_ratio_poly_builds_the_hull_once_and_rebuilds_it_once(count_calls):
     # rebuild is the idempotence check
     hulls = count_calls(geometry, "quickhull")
     rehulls = count_calls(harness, "quickhull")
-    records, _ = run_scenario(dict(_bundled("lshape"), checks=["ratio_poly"]), 20240501)
+    records, _ = run_scenario(dict(bundled.scenario("lshape"), checks=["ratio_poly"]), 20240501)
     assert records[0].holds and records[0].constants["idempotent"]
     assert len(hulls) + len(rehulls) == 2
 
@@ -257,16 +263,17 @@ def test_ratio_poly_builds_the_hull_once_and_rebuilds_it_once(count_calls):
 def test_revbm_builds_each_sum_once(count_calls):
     # the sum sA + tA does not depend on m: 3 x 3 (s, t) pairs, 9 dilations
     dilations = count_calls(minkowski, "_dilate")
-    records, _ = run_scenario(dict(_bundled("lshape"), checks=["revbm"]), 20240501)
+    records, _ = run_scenario(dict(bundled.scenario("lshape"), checks=["revbm"]), 20240501)
     assert records[0].holds and records[0].constants["cases"] == 18
     assert len(dilations) == 9
 
 
-def test_bundled_suite_is_valid_and_matches_checked_in_copy(tmp_path):
-    path = write_bundled_suite(tmp_path / "suite.json")
-    load_suite(path)
-    here = os.path.join(os.path.dirname(__file__), "..", "suites", "bundled_suite.json")
-    assert json.loads(open(here).read()) == bundled_suite()
+def test_bundled_run_builds_each_hull_once(count_calls, tmp_path):
+    # each body's hull is built once, cached on its Polytope and sampled by
+    # sample_hull; the ratio_poly rebuilds are the idempotence checks
+    hulls = [count_calls(mod, "quickhull") for mod in (geometry, sampling, minkowski, harness)]
+    assert run_suite(bundled.SUITE_FILE, tmp_path) == 0
+    assert sum(map(len, hulls)) == 30
 
 
 def test_record_holds_iff_slack_within_tolerance(tmp_path):
@@ -281,7 +288,7 @@ def test_records_carry_theorem_symbols():
     lshape_scenario = {
         "id": "l",
         "kind": "body",
-        "payload": lshape(),
+        "payload": bundled.payload("lshape"),
         "checks": ["revbm", "gamma_hull"],
         "params": {"s_values": [1.0], "t_values": [1.0], "m_values": [1],
                    "axis_cells": 60},
@@ -293,7 +300,7 @@ def test_records_carry_theorem_symbols():
     mm_scenario = {
         "id": "c",
         "kind": "cloud",
-        "payload": two_point_cloud(),
+        "payload": bundled.payload("twopoint"),
         "checks": ["mm_two_sided"],
         "params": {"trials": 2000},
     }
@@ -308,7 +315,7 @@ def test_records_carry_theorem_symbols():
 
 def test_cli_volume(tmp_path, capsys):
     body = tmp_path / "l.json"
-    body.write_text(json.dumps(lshape()))
+    body.write_text(json.dumps(bundled.payload("lshape")))
     assert main(["volume", "--body", str(body)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["volume_det"] == pytest.approx(3.0, abs=1e-12)
@@ -316,7 +323,7 @@ def test_cli_volume(tmp_path, capsys):
 
 def test_cli_gamma_exact(tmp_path, capsys):
     cloud = tmp_path / "c.json"
-    cloud.write_text(json.dumps(two_point_cloud()))
+    cloud.write_text(json.dumps(bundled.payload("twopoint")))
     assert main(["gamma", "--cloud", str(cloud), "--alpha", "2", "--method", "exact"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["value"] == 1.0
@@ -330,11 +337,37 @@ def test_cli_profile_case3(capsys):
 
 def test_cli_supgauss_env_seed(tmp_path, capsys, monkeypatch):
     cloud = tmp_path / "c.json"
-    cloud.write_text(json.dumps(two_point_cloud()))
+    cloud.write_text(json.dumps(bundled.payload("twopoint")))
     monkeypatch.setenv("HULLMETRY_SEED", "99")
     assert main(["supgauss", "--cloud", str(cloud), "--trials", "2000"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["seed"] == 99
+
+
+MALFORMED_SUITES = {
+    "top_level_number": (5, "'scenarios' list"),
+    "scenarios_number": ({"seed": 1, "scenarios": 5}, "'scenarios' list"),
+    "scenario_number": ({"seed": 1, "scenarios": [1]}, "malformed scenario: 1"),
+    "params_string": ({"seed": 1, "scenarios": [dict(small_suite()["scenarios"][0], params="ab")]},
+                      "scenario sq: params"),
+    "seed_string": ({"seed": "7", "scenarios": []}, "seed must be"),
+    "seed_negative": ({"seed": -1, "scenarios": []}, "seed must be"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SUITES))
+def test_cli_malformed_suite_is_a_usage_error(tmp_path, case):
+    doc, named = MALFORMED_SUITES[case]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hullmetry.cli", "run", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and named in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
@@ -352,7 +385,7 @@ def test_cli_usage_error_is_exit_two(capsys):
 
 def test_cli_cover_exact(tmp_path, capsys):
     cloud = tmp_path / "c.json"
-    cloud.write_text(json.dumps(two_point_cloud()))
+    cloud.write_text(json.dumps(bundled.payload("twopoint")))
     assert main(["cover", "--cloud", str(cloud), "--epsilon", "0.4", "--exact"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["n_exact"] == 2 and doc["n_greedy"] == 2
@@ -360,7 +393,7 @@ def test_cli_cover_exact(tmp_path, capsys):
 
 def test_cli_minkavg_points(tmp_path, capsys):
     cloud = tmp_path / "c.json"
-    cloud.write_text(json.dumps(two_point_cloud()))
+    cloud.write_text(json.dumps(bundled.payload("twopoint")))
     assert main(["minkavg", "--cloud", str(cloud), "--k", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["points"] == [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]]
@@ -368,7 +401,7 @@ def test_cli_minkavg_points(tmp_path, capsys):
 
 def test_cli_revbm_square(tmp_path, capsys):
     body = tmp_path / "sq.json"
-    body.write_text(json.dumps(unit_square()))
+    body.write_text(json.dumps(bundled.payload("unit_square")))
     assert main(["revbm", "--body-a", str(body)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["empirical_C1"] == pytest.approx(4 / np.pi, abs=1e-9)

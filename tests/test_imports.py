@@ -1,6 +1,8 @@
-"""Every name a package module imports is used in that module, and importing
-the package leaves out the heavy scipy subpackages it does not call."""
+"""Every name a package module imports is used in that module, every module
+is reached from the package or its console script, and importing the package
+leaves out the heavy scipy subpackages it does not call."""
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,3 +114,51 @@ def test_import_loads_neither_scipy_signal_nor_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def relative_imports(source: str) -> set[str]:
+    """Sibling modules that a package module imports with `from .x import` or `from . import x`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def unreachable_modules(sources: dict[str, str], roots: list[str]) -> list[str]:
+    """Modules of a package (name -> source) that no chain of relative imports
+    from the root modules reaches."""
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in sources and name not in reached:
+            reached.add(name)
+            todo.extend(relative_imports(sources[name]))
+    return sorted(set(sources) - reached)
+
+
+def test_unreachable_modules_are_found():
+    sources = {
+        "__init__": "from .core import f\n",
+        "core": "from . import util\nfrom .errors import E\n",
+        "util": "import math\n",
+        "errors": "",
+        "cli": "from .core import f\nfrom .report import r\n",
+        "report": "",
+        "fixtures": "from .core import f\n",
+    }
+    assert unreachable_modules(sources, ["__init__", "cli"]) == ["fixtures"]
+    assert unreachable_modules(sources, ["__init__"]) == ["cli", "fixtures", "report"]
+
+
+def test_every_module_is_reached_from_the_package_or_its_console_script():
+    # a module that only tests import is test data, not package code
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text()
+    scripts = re.findall(r'^[\w-]+ = "hullmetry\.(\w+):\w+"$', pyproject, re.MULTILINE)
+    assert scripts == ["cli"]
+    roots = ["__init__"] + scripts
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unreachable_modules(sources, roots) == []

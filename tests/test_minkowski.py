@@ -8,7 +8,6 @@ from hullmetry import geometry, minkowski, sampling
 from hullmetry.chaining import certify_hull_gamma
 from hullmetry.errors import DegenerateInput, DimensionMismatch, NonpositiveScale, ParamOutOfRange
 from hullmetry.geometry import PointCloud, polytope_from_facets
-from hullmetry.fixtures import bundled_suite, lshape, unit_square
 from hullmetry.harness import Scenario
 from hullmetry.minkowski import (
     BodyApprox,
@@ -27,9 +26,10 @@ from hullmetry.minkowski import (
     volume_ratio_general_bound,
 )
 
+import bundled
 from oracles import decimate_first_occurrence, dilation_reference, polygon_contains, shoelace
 
-L_DOC = lshape()
+L_DOC = bundled.payload("lshape")
 L_VERTS = np.array(L_DOC["vertices"])
 
 
@@ -39,11 +39,11 @@ def lshape_body(axis_cells=100):
 
 
 def square_body():
-    return BodyApprox.convex_hull_of(unit_square()["vertices"])
+    return BodyApprox.convex_hull_of(bundled.payload("unit_square")["vertices"])
 
 
 def bundled_lshape() -> Scenario:
-    return Scenario.from_dict(next(s for s in bundled_suite()["scenarios"] if s["id"] == "lshape"))
+    return Scenario.from_dict(bundled.scenario("lshape"))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +505,8 @@ def test_hull_ratio_of_a_polytope_builds_one_hull(count_calls):
 
 
 def test_as_body_coerces_each_kind_of_space_once():
-    square = polytope_from_facets(np.array(unit_square()["vertices"]), unit_square()["facets"])
+    sq = bundled.payload("unit_square")
+    square = polytope_from_facets(np.array(sq["vertices"]), sq["facets"])
     lpoly = polytope_from_facets(L_VERTS, L_DOC["facets"])
     assert as_body(square).kind == "convex" and as_body(square).poly is square
     assert as_body(lpoly).kind == "solid" and as_body(lpoly).poly is lpoly

@@ -5,12 +5,11 @@ from pathlib import Path
 
 import numpy as np
 
-from hullmetry.fixtures import lshape
-
+import bundled
 from oracles import decimate_first_occurrence, polygon_contains
 
 ORACLES = Path(__file__).with_name("oracles.py")
-L_VERTS = np.array(lshape()["vertices"])
+L_VERTS = np.array(bundled.payload("lshape")["vertices"])
 
 
 def test_oracles_import_no_package_code():
