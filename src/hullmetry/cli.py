@@ -2,7 +2,8 @@
 
 `hullmetry run <suite.json> --out <dir>` executes a certification suite;
 the other subcommands run one operation and print a JSON record to stdout.
-Exit codes: 0 all certifications hold, 1 some failed, 2 usage/parse error.
+Exit codes: 0 all certifications hold, 1 some failed, 2 usage error or malformed
+input (suite, input file or HULLMETRY_SEED).
 """
 from __future__ import annotations
 
@@ -14,13 +15,13 @@ import sys
 
 import numpy as np
 
-from .errors import HullmetryError
+from .errors import INPUT_ERRORS
 from .geometry import load_body, load_cloud, volume_det, volume_projected
 from .minkowski import BodyApprox, as_body, check_reverse_bm, minkowski_average
 from .covering import exact_cover_small, greedy_cover
 from .chaining import entropy_integral, gamma_exact_small, gamma_greedy, gaussian_sup_mc
 from .profiles import EntropyProfile, l_existence_report
-from .harness import SuiteError, run_suite
+from .harness import run_suite
 
 
 def _emit(doc) -> None:
@@ -31,15 +32,16 @@ def _seed_default(value):
     if value is not None:
         return int(value)
     env = os.environ.get("HULLMETRY_SEED")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"HULLMETRY_SEED must be an integer, got {env!r}") from None
 
 
 def cmd_run(args) -> int:
-    try:
-        return run_suite(args.suite, args.out, seed=_seed_default(args.seed), jobs=args.jobs)
-    except SuiteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return run_suite(args.suite, args.out, seed=_seed_default(args.seed), jobs=args.jobs)
 
 
 def _body_or_cloud(args) -> BodyApprox:
@@ -197,10 +199,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except HullmetryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except INPUT_ERRORS + (OSError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,3 +31,9 @@ class TooLarge(HullmetryError):
 
 class Unsupported(HullmetryError):
     """The input falls outside the cases this operation implements."""
+
+
+# What bad input raises: a degenerate body, a non-finite, null or missing
+# coordinate, parameter or key. A suite check turns these into a failed
+# record, and the CLI into an ``error:`` line and exit status 2.
+INPUT_ERRORS = (HullmetryError, KeyError, TypeError, ValueError)

@@ -407,14 +407,6 @@ def quickhull(cloud: PointCloud | np.ndarray) -> Polytope:
     return Polytope(vertices, SimplicialBoundary(vertices, simplices_arr, n), n)
 
 
-def hull_contains(poly: Polytope, points: np.ndarray) -> np.ndarray:
-    """Membership in a convex hull via its facet halfspaces."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    tol = TAU_GEOM * _scale_of(poly.vertices)
-    normals, offsets = poly.halfspaces
-    return np.all(pts @ normals.T - offsets <= tol, axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Boundary triangulation of vertex+facet input
 # ---------------------------------------------------------------------------
@@ -659,21 +651,24 @@ def min_enclosing_ball(cloud: PointCloud | np.ndarray) -> Ball:
 def load_body(source) -> Polytope:
     """Polytope from {"dim": n, "vertices": [[...]], "facets": [[i,...],...]}."""
     doc = _load_doc(source)
-    dim = int(doc["dim"])
-    vertices = np.asarray(doc["vertices"], dtype=float)
+    vertices = _declared_points(doc, "vertices")
     facets = doc.get("facets")
     if facets:
-        return polytope_from_facets(vertices, facets, dim)
+        return polytope_from_facets(vertices, facets)
     return quickhull(vertices)
 
 
 def load_cloud(source) -> PointCloud:
     """PointCloud from {"dim": n, "points": [[...]]}."""
     doc = _load_doc(source)
-    pts = _as_points(doc["points"])
+    return PointCloud(_declared_points(doc, "points"), metric=doc.get("metric", "euclidean"))
+
+
+def _declared_points(doc: dict, key: str) -> np.ndarray:
+    pts = _as_points(doc[key])
     if pts.shape[1] != int(doc["dim"]):
         raise ValueError("declared dim disagrees with point coordinates")
-    return PointCloud(pts, metric=doc.get("metric", "euclidean"))
+    return pts
 
 
 def _load_doc(source):

@@ -22,17 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import HullmetryError
-from .geometry import (
-    TAU_VOL,
-    hull_contains,
-    load_body,
-    load_cloud,
-    quickhull,
-    volume_det,
-    volume_projected,
-)
+from .errors import INPUT_ERRORS, HullmetryError, ParamOutOfRange
+from .geometry import TAU_VOL, load_body, load_cloud, quickhull, volume_det, volume_projected
 from .minkowski import BodyApprox, convexification_gap, hull_ratio, reverse_bm_sweep
+from .sampling import membership
 from .covering import CoveringReport, check_hull_cover_ratio, packing_number, volume_cover_bounds
 from .chaining import certify_hull_gamma, certify_mm_two_sided, gamma_ratio_report
 from .profiles import EntropyProfile, l_existence_report
@@ -41,6 +34,14 @@ VALID_CHECKS = {
     "body": {"volume_xcheck", "ratio_poly", "revbm", "convexify", "cover_ratio", "gamma_hull"},
     "cloud": {"convexify", "cover_ratio", "gamma_hull", "mm_two_sided"},
     "profile": {"l_existence"},
+}
+
+
+PARAM_RULES = {  # rule: (what a value must be, its test)
+    "cells": ("a positive integer", lambda v: type(v) is int and v > 0),
+    "k_max": ("an integer >= 2", lambda v: type(v) is int and v >= 2),
+    "cap": ("finite and positive", lambda v: math.isfinite(float(v)) and float(v) > 0),
+    "list": ("a non-empty list", lambda v: isinstance(v, list) and len(v) > 0),
 }
 
 
@@ -122,6 +123,16 @@ class Scenario:
             raise SuiteError(f"scenario {scen.id}: l_existence needs a boolean expect_l_exists")
         return scen
 
+    def param(self, key: str, default, rule: str):
+        """params[key], or default when the key is absent. A given value
+        that breaks the rule raises ParamOutOfRange naming the key."""
+        if key not in self.params:
+            return default
+        want, ok = PARAM_RULES[rule]
+        if not ok(self.params[key]):
+            raise ParamOutOfRange(f"{key} must be {want}, got {self.params[key]!r}")
+        return self.params[key]
+
     # a cached_property caches no exception, so a payload that fails to load
     # fails each check that reads it with the same named error
     @cached_property
@@ -133,7 +144,8 @@ class Scenario:
     def approx(self) -> BodyApprox:
         if self.kind == "cloud":
             return BodyApprox.from_points(self.target.points)
-        return BodyApprox.from_polytope(self.target, axis_cells=self.params.get("axis_cells"))
+        cells = self.param("axis_cells", None, "cells")
+        return BodyApprox.from_polytope(self.target, axis_cells=cells)
 
 
 def derive_seed(master: int, scenario_id: str, check: str) -> int:
@@ -141,13 +153,10 @@ def derive_seed(master: int, scenario_id: str, check: str) -> int:
     return int(np.random.SeedSequence([int(master), tag]).generate_state(1)[0])
 
 
-def _finite(x) -> float:
-    x = float(x)
-    return x if math.isfinite(x) else float("nan")
-
-
 # ---------------------------------------------------------------------------
-# Checks. Each returns (record, artifacts) with artifacts = {filename: text}.
+# Checks. Each returns (lhs, rhs, slack, constants, artifacts), the record's
+# own fields in order, with artifacts = {filename: text}; run_scenario builds
+# the record.
 # ---------------------------------------------------------------------------
 
 
@@ -156,11 +165,7 @@ def _check_volume_xcheck(scen: Scenario, seed: int):
     vd = volume_det(body.boundary)
     vp = volume_projected(body.boundary)
     rel = abs(vd - vp) / max(abs(vd), 1e-300)
-    rec = CertificationRecord(
-        scen.id, "volume_xcheck", vd, vp, -rel,
-        {"vol_det": vd, "vol_projected": vp, "rel_diff": rel},
-    )
-    return rec, {}
+    return vd, vp, -rel, {"vol_det": vd, "vol_projected": vp, "rel_diff": rel}, {}
 
 
 def _check_ratio_poly(scen: Scenario, seed: int):
@@ -172,62 +177,53 @@ def _check_ratio_poly(scen: Scenario, seed: int):
     idempotent = sorted(map(tuple, hull.vertices.tolist())) == sorted(
         map(tuple, rehull.vertices.tolist())
     )
-    contained = bool(np.all(hull_contains(hull, body.vertices)))
+    contained = bool(np.all(membership(hull, body.vertices)))
     slack = (R - 1.0) if (idempotent and contained) else -1.0
-    rec = CertificationRecord(
-        scen.id, "ratio_poly", R, 1.0, slack,
-        {"R": R, "idempotent": bool(idempotent), "contained": contained},
-    )
-    return rec, {}
+    return R, 1.0, slack, {"R": R, "idempotent": bool(idempotent), "contained": contained}, {}
 
 
 def _check_revbm(scen: Scenario, seed: int):
-    cap = float(scen.params.get("c1_cap", 10.0))
-    worst = -math.inf
-    beta_a = beta_b = float("nan")
-    cases = 0
-    for rep in reverse_bm_sweep(
-        scen.approx, scen.approx,
-        [float(s) for s in scen.params.get("s_values", [1.0])],
-        [float(t) for t in scen.params.get("t_values", [1.0])],
-        [int(m) for m in scen.params.get("m_values", [1])],
-    ):
-        cases += 1
-        if rep.empirical_C1 > worst:
-            worst = rep.empirical_C1
-            beta_a, beta_b = rep.beta_A, rep.beta_B
-    slack = cap - worst if math.isfinite(worst) else -1.0
-    rec = CertificationRecord(
-        scen.id, "revbm", _finite(worst), cap, slack,
-        {"empirical_C1": _finite(worst), "beta_A": beta_a, "beta_B": beta_b, "cases": cases},
+    cap = float(scen.param("c1_cap", 10.0, "cap"))
+    s_values, t_values, m_values = (
+        scen.param(key, [1], "list") for key in ("s_values", "t_values", "m_values")
     )
-    return rec, {}
+    reports = reverse_bm_sweep(
+        scen.approx, scen.approx,
+        [float(s) for s in s_values], [float(t) for t in t_values], [int(m) for m in m_values],
+    )
+    # the lists are non-empty, so there is a first report; the sweep computes
+    # beta once, so every report carries the same pair
+    first = reports[0]
+    worst = max((r.empirical_C1 for r in reports if not math.isnan(r.empirical_C1)),
+                default=-math.inf)
+    slack = cap - worst if math.isfinite(worst) else -1.0
+    constants = {"empirical_C1": worst, "beta_A": first.beta_A, "beta_B": first.beta_B,
+                 "cases": len(reports)}
+    return worst, cap, slack, constants, {}
 
 
 def _check_convexify(scen: Scenario, seed: int):
     approx = scen.approx
     tol = approx.natural_spacing() / 2.0 if approx.kind == "solid" else 1e-9
-    k_max = int(scen.params.get("k_max", 8))
+    k_max = scen.param("k_max", 8, "k_max")
     traces = convexification_gap(approx, k_max)
     gaps = [t.hausdorff_to_hull for t in traces]
     margins = [a - b + tol for a, b in zip(gaps, gaps[1:])]
     slack = min(margins + [gaps[0] - gaps[-1] + tol]) if margins else tol
     monotone = all(m >= -TAU_VOL for m in margins)
-    rec = CertificationRecord(
-        scen.id, "convexify", gaps[-1], gaps[0], slack,
-        {"k_max": k_max, "gap_first": gaps[0], "gap_last": gaps[-1], "monotone": bool(monotone)},
-    )
+    constants = {"k_max": k_max, "gap_first": gaps[0], "gap_last": gaps[-1],
+                 "monotone": bool(monotone)}
     rows = ["k,vol,gap,bound"]
     rows += [f"{t.k},{t.vol_Ak!r},{t.hausdorff_to_hull!r},{t.bound_value!r}" for t in traces]
     twocol = ["k,gap"] + [f"{t.k},{t.hausdorff_to_hull!r}" for t in traces]
-    return rec, {
+    return gaps[-1], gaps[0], slack, constants, {
         f"convexify_{scen.id}.csv": "\n".join(rows) + "\n",
         f"plot_gap_vs_k_{scen.id}.csv": "\n".join(twocol) + "\n",
     }
 
 
 def _check_cover_ratio(scen: Scenario, seed: int):
-    epsilons = [float(e) for e in scen.params.get("epsilons", [0.2, 0.4, 0.8])]
+    epsilons = [float(e) for e in scen.param("epsilons", [0.2, 0.4, 0.8], "list")]
     worst_slack = math.inf
     worst = None
     report_rows = [CoveringReport.csv_header()]
@@ -242,12 +238,9 @@ def _check_cover_ratio(scen: Scenario, seed: int):
             rep.vol_lower, rep.vol_upper = volume_cover_bounds(scen.target, eps)
         report_rows.append(rep.to_csv_row())
         plot_rows.append(f"{eps!r},{rep.n_greedy}")
-    rec = CertificationRecord(
-        scen.id, "cover_ratio", float(worst.n_hull), worst.bound, worst.slack,
-        {"R": worst.ratio_R, "dim": worst.dim, "epsilon_worst": worst.epsilon,
-         "epsilons": len(epsilons)},
-    )
-    return rec, {
+    constants = {"R": worst.ratio_R, "dim": worst.dim, "epsilon_worst": worst.epsilon,
+                 "epsilons": len(epsilons)}
+    return float(worst.n_hull), worst.bound, worst.slack, constants, {
         f"cover_{scen.id}.csv": "\n".join(report_rows) + "\n",
         f"plot_n_vs_eps_{scen.id}.csv": "\n".join(plot_rows) + "\n",
     }
@@ -255,52 +248,30 @@ def _check_cover_ratio(scen: Scenario, seed: int):
 
 def _check_gamma_hull(scen: Scenario, seed: int):
     alpha = float(scen.params.get("alpha", 2.0))
-    cells = int(scen.params.get("gamma_cells", 24))
+    cells = scen.param("gamma_cells", 24, "cells")
     rep_poly = certify_hull_gamma(scen.approx, alpha, axis_cells=cells)
     # R_gen rasterizes at hull_ratio's default axis cells, not the scenario's:
     # moving it to axis_cells changes results.json, so that is its own change
     rep_gen = gamma_ratio_report(rep_poly.gamma_T, rep_poly.gamma_Th, rep_poly.dim, alpha,
                                  hull_ratio(scen.target, "general"))
-    rec = CertificationRecord(
-        scen.id, "gamma_hull", rep_poly.gamma_Th,
-        rep_poly.L_bound * rep_poly.gamma_T, min(rep_poly.slack, rep_gen.slack),
-        {
-            "alpha": alpha,
-            "gamma_T": rep_poly.gamma_T,
-            "gamma_Th": rep_poly.gamma_Th,
-            "R_poly": rep_poly.R,
-            "L_poly": rep_poly.L_bound,
-            "R_gen": rep_gen.R,
-            "L_gen": rep_gen.L_bound,
-        },
-    )
-    return rec, {}
+    constants = {"alpha": alpha, "gamma_T": rep_poly.gamma_T, "gamma_Th": rep_poly.gamma_Th,
+                 "R_poly": rep_poly.R, "L_poly": rep_poly.L_bound,
+                 "R_gen": rep_gen.R, "L_gen": rep_gen.L_bound}
+    rhs = rep_poly.L_bound * rep_poly.gamma_T
+    return rep_poly.gamma_Th, rhs, min(rep_poly.slack, rep_gen.slack), constants, {}
 
 
 def _check_mm_two_sided(scen: Scenario, seed: int):
     cloud = scen.target
     trials = int(scen.params.get("trials", 20000))
-    cap = float(scen.params.get("l_hat_cap", 100.0))
+    cap = float(scen.param("l_hat_cap", 100.0, "cap"))
     rep = certify_mm_two_sided(cloud, trials, seed)
     if rep.degenerate:
-        rec = CertificationRecord(
-            scen.id, "mm_two_sided", 0.0, cap, cap,
-            {"degenerate": True, "trials": trials},
-        )
-        return rec, {}
+        return 0.0, cap, cap, {"degenerate": True, "trials": trials}, {}
     slack = cap - rep.l_hat if math.isfinite(rep.l_hat) else -1.0
-    rec = CertificationRecord(
-        scen.id, "mm_two_sided", _finite(rep.l_hat), cap, slack,
-        {
-            "gamma2": rep.gamma2,
-            "esup": rep.esup,
-            "esup_std_error": rep.esup_std_error,
-            "L_hat": _finite(rep.l_hat),
-            "trials": trials,
-            "size": len(cloud.points),
-        },
-    )
-    return rec, {}
+    constants = {"gamma2": rep.gamma2, "esup": rep.esup, "esup_std_error": rep.esup_std_error,
+                 "L_hat": rep.l_hat, "trials": trials, "size": len(cloud.points)}
+    return rep.l_hat, cap, slack, constants, {}
 
 
 def _check_l_existence(scen: Scenario, seed: int):
@@ -311,21 +282,9 @@ def _check_l_existence(scen: Scenario, seed: int):
     rep = l_existence_report(profile, delta, C)
     expect = scen.params["expect_l_exists"]
     verdict = rep.verdict
-    rec = CertificationRecord(
-        scen.id, "l_existence",
-        1.0 if rep.L_exists else 0.0,
-        1.0 if expect else 0.0,
-        0.0 if expect == rep.L_exists else -1.0,
-        {
-            "chi": profile.chi,
-            "psi": profile.psi,
-            "delta": delta,
-            "L_exists": rep.L_exists,
-            "value": _finite(verdict.value) if verdict.value is not None else float("nan"),
-            "singularity": verdict.singularity if verdict.singularity is not None else float("nan"),
-            "ratio_kind": rep.ratio.kind,
-        },
-    )
+    constants = {"chi": profile.chi, "psi": profile.psi, "delta": delta,
+                 "L_exists": rep.L_exists, "value": verdict.value,
+                 "singularity": verdict.singularity, "ratio_kind": rep.ratio.kind}
     verdict_doc = {
         "profile": {"chi": profile.chi, "psi": profile.psi, "form": profile.form},
         "hull_profile": {"chi": rep.hull.chi, "psi": rep.hull.psi, "form": rep.hull.form},
@@ -337,7 +296,9 @@ def _check_l_existence(scen: Scenario, seed: int):
         "quadrature_trace": verdict.quadrature_trace,
     }
     text = json.dumps(verdict_doc, indent=2, sort_keys=True) + "\n"
-    return rec, {f"verdict_{scen.id}.json": text}
+    lhs, rhs = (1.0 if rep.L_exists else 0.0), (1.0 if expect else 0.0)
+    slack = 0.0 if expect == rep.L_exists else -1.0
+    return lhs, rhs, slack, constants, {f"verdict_{scen.id}.json": text}
 
 
 CHECK_RUNNERS = {
@@ -358,7 +319,7 @@ def run_scenario(doc: dict, master_seed: int):
     A check that raises on its input (a degenerate body, a non-finite or
     null coordinate or parameter, a payload without a key the check reads) gives
     a failed record whose ``error`` constant names the exception; the
-    remaining checks still run.
+    remaining checks still run. This is the one place that builds a record.
     """
     scen = Scenario.from_dict(doc)
     records = []
@@ -367,12 +328,12 @@ def run_scenario(doc: dict, master_seed: int):
         seed = derive_seed(master_seed, scen.id, check)
         t0 = time.perf_counter()
         try:
-            rec, files = CHECK_RUNNERS[check](scen, seed)
-        except (HullmetryError, KeyError, TypeError, ValueError) as exc:
-            error = {"error": f"{type(exc).__name__}: {exc}"}
-            rec, files = CertificationRecord(scen.id, check, math.nan, math.nan, -1.0, error), {}
-        rec.runtime_ms = (time.perf_counter() - t0) * 1000.0
-        records.append(rec)
+            lhs, rhs, slack, constants, files = CHECK_RUNNERS[check](scen, seed)
+        except INPUT_ERRORS as exc:
+            lhs, rhs, slack, files = math.nan, math.nan, -1.0, {}
+            constants = {"error": f"{type(exc).__name__}: {exc}"}
+        runtime_ms = (time.perf_counter() - t0) * 1000.0
+        records.append(CertificationRecord(scen.id, check, lhs, rhs, slack, constants, runtime_ms))
         artifacts.update(files)
     return records, artifacts
 

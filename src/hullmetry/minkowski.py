@@ -6,7 +6,6 @@ point sets handled by direct enumeration. All paths are deterministic.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,10 +147,7 @@ def _rasterize(body: BodyApprox, h: float) -> GridBody:
     poly = body.polytope()
     lo = poly.vertices.min(axis=0)
     hi = poly.vertices.max(axis=0)
-    shape = tuple(max(int(math.ceil((b - a) / h - 1e-9)), 1) for a, b in zip(lo, hi))
-    axes = [lo[i] + (np.arange(shape[i]) + 0.5) * h for i in range(len(shape))]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=1)
+    centers, shape = sampling.grid_points(lo, hi, h)
     occ = sampling.membership(poly, centers).reshape(shape)
     return GridBody(lo, h, occ)
 

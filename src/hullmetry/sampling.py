@@ -21,14 +21,17 @@ def grid_spacing(lo: np.ndarray, hi: np.ndarray, axis_cells: int | None = None) 
     return float(extent.max() / cells)
 
 
-def grid_points(lo: np.ndarray, hi: np.ndarray, h: float) -> np.ndarray:
-    """Cell centers of the uniform grid with spacing h covering [lo, hi]."""
-    axes = []
-    for a, b in zip(lo, hi):
-        m = max(int(math.ceil((b - a) / h)), 1)
-        axes.append(a + (np.arange(m) + 0.5) * h)
+def grid_points(lo: np.ndarray, hi: np.ndarray, h: float):
+    """Cell centers of the uniform grid with spacing h covering [lo, hi].
+
+    Returns (centers, shape), the centers in row-major order of the cell
+    shape. An extent within 1e-9 cells of a whole number of cells gets no
+    extra slab of cells.
+    """
+    shape = tuple(max(int(math.ceil((b - a) / h - 1e-9)), 1) for a, b in zip(lo, hi))
+    axes = [a + (np.arange(m) + 0.5) * h for a, m in zip(lo, shape)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return np.stack([m.ravel() for m in mesh], axis=1), shape
 
 
 def membership(poly: Polytope, points: np.ndarray) -> np.ndarray:
@@ -110,7 +113,7 @@ def sample_polytope(poly: Polytope, h: float | None = None, axis_cells: int | No
     hi = poly.vertices.max(axis=0)
     if h is None:
         h = grid_spacing(lo, hi, axis_cells)
-    grid = grid_points(lo, hi, h)
+    grid, _ = grid_points(lo, hi, h)
     if len(grid) > SAMPLE_POINT_CAP:
         raise DegenerateInput("sample cap exceeded; coarsen the resolution")
     inside = membership(poly, grid)

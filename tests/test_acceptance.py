@@ -29,7 +29,6 @@ from hullmetry.covering import (
     volume_cover_bounds,
 )
 from hullmetry.geometry import (
-    hull_contains,
     polytope_from_facets,
     quickhull,
     volume_det,
@@ -37,6 +36,7 @@ from hullmetry.geometry import (
 )
 from hullmetry.minkowski import BodyApprox, check_reverse_bm, convexification_gap, hull_ratio
 from hullmetry.profiles import EntropyProfile, l_existence_report
+from hullmetry.sampling import membership
 
 import bundled
 from oracles import halfnormal_mean, max_two_gaussians_mean, shoelace
@@ -94,7 +94,7 @@ def test_criterion_2_hull_ratio_correctness():
         ok &= sorted(map(tuple, hull.vertices.tolist())) == sorted(
             map(tuple, again.vertices.tolist())
         )
-        ok &= bool(hull_contains(hull, verts).all())
+        ok &= bool(membership(hull, verts).all())
     _report(2, ok, f"lshape ratio {ratio_l:.12f}, convex ratios 1, "
                    "idempotence and containment on all fixtures")
 

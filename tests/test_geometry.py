@@ -10,7 +10,6 @@ from hullmetry.errors import DegenerateInput, NonOrientable
 from hullmetry.geometry import (
     Ball,
     PointCloud,
-    hull_contains,
     load_body,
     load_cloud,
     min_enclosing_ball,
@@ -22,6 +21,7 @@ from hullmetry.geometry import (
     volume_projected,
 )
 from hullmetry.minkowski import BodyApprox, body_beta
+from hullmetry.sampling import membership
 
 import bundled
 from oracles import extreme_points, shoelace, welzl_reference
@@ -75,7 +75,7 @@ def test_quickhull_contains_inputs():
     for n in (2, 3, 4):
         pts = rng.standard_normal((30, n))
         hull = quickhull(pts)
-        assert hull_contains(hull, pts).all()
+        assert membership(hull, pts).all()
 
 
 def test_quickhull_volume_monotone_under_subsets():
@@ -114,7 +114,7 @@ def test_quickhull_grid_with_coplanar_facets():
     grid = np.array([[x, y, z] for x in range(3) for y in range(3) for z in range(3)], float)
     hull = quickhull(grid)
     assert volume_det(hull.boundary) == pytest.approx(8.0, rel=1e-12)
-    assert hull_contains(hull, grid).all()
+    assert membership(hull, grid).all()
     # only the 8 corners are extreme, face/edge midpoints are not vertices
     assert len(hull.vertices) == 8
 

@@ -158,6 +158,18 @@ def test_failing_checks_give_failed_records(tmp_path):
     nan_vertex = dict(square, vertices=[[0.0, 0.0], [1.0, 0.0], [1.0, float("nan")], [0.0, 1.0]])
     no_psi = {k: v for k, v in profile.items() if k != "psi"}
     no_vertices = {k: v for k, v in square.items() if k != "vertices"}
+    flat_in_3d = {"dim": 3, "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
+    bad_params = {  # id: (check, params), each on the unit square or the two-point cloud
+        "no_epsilons": ("cover_ratio", {"epsilons": []}),
+        "inf_c1_cap": ("revbm", {"c1_cap": float("inf")}),
+        "inf_l_hat_cap": ("mm_two_sided", {"l_hat_cap": float("inf")}),
+        "negative_gamma_cells": ("gamma_hull", {"gamma_cells": -3}),
+        "zero_axis_cells": ("convexify", {"axis_cells": 0}),
+        "k_max_one": ("convexify", {"k_max": 1}),
+        "no_s_values": ("revbm", {"s_values": []}),
+        "no_t_values": ("revbm", {"t_values": []}),
+        "no_m_values": ("revbm", {"m_values": []}),
+    }
     doc = {"suite": "broken", "seed": 3, "scenarios": [
         {"id": "chi_nan", "kind": "profile", "payload": nan_profile,
          "checks": ["l_existence"], "params": {"expect_l_exists": True}},
@@ -177,7 +189,14 @@ def test_failing_checks_give_failed_records(tmp_path):
          "checks": ["volume_xcheck"]},
         {"id": "null_chi", "kind": "profile", "payload": dict(profile, chi=None),
          "checks": ["l_existence"], "params": {"expect_l_exists": True}},
+        {"id": "flat_in_3d", "kind": "body", "payload": flat_in_3d,
+         "checks": ["volume_xcheck"]},
         small_suite()["scenarios"][0],
+    ] + [
+        {"id": sid, "kind": "cloud" if check == "mm_two_sided" else "body",
+         "payload": bundled.payload("twopoint" if check == "mm_two_sided" else "unit_square"),
+         "checks": [check], "params": params}
+        for sid, (check, params) in bad_params.items()
     ]}
     suite_path = tmp_path / "suite.json"
     suite_path.write_text(json.dumps(doc))
@@ -206,6 +225,21 @@ def test_failing_checks_give_failed_records(tmp_path):
             "not 'NoneType'",
         ("null_chi", "l_existence"):
             "TypeError: float() argument must be a string or a real number, not 'NoneType'",
+        ("flat_in_3d", "volume_xcheck"):
+            "ValueError: declared dim disagrees with point coordinates",
+        ("no_epsilons", "cover_ratio"):
+            "ParamOutOfRange: epsilons must be a non-empty list, got []",
+        ("inf_c1_cap", "revbm"): "ParamOutOfRange: c1_cap must be finite and positive, got inf",
+        ("inf_l_hat_cap", "mm_two_sided"):
+            "ParamOutOfRange: l_hat_cap must be finite and positive, got inf",
+        ("negative_gamma_cells", "gamma_hull"):
+            "ParamOutOfRange: gamma_cells must be a positive integer, got -3",
+        ("zero_axis_cells", "convexify"):
+            "ParamOutOfRange: axis_cells must be a positive integer, got 0",
+        ("k_max_one", "convexify"): "ParamOutOfRange: k_max must be an integer >= 2, got 1",
+        ("no_s_values", "revbm"): "ParamOutOfRange: s_values must be a non-empty list, got []",
+        ("no_t_values", "revbm"): "ParamOutOfRange: t_values must be a non-empty list, got []",
+        ("no_m_values", "revbm"): "ParamOutOfRange: m_values must be a non-empty list, got []",
     }
     assert records[("sq", "volume_xcheck")]["holds"] and records[("sq", "ratio_poly")]["holds"]
     csv_lines = (tmp_path / "ser" / "results.csv").read_text().splitlines()
@@ -368,6 +402,34 @@ def test_cli_malformed_suite_is_a_usage_error(tmp_path, case):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and named in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+MALFORMED_INPUTS = {  # argv with IN for the input path and OUT for an output directory
+    "cloud_flat_points": (["gamma", "--cloud", "IN"], '{"dim": 2, "points": [1.0, 2.0]}', {},
+                          "expected a 2-d array"),
+    "body_not_json": (["volume", "--body", "IN"], "{not json", {}, "Expecting property name"),
+    "body_is_directory": (["hull", "--body", "IN"], None, {}, "Is a directory"),
+    "body_dim_mismatch": (["hull", "--body", "IN"],
+                          '{"dim": 3, "vertices": [[0, 0], [1, 0], [0, 1]]}', {}, "declared dim"),
+    "seed_env_not_int": (["run", "IN", "--out", "OUT"], json.dumps(small_suite()),
+                         {"HULLMETRY_SEED": "abc"}, "HULLMETRY_SEED must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_cli_malformed_input_is_a_usage_error(tmp_path, capsys, monkeypatch, case):
+    argv, text, env, named = MALFORMED_INPUTS[case]
+    path = tmp_path / "input"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    places = {"IN": str(path), "OUT": str(tmp_path / "out")}
+    assert main([places.get(arg, arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):

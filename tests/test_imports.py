@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every module
-is reached from the package or its console script, and importing the package
-leaves out the heavy scipy subpackages it does not call."""
+is reached from the package or its console script, importing the package
+leaves out the heavy scipy subpackages it does not call, and one function
+builds every certification record."""
 import ast
 import re
 import subprocess
@@ -162,3 +163,42 @@ def test_every_module_is_reached_from_the_package_or_its_console_script():
     roots = ["__init__"] + scripts
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unreachable_modules(sources, roots) == []
+
+
+def callers_of(source: str, name: str) -> list[str]:
+    """Owner of each call name(...) in source: the top-level function, the
+    method as Class.method, or <module> for a call outside any function."""
+    found = []
+
+    def scan(nodes, prefix):
+        for node in nodes:
+            if isinstance(node, ast.ClassDef):
+                scan(node.body, f"{prefix}{node.name}.")
+                continue
+            is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            owner = prefix + (node.name if is_def else "<module>")
+            found.extend(owner for sub in ast.walk(node)
+                         if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                         and sub.func.id == name)
+
+    scan(ast.parse(source).body, "")
+    return found
+
+
+def test_callers_are_found():
+    source = (
+        "R = Rec(0)\n"
+        "def build():\n    return Rec(1), [Rec(2)]\n"
+        "class Box:\n"
+        "    def make(self):\n        return helper(Rec)\n"
+        "    def other(self):\n        return Rec(3)\n"
+    )
+    assert callers_of(source, "Rec") == ["<module>", "build", "build", "Box.other"]
+
+
+def test_run_scenario_alone_builds_certification_records():
+    # the checks return their numbers; one constructor keeps the record's shape in one place
+    callers = {path.name: callers_of(path.read_text(), "CertificationRecord") for path in MODULES}
+    assert {name: found for name, found in callers.items() if found} == {
+        "harness.py": ["run_scenario"]
+    }
