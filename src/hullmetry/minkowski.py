@@ -6,6 +6,7 @@ point sets handled by direct enumeration. All paths are deterministic.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,22 @@ from .geometry import (
 from . import sampling
 
 POINTS_CAP = 250_000
+
+
+# glibc raises its mmap threshold to the size of each large block it frees, up
+# to 32 MiB. The FFT buffers of _dilate then come from the heap, and how much
+# freed heap stays resident depends on where small objects landed, which moves
+# with the string hash seed: a bundled run's peak RSS fell on one of two levels
+# 16 MB apart. Pinning the threshold at 4 MiB maps and unmaps each such buffer
+# on its own, so the peak is steady. Pinning also drops the trim threshold to
+# 128 KiB, and a heap that gives back every freed top block faults it in again:
+# 4 MiB keeps the page faults near the unpinned count.
+try:
+    _libc = ctypes.CDLL(None)
+    _libc.mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD; no mallopt off glibc
+    _libc.mallopt(-1, 4 << 20)  # M_TRIM_THRESHOLD
+except (AttributeError, OSError, TypeError):
+    pass
 
 
 @dataclass(frozen=True)
