@@ -70,6 +70,11 @@ class SupEstimate:
     seed: int
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ParamOutOfRange("alpha must be positive and finite")
+
+
 def _diam(pts: np.ndarray, idx) -> float:
     return float(pdist(pts[list(idx)]).max(initial=0.0))
 
@@ -114,8 +119,7 @@ def gamma_exact_small(cloud, alpha: float) -> GammaEstimate:
     n = len(pts)
     if n > EXACT_CAP:
         raise TooLarge(f"exact search capped at {EXACT_CAP} points, got {n}")
-    if alpha <= 0:
-        raise ParamOutOfRange("alpha must be positive")
+    _check_alpha(alpha)
     if n == 1:
         seq = AdmissibleSequence((((0,),),))
         return GammaEstimate(alpha, 0.0, "exact", seq)
@@ -162,13 +166,18 @@ def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
     treated as ties that go to the lower min index (see _widest_cell). That
     rule is not transitive, so it depends on list order as well as on the
     diameters, but it is deterministic.
+
+    A level whose budget is at least n cannot bind, since n points make at
+    most n cells: every cell splits until its diameter is 0. Each split
+    depends on its own cell alone and the level ends ordered by min index,
+    so such a level splits its cells from a work list in any order, without
+    looking for the widest, and ends with the same cells in the same order.
     """
     pts = _points_of(cloud)
     n = len(pts)
     if n > GREEDY_CAP:
         raise TooLarge(f"greedy construction capped at {GREEDY_CAP} points, got {n}")
-    if alpha <= 0:
-        raise ParamOutOfRange("alpha must be positive")
+    _check_alpha(alpha)
 
     # cells stay ascending index arrays, so a cell's min index is cell[0];
     # D[i] and M[i] are the diameter and min index of cells[i]
@@ -188,23 +197,24 @@ def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
             break
         m += 1
         budget = cardinality_limit(m)
-        while len(cells) < budget:
-            pick = _widest_cell(D[: len(cells)], M[: len(cells)])
-            if pick < 0:
-                break
-            cell = cells[pick]
-            _, ia, ib = diams[pick]
-            a, b = pts[cell[ia]], pts[cell[ib]]
-            da = np.linalg.norm(pts[cell] - a, axis=1)
-            db = np.linalg.norm(pts[cell] - b, axis=1)
-            mask = da <= db
-            left, right = cell[mask], cell[~mask]
-            cells[pick] = left
-            diams[pick] = _cell_diam(pts, left)
-            cells.append(right)
-            diams.append(_cell_diam(pts, right))
-            for ci in (pick, len(cells) - 1):
-                D[ci], M[ci] = diams[ci][0], cells[ci][0]
+        if budget >= n:
+            # no level holds more than n cells, so the budget cannot bind:
+            # split every splittable cell until all diameters are 0
+            work = [ci for ci, d in enumerate(diams) if d[0] > 0]
+            while work:
+                pick = work.pop()
+                _split(pts, cells, diams, pick)
+                work += [ci for ci in (pick, len(cells) - 1) if diams[ci][0] > 0]
+            for ci, cell in enumerate(cells):
+                D[ci], M[ci] = diams[ci][0], cell[0]
+        else:
+            while len(cells) < budget:
+                pick = _widest_cell(D[: len(cells)], M[: len(cells)])
+                if pick < 0:
+                    break
+                _split(pts, cells, diams, pick)
+                for ci in (pick, len(cells) - 1):
+                    D[ci], M[ci] = diams[ci][0], cells[ci][0]
         k = len(cells)
         order = np.argsort(M[:k])
         cells = [cells[ci] for ci in order]
@@ -214,6 +224,29 @@ def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
 
     witness = AdmissibleSequence(tuple(partitions))
     return GammaEstimate(alpha, float(totals.max()), "greedy", witness)
+
+
+def _split(pts: np.ndarray, cells: list, diams: list, pick: int) -> None:
+    """Split cells[pick] at its farthest pair (a, b): the points no farther
+    from a than from b keep the place, the others go to the end.
+
+    The distances are np.linalg.norm's sum of squares and root, without its
+    call overhead. A two-point cell of positive diameter has a = its first
+    point, so it splits into its two points without computing any distance.
+    """
+    cell = cells[pick]
+    if len(cell) == 2:
+        left, right = cell[:1], cell[1:]
+    else:
+        _, ia, ib = diams[pick]
+        sub = pts[cell]
+        da, db = (np.sqrt(np.add.reduce(d * d, axis=1)) for d in (sub - sub[ia], sub - sub[ib]))
+        mask = da <= db
+        left, right = cell[mask], cell[~mask]
+    cells[pick] = left
+    diams[pick] = _cell_diam(pts, left)
+    cells.append(right)
+    diams.append(_cell_diam(pts, right))
 
 
 def _widest_cell(D: np.ndarray, M: np.ndarray) -> int:
@@ -286,8 +319,7 @@ def entropy_integral(cloud, alpha: float) -> GammaEstimate:
     number of insertion radii above eps.
     """
     pts = np.unique(_points_of(cloud), axis=0)
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ParamOutOfRange("alpha must be positive and finite")
+    _check_alpha(alpha)
     diam, min_gap = _diameter_and_gap(pts)
     if min_gap == 0.0:
         return GammaEstimate(alpha, 0.0, "entropy_integral")
@@ -341,7 +373,7 @@ def gaussian_sup_mc(cloud, trials: int, seed: int) -> SupEstimate:
 
 def l_constant(R: float, n: int, alpha: float) -> float:
     """(log(R 3^n)/log 2 + 1)^(1/alpha), both logarithms natural."""
-    if R < 1.0 or n < 1 or alpha <= 0:
+    if not (R >= 1.0 and n >= 1 and 0 < alpha < math.inf):
         raise ParamOutOfRange("need R >= 1, n >= 1, alpha > 0")
     return (math.log(R * 3.0**n) / math.log(2.0) + 1.0) ** (1.0 / alpha)
 
@@ -388,6 +420,7 @@ def certify_hull_gamma(T, alpha: float, R: float | None = None,
     body's sampling grid, or the point set's nearest-neighbor spacing. R
     defaults to hull_ratio of the coerced body.
     """
+    _check_alpha(alpha)
     A = as_body(T)
     if R is None:
         R = hull_ratio(A)

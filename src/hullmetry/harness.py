@@ -39,9 +39,11 @@ VALID_CHECKS = {
 
 PARAM_RULES = {  # rule: (what a value must be, its test)
     "cells": ("a positive integer", lambda v: type(v) is int and v > 0),
-    "k_max": ("an integer >= 2", lambda v: type(v) is int and v >= 2),
-    "cap": ("finite and positive", lambda v: math.isfinite(float(v)) and float(v) > 0),
+    "at_least_2": ("an integer >= 2", lambda v: type(v) is int and v >= 2),
+    "positive": ("finite and positive", lambda v: math.isfinite(float(v)) and float(v) > 0),
     "list": ("a non-empty list", lambda v: isinstance(v, list) and len(v) > 0),
+    "counts": ("a list of positive integers",
+               lambda v: isinstance(v, list) and all(type(m) is int and m > 0 for m in v)),
 }
 
 
@@ -183,13 +185,14 @@ def _check_ratio_poly(scen: Scenario, seed: int):
 
 
 def _check_revbm(scen: Scenario, seed: int):
-    cap = float(scen.param("c1_cap", 10.0, "cap"))
+    cap = float(scen.param("c1_cap", 10.0, "positive"))
     s_values, t_values, m_values = (
         scen.param(key, [1], "list") for key in ("s_values", "t_values", "m_values")
     )
+    scen.param("m_values", [1], "counts")  # each m is used as given, never rounded
     reports = reverse_bm_sweep(
         scen.approx, scen.approx,
-        [float(s) for s in s_values], [float(t) for t in t_values], [int(m) for m in m_values],
+        [float(s) for s in s_values], [float(t) for t in t_values], m_values,
     )
     # the lists are non-empty, so there is a first report; the sweep computes
     # beta once, so every report carries the same pair
@@ -205,7 +208,7 @@ def _check_revbm(scen: Scenario, seed: int):
 def _check_convexify(scen: Scenario, seed: int):
     approx = scen.approx
     tol = approx.natural_spacing() / 2.0 if approx.kind == "solid" else 1e-9
-    k_max = scen.param("k_max", 8, "k_max")
+    k_max = scen.param("k_max", 8, "at_least_2")
     traces = convexification_gap(approx, k_max)
     gaps = [t.hausdorff_to_hull for t in traces]
     margins = [a - b + tol for a, b in zip(gaps, gaps[1:])]
@@ -247,7 +250,7 @@ def _check_cover_ratio(scen: Scenario, seed: int):
 
 
 def _check_gamma_hull(scen: Scenario, seed: int):
-    alpha = float(scen.params.get("alpha", 2.0))
+    alpha = float(scen.param("alpha", 2.0, "positive"))
     cells = scen.param("gamma_cells", 24, "cells")
     rep_poly = certify_hull_gamma(scen.approx, alpha, axis_cells=cells)
     # R_gen rasterizes at hull_ratio's default axis cells, not the scenario's:
@@ -263,8 +266,8 @@ def _check_gamma_hull(scen: Scenario, seed: int):
 
 def _check_mm_two_sided(scen: Scenario, seed: int):
     cloud = scen.target
-    trials = int(scen.params.get("trials", 20000))
-    cap = float(scen.param("l_hat_cap", 100.0, "cap"))
+    trials = scen.param("trials", 20000, "at_least_2")
+    cap = float(scen.param("l_hat_cap", 100.0, "positive"))
     rep = certify_mm_two_sided(cloud, trials, seed)
     if rep.degenerate:
         return 0.0, cap, cap, {"degenerate": True, "trials": trials}, {}

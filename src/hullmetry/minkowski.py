@@ -306,6 +306,7 @@ def convexification_gap(A: BodyApprox, k_max: int):
         h_cmp = A.natural_spacing()
         hull_sample = sampling.sample_hull(A, h=h_cmp)
 
+    hull_tree = sampling.kd_tree(hull_sample)
     vols, gaps = [], []
     for k, Ak in _average_sequence(A, k_max):
         if A.kind == "points":
@@ -315,7 +316,7 @@ def convexification_gap(A: BodyApprox, k_max: int):
         else:
             pts = Ak.sample()
         vols.append(Ak.volume() if A.kind != "points" else 0.0)
-        gaps.append(sampling.hausdorff_distance(pts, hull_sample))
+        gaps.append(sampling.hausdorff_distance(pts, hull_tree))
 
     # A(k) has the same convex hull as A, hence the same circumscribed ball
     c2 = measured_c2(vols, _ball_volume(A)) if A.kind != "points" else 1.0

@@ -11,6 +11,7 @@ from .geometry import Polytope, quickhull, _as_points, _scale_of, TAU_GEOM
 
 SAMPLE_POINT_CAP = 10**6
 DEFAULT_AXIS_CELLS = 200
+EPS = float(np.finfo(float).eps)
 
 
 def grid_spacing(lo: np.ndarray, hi: np.ndarray, axis_cells: int | None = None) -> float:
@@ -38,7 +39,10 @@ def membership(poly: Polytope, points: np.ndarray) -> np.ndarray:
     """Point-in-polytope by crossing-number ray casting against the boundary simplices.
 
     Works for nonconvex bodies; points within tolerance of the boundary count
-    as inside.
+    as inside. Each ray solves a boundary simplex only for the points in its
+    shadow across the ray, widened to cover the tolerance tests and the
+    rounding; the points outside it would not score on that simplex (see
+    _ray_crossings), so the result is that of solving for every point.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = poly.dim
@@ -63,12 +67,41 @@ def membership(poly: Polytope, points: np.ndarray) -> np.ndarray:
 
 
 def _ray_crossings(pts: np.ndarray, direction: np.ndarray, coords: np.ndarray, tau: float):
-    """Crossing parity per point; flags points with grazing intersections as bad."""
-    m = len(pts)
+    """Crossing parity per point; flags points with grazing intersections as bad.
+
+    Each simplex solves base + edges @ bary = p + t * direction, and a point
+    scores strict, grazing or near_face only if all its bary > -tau and
+    bsum < 1 + tau (near_face asks for |t| <= tau on top of these). So a
+    simplex solves only for the points that can pass these two tests; the
+    others would score all three False. In exact arithmetic, passing them
+    makes p + t * direction the combination of the simplex's vertices with
+    weights 1 - bsum and bary, which sum to 1 and are each above -tau, so
+    their negative parts sum to less than n * tau. In an orthonormal basis U
+    across the ray, U p is then that combination of the projected vertices,
+    and each coordinate of U p lies within n * tau * width of the vertices'
+    range (width: the range's length). The computed tests differ from the
+    exact ones by at most E = 16 n^2 eps (1 + cond) |inv| X, from rounding
+    in the dot products and the inverse (|.| the max-row-sum norm, X = 2 *
+    span bounds |p - base|), and the box is widened by n * (tau + n E) *
+    width, by |t| <= 2 |inv| X times the rounding left in U @ direction, and
+    by the rounding of the projections. A point outside the widened box
+    fails one of the two computed tests, so culling it leaves every flag as
+    it was. The bound on the inverse's error needs a well-conditioned
+    matrix, so a simplex with cond * eps >= 1e-6 solves for every point.
+    The points are sorted by their first projected coordinate, so a
+    simplex's candidates are one searchsorted range, filtered by the other
+    coordinates.
+    """
+    m, n = pts.shape
+    U = np.linalg.svd(direction[None, :])[2][1:]  # (n-1, n), rows orthogonal to the ray
+    order = np.argsort(pts @ U[0], kind="stable")
+    pts = pts[order]
+    proj = pts @ U.T
+    span = max(float(np.abs(pts).max(initial=0.0)), float(np.abs(coords).max(initial=0.0)))
+    skew = float(np.abs(U @ direction).max(initial=0.0)) + n * EPS
     crossings = np.zeros(m, dtype=int)
     bad = np.zeros(m, dtype=bool)
     on_boundary = np.zeros(m, dtype=bool)
-    n = coords.shape[2]
     for simp in coords:
         base = simp[0]
         edges = simp[1:] - base  # (n-1, n)
@@ -78,7 +111,17 @@ def _ray_crossings(pts: np.ndarray, direction: np.ndarray, coords: np.ndarray, t
             Ainv = np.linalg.inv(A)
         except np.linalg.LinAlgError:
             continue  # simplex parallel to ray direction: resolved by retry if it matters
-        sol = (pts - base) @ Ainv.T
+        rows = slice(None)
+        box = _shadow_box(simp @ U.T, A, Ainv, tau, span, skew)
+        if box is not None:
+            lo, hi = box
+            i0 = int(np.searchsorted(proj[:, 0], lo[0], side="left"))
+            i1 = int(np.searchsorted(proj[:, 0], hi[0], side="right"))
+            rows = slice(i0, i1)
+            if n > 2:
+                rest = proj[rows, 1:]
+                rows = i0 + np.flatnonzero(((rest >= lo[1:]) & (rest <= hi[1:])).all(axis=1))
+        sol = (pts[rows] - base) @ Ainv.T
         bary = sol[:, :-1]
         t = sol[:, -1]
         bsum = bary.sum(axis=1)
@@ -96,12 +139,34 @@ def _ray_crossings(pts: np.ndarray, direction: np.ndarray, coords: np.ndarray, t
         near_face = (
             (bary > -tau).all(axis=1) & (bsum < 1 + tau) & (np.abs(t) <= tau)
         )
-        crossings += strict.astype(int)
-        on_boundary |= near_face
-        bad |= grazing & ~near_face
-    inside = (crossings % 2 == 1) | on_boundary
-    bad &= ~on_boundary
-    return inside, bad
+        crossings[rows] += strict
+        on_boundary[rows] |= near_face
+        bad[rows] |= grazing & ~near_face
+    inside, out_bad = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+    inside[order] = (crossings % 2 == 1) | on_boundary
+    out_bad[order] = bad & ~on_boundary
+    return inside, out_bad
+
+
+def _shadow_box(V: np.ndarray, A: np.ndarray, Ainv: np.ndarray, tau: float, span: float,
+                skew: float):
+    """(lo, hi) across the ray holding every point that can pass a simplex's
+    weight tests, or None when the simplex is too ill-conditioned to bound.
+
+    V holds the projected vertices, A and Ainv the simplex's system and its
+    computed inverse, span the largest coordinate magnitude and skew a bound
+    on |U @ direction|; see _ray_crossings for the margin.
+    """
+    n = len(V)
+    norm_inv = float(np.abs(Ainv).sum(axis=1).max())
+    cond = float(np.abs(A).sum(axis=1).max()) * norm_inv
+    if cond * EPS >= 1e-6:
+        return None
+    X = 2.0 * span
+    E = 16 * n * n * EPS * (1 + cond) * norm_inv * X
+    vlo, vhi = V.min(axis=0), V.max(axis=0)
+    margin = n * (tau + n * E) * (vhi - vlo) + 2 * norm_inv * X * skew + 4 * n * n * EPS * span
+    return vlo - margin, vhi + margin
 
 
 def sample_polytope(poly: Polytope, h: float | None = None, axis_cells: int | None = None):
@@ -196,11 +261,69 @@ def sample_hull(A, h: float) -> np.ndarray:
     return origin + sample_polytope(quickhull(reduced), h=h)[0] @ basis
 
 
-def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two finite samples."""
-    a = np.atleast_2d(a)
-    b = np.atleast_2d(b)
-    ta, tb = cKDTree(a), cKDTree(b)
-    d_ab = tb.query(a, k=1)[0].max()
-    d_ba = ta.query(b, k=1)[0].max()
-    return float(max(d_ab, d_ba))
+def kd_tree(points: np.ndarray) -> cKDTree:
+    """The cKDTree hausdorff_distance queries: sliding-midpoint splits, no
+    node compaction. Either build gives the same nearest-neighbour
+    distances; this one is cheaper to build."""
+    return cKDTree(np.atleast_2d(points), balanced_tree=False, compact_nodes=False)
+
+
+# every HAUSDORFF_STRIDE-th query point is probed for the lower bound L
+HAUSDORFF_STRIDE = 64
+
+
+def hausdorff_distance(a, b) -> float:
+    """Symmetric Hausdorff distance between two finite samples.
+
+    Each sample is a point array or its kd_tree, so a sample compared many
+    times is indexed once. Each direction queries a point only when no
+    target shares its grid cell; a target in the cell puts the point closer
+    than a lower bound already taken from exact queries, so it cannot change
+    the maximum, and the result is that of querying every point (see
+    _directed_hausdorff).
+    """
+    ta, tb = (x if isinstance(x, cKDTree) else kd_tree(x) for x in (a, b))
+    return float(max(_directed_hausdorff(ta, tb), _directed_hausdorff(tb, ta)))
+
+
+def _directed_hausdorff(source: cKDTree, tree: cKDTree) -> float:
+    """max over the points q of source of the distance to the nearest point of tree.
+
+    An exact query of every HAUSDORFF_STRIDE-th point gives a lower bound L
+    on the result. Cut the common bounding box into cells of side
+    s = L / sqrt(n) * (1 - 1e-9). A point that shares its cell with a target
+    is within sqrt(n) * s < L of it, so its nearest distance is below L and
+    cannot change the maximum; only the other points are queried, and the
+    result is the larger of L and their maximum. Cell indices are
+    floor((x - lo) / s), which rounding moves by at most 8 eps * span in
+    each coordinate (span: the largest coordinate extent), so the cull runs
+    only when L * 1e-9 exceeds 16 sqrt(n) eps * span; that also covers the
+    rounding of the distances. The occupied cells are a boolean grid when it
+    has at most 8 cells per point, else a sorted array of cell keys, so the
+    memory stays in proportion to the points.
+    """
+    q, t = source.data, tree.data
+    n = q.shape[1]
+    L = float(tree.query(q[::HAUSDORFF_STRIDE], k=1)[0].max())
+    lo = np.minimum(source.mins, tree.mins)
+    extent = np.maximum(source.maxes, tree.maxes) - lo
+    side = L / math.sqrt(n) * (1 - 1e-9)
+    rest = q
+    if L * 1e-9 > 16 * math.sqrt(n) * EPS * float(extent.max()):
+        dims = np.floor(extent / side) + 1
+        size = float(np.prod(dims))
+        if size < 2.0**62:
+            # column-major flat key of each point's cell
+            strides = np.cumprod(np.append(1.0, dims[:-1])).astype(np.int64)
+            key_q, key_t = (np.floor((x - lo) / side).astype(np.int64) @ strides for x in (q, t))
+            if size <= 8 * (len(q) + len(t)):
+                occupied = np.zeros(int(size), dtype=bool)
+                occupied[key_t] = True
+                rest = q[~occupied[key_q]]
+            else:
+                keys = np.unique(key_t)
+                pos = np.searchsorted(keys, key_q).clip(max=len(keys) - 1)
+                rest = q[keys[pos] != key_q]
+    if not len(rest):
+        return L
+    return max(L, float(tree.query(rest, k=1)[0].max()))

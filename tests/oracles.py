@@ -438,3 +438,56 @@ def entropy_integral_reference(points, alpha) -> float:
         cover = len(farthest_point_reference(pts, lo)[0])
         total += (hi - lo) * (math.log(cover) ** (1.0 / alpha) if cover > 1 else 0.0)
     return total + grid[-1] * math.log(len(pts)) ** (1.0 / alpha)
+
+
+def hausdorff_reference(a, b, chunk=256) -> float:
+    """Symmetric Hausdorff distance by brute force: every pairwise distance,
+    as the root of the coordinate-ordered sum of squared differences, a
+    chunk of rows at a time."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+
+    def directed(src, dst):
+        worst = 0.0
+        for start in range(0, len(src), chunk):
+            diff = src[start : start + chunk, None, :] - dst[None, :, :]
+            nearest = np.sqrt((diff * diff).sum(axis=2)).min(axis=1)
+            worst = max(worst, float(nearest.max()))
+        return worst
+
+    return max(directed(a, b), directed(b, a))
+
+
+def ray_crossings_reference(pts, direction, coords, tau):
+    """(inside, bad) of a ray cast from every point along ``direction``
+    against every boundary simplex in ``coords`` (F, n, n), solving for
+    every point at every simplex.
+
+    Per simplex: solve base + edges @ bary - t * direction = p. A strict
+    crossing has every bary > tau, bsum < 1 - tau and t > tau; a point
+    within tau of the simplex (bary > -tau, bsum < 1 + tau, |t| <= tau) is
+    on the boundary; a near miss that is neither (t > -tau) makes the point
+    bad. Inside means an odd crossing count or on the boundary, and a point
+    on the boundary is never bad. A singular system is skipped.
+    """
+    pts = np.asarray(pts, dtype=float)
+    m = len(pts)
+    crossings = np.zeros(m, dtype=int)
+    bad = np.zeros(m, dtype=bool)
+    on_boundary = np.zeros(m, dtype=bool)
+    for simp in coords:
+        base = simp[0]
+        A = np.column_stack([(simp[1:] - base).T, -direction])
+        try:
+            Ainv = np.linalg.inv(A)
+        except np.linalg.LinAlgError:
+            continue
+        sol = (pts - base) @ Ainv.T
+        bary, t = sol[:, :-1], sol[:, -1]
+        bsum = bary.sum(axis=1)
+        strict = (bary > tau).all(axis=1) & (bsum < 1 - tau) & (t > tau)
+        grazing = (bary > -tau).all(axis=1) & (bsum < 1 + tau) & (t > -tau) & ~strict
+        near_face = (bary > -tau).all(axis=1) & (bsum < 1 + tau) & (np.abs(t) <= tau)
+        crossings += strict.astype(int)
+        on_boundary |= near_face
+        bad |= grazing & ~near_face
+    return (crossings % 2 == 1) | on_boundary, bad & ~on_boundary

@@ -20,7 +20,7 @@ from hullmetry.chaining import (
     _diameter_and_gap,
     _widest_cell,
 )
-from hullmetry import chaining
+from hullmetry import chaining, sampling
 from hullmetry.geometry import PointCloud, load_body, polytope_from_facets
 from hullmetry.minkowski import hull_ratio
 
@@ -85,6 +85,15 @@ def test_exact_cap():
         gamma_exact_small(np.zeros((6, 2)), 2.0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+def test_gamma_rejects_an_alpha_that_is_not_finite_and_positive(alpha):
+    for compute in (gamma_greedy, gamma_exact_small, entropy_integral, certify_hull_gamma):
+        with pytest.raises(ParamOutOfRange, match="alpha must be positive and finite"):
+            compute(TWO, alpha)
+    with pytest.raises(ParamOutOfRange):
+        l_constant(1.0, 2, alpha)
+
+
 def test_greedy_singleton_and_small():
     assert gamma_greedy(np.array([[0.0, 0.0]]), 2.0).value == 0.0
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [2.0, 2.0]])
@@ -125,10 +134,11 @@ def test_greedy_handles_duplicates():
     st.sampled_from(["random", "lattice", "near_tie"]),
 )
 def test_greedy_matches_reference_property(seed, kind):
-    # value and witness equal the plain sequential-scan construction exactly
+    # value and witness equal the plain sequential-scan construction exactly;
+    # past 256 points the budget binds at level 3 and cannot bind at level 4
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 5))
-    n = int(rng.integers(1, 151))
+    n = int(rng.integers(1, 421))
     if kind == "random":
         pts = rng.uniform(-1, 1, (n, d))
     else:
@@ -157,6 +167,31 @@ def test_widest_cell_matches_sequential_scan_property(seed):
     D[rng.random(k) < 0.2] = 0.0
     M = rng.permutation(10 * k)[:k]
     assert _widest_cell(D, M) == widest_by_scan(D.tolist(), M.tolist())
+
+
+def test_widest_cell_runs_only_where_the_budget_binds(monkeypatch):
+    # on the bundled unit_cube gamma sample, the levels whose budget is at
+    # least n split from a work list without looking for the widest cell
+    doc = bundled.scenario("unit_cube")
+    pts = sampling.sample_polytope(load_body(doc["payload"]),
+                                   axis_cells=doc["params"]["gamma_cells"])[0]
+    budgets, scans = [], []
+    real_limit, real_widest = chaining.cardinality_limit, chaining._widest_cell
+
+    def limit(m):
+        budgets.append(real_limit(m))
+        return budgets[-1]
+
+    def widest(D, M):
+        scans.append(budgets[-1])
+        return real_widest(D, M)
+
+    monkeypatch.setattr(chaining, "cardinality_limit", limit)
+    monkeypatch.setattr(chaining, "_widest_cell", widest)
+    gamma_greedy(pts, 2.0)
+    n = len(pts)
+    assert budgets == [4, 16, 256, 65536] and 256 < n
+    assert set(scans) == {4, 16, 256}
 
 
 def test_widest_cell_keeps_an_earlier_pick_that_rounding_ties():

@@ -169,6 +169,9 @@ def test_failing_checks_give_failed_records(tmp_path):
         "no_s_values": ("revbm", {"s_values": []}),
         "no_t_values": ("revbm", {"t_values": []}),
         "no_m_values": ("revbm", {"m_values": []}),
+        "fractional_m": ("revbm", {"m_values": [1, 1.5]}),
+        "nan_alpha": ("gamma_hull", {"alpha": float("nan")}),
+        "one_trial": ("mm_two_sided", {"trials": 1}),
     }
     doc = {"suite": "broken", "seed": 3, "scenarios": [
         {"id": "chi_nan", "kind": "profile", "payload": nan_profile,
@@ -240,6 +243,10 @@ def test_failing_checks_give_failed_records(tmp_path):
         ("no_s_values", "revbm"): "ParamOutOfRange: s_values must be a non-empty list, got []",
         ("no_t_values", "revbm"): "ParamOutOfRange: t_values must be a non-empty list, got []",
         ("no_m_values", "revbm"): "ParamOutOfRange: m_values must be a non-empty list, got []",
+        ("fractional_m", "revbm"):
+            "ParamOutOfRange: m_values must be a list of positive integers, got [1, 1.5]",
+        ("nan_alpha", "gamma_hull"): "ParamOutOfRange: alpha must be finite and positive, got nan",
+        ("one_trial", "mm_two_sided"): "ParamOutOfRange: trials must be an integer >= 2, got 1",
     }
     assert records[("sq", "volume_xcheck")]["holds"] and records[("sq", "ratio_poly")]["holds"]
     csv_lines = (tmp_path / "ser" / "results.csv").read_text().splitlines()
