@@ -231,18 +231,14 @@ def _split(pts: np.ndarray, cells: list, diams: list, pick: int) -> None:
     from a than from b keep the place, the others go to the end.
 
     The distances are np.linalg.norm's sum of squares and root, without its
-    call overhead. A two-point cell of positive diameter has a = its first
-    point, so it splits into its two points without computing any distance.
+    call overhead.
     """
     cell = cells[pick]
-    if len(cell) == 2:
-        left, right = cell[:1], cell[1:]
-    else:
-        _, ia, ib = diams[pick]
-        sub = pts[cell]
-        da, db = (np.sqrt(np.add.reduce(d * d, axis=1)) for d in (sub - sub[ia], sub - sub[ib]))
-        mask = da <= db
-        left, right = cell[mask], cell[~mask]
+    _, ia, ib = diams[pick]
+    sub = pts[cell]
+    da, db = (np.sqrt(np.add.reduce(d * d, axis=1)) for d in (sub - sub[ia], sub - sub[ib]))
+    mask = da <= db
+    left, right = cell[mask], cell[~mask]
     cells[pick] = left
     diams[pick] = _cell_diam(pts, left)
     cells.append(right)

@@ -94,9 +94,9 @@ def _ray_crossings(pts: np.ndarray, direction: np.ndarray, coords: np.ndarray, t
     """
     m, n = pts.shape
     U = np.linalg.svd(direction[None, :])[2][1:]  # (n-1, n), rows orthogonal to the ray
-    order = np.argsort(pts @ U[0], kind="stable")
-    pts = pts[order]
     proj = pts @ U.T
+    order = np.argsort(proj[:, 0], kind="stable")
+    pts, proj = pts[order], proj[order]
     span = max(float(np.abs(pts).max(initial=0.0)), float(np.abs(coords).max(initial=0.0)))
     skew = float(np.abs(U @ direction).max(initial=0.0)) + n * EPS
     crossings = np.zeros(m, dtype=int)
@@ -298,9 +298,11 @@ def _directed_hausdorff(source: cKDTree, tree: cKDTree) -> float:
     floor((x - lo) / s), which rounding moves by at most 8 eps * span in
     each coordinate (span: the largest coordinate extent), so the cull runs
     only when L * 1e-9 exceeds 16 sqrt(n) eps * span; that also covers the
-    rounding of the distances. The occupied cells are a boolean grid when it
-    has at most 8 cells per point, else a sorted array of cell keys, so the
-    memory stays in proportion to the points.
+    rounding of the distances. The cell keys are exact integers while the
+    grid has fewer than 2**62 cells. np.isin matches them with a lookup
+    table only when the target keys span at most 6 times the point count,
+    and by sorting otherwise, so the memory stays in proportion to the
+    points.
     """
     q, t = source.data, tree.data
     n = q.shape[1]
@@ -310,20 +312,12 @@ def _directed_hausdorff(source: cKDTree, tree: cKDTree) -> float:
     side = L / math.sqrt(n) * (1 - 1e-9)
     rest = q
     if L * 1e-9 > 16 * math.sqrt(n) * EPS * float(extent.max()):
-        dims = np.floor(extent / side) + 1
-        size = float(np.prod(dims))
-        if size < 2.0**62:
-            # column-major flat key of each point's cell
-            strides = np.cumprod(np.append(1.0, dims[:-1])).astype(np.int64)
+        dims = [int(d) + 1 for d in np.floor(extent / side)]
+        if math.prod(dims) < 2**62:
+            # column-major flat key of each point's cell, in exact integers
+            strides = np.cumprod([1] + dims[:-1], dtype=np.int64)
             key_q, key_t = (np.floor((x - lo) / side).astype(np.int64) @ strides for x in (q, t))
-            if size <= 8 * (len(q) + len(t)):
-                occupied = np.zeros(int(size), dtype=bool)
-                occupied[key_t] = True
-                rest = q[~occupied[key_q]]
-            else:
-                keys = np.unique(key_t)
-                pos = np.searchsorted(keys, key_q).clip(max=len(keys) - 1)
-                rest = q[keys[pos] != key_q]
+            rest = q[~np.isin(key_q, key_t)]
     if not len(rest):
         return L
     return max(L, float(tree.query(rest, k=1)[0].max()))

@@ -31,7 +31,7 @@ SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 
 def hausdorff_pair(seed, dim, kind):
     """Two samples in R^dim: uniform points, uniform points in two clusters
-    1000 apart (too many cells for a dense occupancy grid), points of the
+    1000 apart (far more cells than points), points of the
     1/8 lattice (shared points, tied distances), the lattice against its
     copy shifted by half a step, or a set against a copy moved by about
     1e-13, where the lower bound is too small for the cell cull. Scaled and
@@ -64,9 +64,21 @@ HAUSDORFF_KINDS = ["random", "clusters", "lattice", "offset", "jitter"]
 
 
 @settings(max_examples=80, deadline=None)
-@given(SEEDS, st.sampled_from([2, 3]), st.sampled_from(HAUSDORFF_KINDS))
+@given(SEEDS, st.sampled_from([2, 3, 4]), st.sampled_from(HAUSDORFF_KINDS))
 def test_hausdorff_matches_brute_force_property(seed, dim, kind):
     assert hausdorff_agrees(seed, dim, kind)
+
+
+def test_hausdorff_cell_keys_are_exact_past_2_to_the_53():
+    # L is about 7.2e-6, so the unit extent of axes 0-2 holds d = 277645
+    # cells each and the stride of axis 3 is d**3 > 2**53, an odd number a
+    # float rounds down. With that rounded stride, the target in cell
+    # (0, 0, 0, 1) would share its key with the query point in cell
+    # (d-1, d-1, d-1, 0), which is 0.866 from every target.
+    L0 = 7.203450862715679e-06
+    q = np.array([[0.5, 0.5, 0.5, 0.0], [1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    t = np.array([[0.5 + L0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 0.75 * L0]])
+    assert hausdorff_distance(q, t) == hausdorff_reference(q, t) > 0.866
 
 
 def test_hausdorff_property_fails_without_the_exact_requery(monkeypatch):
