@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -181,6 +180,8 @@ def packing_number(cloud, epsilon: float) -> int:
 
 def inradius(poly: Polytope) -> float:
     """Chebyshev radius of a convex polytope via linear programming."""
+    from scipy.optimize import linprog  # loads scipy.fft: only the calls pay for it
+
     n = poly.dim
     normals, offsets = poly.halfspaces
     c = np.zeros(n + 1)

@@ -105,12 +105,15 @@ def test_module_level_names_are_referenced(module):
     assert unreferenced_names(module.read_text(), others) == []
 
 
-def test_import_loads_neither_scipy_signal_nor_scipy_stats():
-    # the package calls neither; scipy.signal alone pulls in scipy.stats and
-    # costs about 0.4 s of a fresh process
+def test_import_loads_no_scipy_signal_stats_or_fft():
+    # the package never calls scipy.signal, which alone pulls in scipy.stats
+    # and costs about 0.4 s of a fresh process; scipy.fft, which scipy.optimize
+    # loads too, is imported only by the FFT dilation and scipy.optimize only
+    # by covering.inradius
+    modules = ("scipy.signal", "scipy.stats", "scipy.fft")
     probe = (
         "import sys, hullmetry, hullmetry.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+        f"print(sorted(m for m in {modules!r} if m in sys.modules))"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -264,26 +264,49 @@ def test_decimate_matches_first_occurrence_oracle(case):
     assert _lex_sorted(got).tobytes() == _lex_sorted(want).tobytes()
 
 
+def rasterized_polygon(draw, rng, dim: int, extents) -> np.ndarray:
+    """A star-shaped polygon of 3..8 vertices, its cells set where their
+    centres lie in it, on a grid of up to 40 cells per axis: few runs per
+    line. A 1-D grid is its middle row, a 3-D grid stacks it."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, draw(st.integers(3, 8))))
+    radii = rng.uniform(0.3, 1.0, len(angles))
+    verts = np.column_stack([np.cos(angles), np.sin(angles)]) * radii[:, None]
+    verts = (verts + 1.0) / 2.0 * [rows, cols]
+    centres = np.argwhere(np.ones((rows, cols), dtype=bool)) + 0.5
+    occ = polygon_contains(verts, centres).reshape(rows, cols)
+    if dim == 1:
+        return occ[rows // 2]
+    if dim == 3:
+        return np.repeat(occ[None], draw(extents), axis=0)
+    return occ
+
+
 @st.composite
 def dilation_pairs(draw):
-    """Two grids of one dimension d = 1..3 and one spacing: random, full or
-    single-cell occupancies, sometimes with one empty slab, on extents that
-    include 7, 11 and 13 (7 in 3-D), where next_fast_len pads."""
+    """Two grids of one dimension d = 1..3 and one spacing: random, full,
+    single-cell, empty or rasterized-polygon occupancies, sometimes with one
+    empty slab, on extents that include 7, 11 and 13 (7 in 3-D), where
+    next_fast_len pads."""
     dim = draw(st.integers(1, 3))
     h = draw(st.floats(0.01, 2.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     extents = st.one_of(st.integers(1, 6), st.sampled_from([7, 11, 13] if dim < 3 else [7]))
     grids = []
     for _ in range(2):
+        fill = draw(st.sampled_from(["random", "full", "single", "empty", "polygon"]))
         shape = tuple(draw(extents) for _ in range(dim))
-        fill = draw(st.sampled_from(["random", "full", "single"]))
-        if fill == "random":
+        if fill == "polygon":
+            occ = rasterized_polygon(draw, rng, dim, extents)
+            shape = occ.shape
+        elif fill == "random":
             occ = rng.random(shape) < draw(st.floats(0.05, 0.95))
         elif fill == "full":
             occ = np.ones(shape, dtype=bool)
         else:
             occ = np.zeros(shape, dtype=bool)
-            occ.flat[rng.integers(occ.size)] = True
+            if fill == "single":
+                occ.flat[rng.integers(occ.size)] = True
         if draw(st.booleans()):
             axis = draw(st.integers(0, dim - 1))
             occ[(slice(None),) * axis + (draw(st.integers(0, shape[axis] - 1)),)] = False
@@ -306,6 +329,41 @@ def test_dilate_matches_shift_or_oracle(pair):
     cells = np.rint(idx).astype(int)
     assert np.allclose(idx, cells, atol=1e-6)
     assert np.array_equal(np.unique(cells, axis=0), np.argwhere(got.occ).reshape(-1, a.dim))
+
+
+def dilate_by_runs(a_occ, b_occ):
+    edges_a, edges_b = minkowski._run_edges(a_occ), minkowski._run_edges(b_occ)
+    return minkowski._dilate_runs(a_occ.shape, edges_a, b_occ.shape, edges_b)
+
+
+@pytest.mark.parametrize("kernel", [dilate_by_runs, minkowski._dilate_fft], ids=["runs", "fft"])
+@settings(max_examples=150, deadline=None)
+@given(dilation_pairs())
+def test_each_dilation_kernel_matches_shift_or_oracle(kernel, pair):
+    # each kernel is called directly, whichever one _dilate would pick
+    a, b = pair
+    got = kernel(a.occ, b.occ)
+    want = dilation_reference(a.occ, b.occ)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_bundled_lshape_trace_dilates_by_runs(count_calls):
+    runs, ffts = count_calls(minkowski, "_dilate_runs"), count_calls(minkowski, "_dilate_fft")
+    scen = bundled_lshape()
+    convexification_gap(scen.approx, scen.params["k_max"])
+    assert len(runs) == 7 and ffts == []
+
+
+def test_solid_3d_prism_sum_dilates_by_fft(count_calls):
+    # 300 runs a side: 90 000 pairs against 39^3 = 59 319 output cells
+    occ = np.ones((20, 20, 20), dtype=bool)
+    occ[10:, 10:, :] = False
+    prism = BodyApprox.from_grid(GridBody(np.zeros(3), 0.05, occ))
+    runs, ffts = count_calls(minkowski, "_dilate_runs"), count_calls(minkowski, "_dilate_fft")
+    twice = minkowski_average(prism, 2)
+    assert runs == [] and len(ffts) == 1
+    assert twice.grid.occ.tobytes() == dilation_reference(occ, occ).tobytes()
 
 
 def test_decimate_rejects_an_empty_grid():
