@@ -99,12 +99,13 @@ class IntegrabilityVerdict:
     quadrature_trace: list = field(default_factory=list, compare=False)
 
 
-def _simpson(f, a: float, b: float, panels: int = 32) -> float:
+def _simpson(f, a: float, b: float) -> float:
+    """Composite Simpson's rule for f over [a, b] on 64 subintervals."""
     if b <= a:
         return 0.0
-    h = (b - a) / (2 * panels)
+    h = (b - a) / 64
     total = f(a) + f(b)
-    for i in range(1, 2 * panels):
+    for i in range(1, 64):
         x = a + i * h
         total += (4.0 if i % 2 else 2.0) * f(x)
     return total * h / 3.0
@@ -134,8 +135,6 @@ def integral_exists(f: RatioFunction, delta: float, refine_cap: int = REFINE_CAP
             continue
         masses = []
         w0 = min(point / 2.0, abs(delta - point) / 2.0 if delta > point else point / 2.0, 0.2)
-        if w0 <= 0:
-            w0 = point / 4.0
         for j in range(12):
             w_hi = w0 * 2.0**-j
             w_lo = w_hi / 2.0

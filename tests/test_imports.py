@@ -107,9 +107,8 @@ def test_module_level_names_are_referenced(module):
 
 def test_import_loads_no_scipy_signal_stats_or_fft():
     # the package never calls scipy.signal, which alone pulls in scipy.stats
-    # and costs about 0.4 s of a fresh process; scipy.fft, which scipy.optimize
-    # loads too, is imported only by the FFT dilation and scipy.optimize only
-    # by covering.inradius
+    # and costs about 0.4 s of a fresh process, nor scipy.fft; scipy.optimize
+    # loads scipy.fft, so covering.inradius imports it at call time
     modules = ("scipy.signal", "scipy.stats", "scipy.fft")
     probe = (
         "import sys, hullmetry, hullmetry.cli; "

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -286,8 +287,7 @@ def rasterized_polygon(draw, rng, dim: int, extents) -> np.ndarray:
 def dilation_pairs(draw):
     """Two grids of one dimension d = 1..3 and one spacing: random, full,
     single-cell, empty or rasterized-polygon occupancies, sometimes with one
-    empty slab, on extents that include 7, 11 and 13 (7 in 3-D), where
-    next_fast_len pads."""
+    empty slab, on extents that include 7, 11 and 13 (7 in 3-D)."""
     dim = draw(st.integers(1, 3))
     h = draw(st.floats(0.01, 2.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -331,38 +331,54 @@ def test_dilate_matches_shift_or_oracle(pair):
     assert np.array_equal(np.unique(cells, axis=0), np.argwhere(got.occ).reshape(-1, a.dim))
 
 
-def dilate_by_runs(a_occ, b_occ):
-    edges_a, edges_b = minkowski._run_edges(a_occ), minkowski._run_edges(b_occ)
-    return minkowski._dilate_runs(a_occ.shape, edges_a, b_occ.shape, edges_b)
+def dilate_by(union, a_occ, b_occ):
+    """The dilation of a_occ by b_occ through one union method, called
+    directly, whichever one _dilate_runs would pick."""
+    shape = tuple(m + n - 1 for m, n in zip(a_occ.shape, b_occ.shape))
+    wide = shape[:-1] + (shape[-1] + 1,)
+    a, b = minkowski._run_edges(a_occ, wide), minkowski._run_edges(b_occ, wide)
+    if not len(a) or not len(b):
+        return np.zeros(shape, dtype=bool)
+    return union(a, b, math.prod(wide)).reshape(wide)[..., :-1]
 
 
-@pytest.mark.parametrize("kernel", [dilate_by_runs, minkowski._dilate_fft], ids=["runs", "fft"])
+@pytest.mark.parametrize(
+    "union, block",
+    [
+        ("_union_sorted", minkowski._PAIR_BLOCK),
+        ("_union_counted", minkowski._PAIR_BLOCK),
+        ("_union_counted", 7),
+    ],
+    ids=["sorted", "counted", "counted_in_7_pair_blocks"],
+)
 @settings(max_examples=150, deadline=None)
 @given(dilation_pairs())
-def test_each_dilation_kernel_matches_shift_or_oracle(kernel, pair):
-    # each kernel is called directly, whichever one _dilate would pick
+def test_each_union_matches_shift_or_oracle(union, block, pair):
+    # at 7 pairs a block is one run of a whenever b has 4 runs or more, so
+    # the counting union adds most of these sums over several blocks
     a, b = pair
-    got = kernel(a.occ, b.occ)
+    with mock.patch.object(minkowski, "_PAIR_BLOCK", block):
+        got = dilate_by(getattr(minkowski, union), a.occ, b.occ)
     want = dilation_reference(a.occ, b.occ)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
 def test_bundled_lshape_trace_dilates_by_runs(count_calls):
-    runs, ffts = count_calls(minkowski, "_dilate_runs"), count_calls(minkowski, "_dilate_fft")
+    sorts, counts = count_calls(minkowski, "_union_sorted"), count_calls(minkowski, "_union_counted")
     scen = bundled_lshape()
     convexification_gap(scen.approx, scen.params["k_max"])
-    assert len(runs) == 7 and ffts == []
+    assert len(sorts) == 7 and counts == []
 
 
-def test_solid_3d_prism_sum_dilates_by_fft(count_calls):
+def test_solid_3d_prism_sum_dilates_by_counting(count_calls):
     # 300 runs a side: 90 000 pairs against 39^3 = 59 319 output cells
     occ = np.ones((20, 20, 20), dtype=bool)
     occ[10:, 10:, :] = False
     prism = BodyApprox.from_grid(GridBody(np.zeros(3), 0.05, occ))
-    runs, ffts = count_calls(minkowski, "_dilate_runs"), count_calls(minkowski, "_dilate_fft")
+    sorts, counts = count_calls(minkowski, "_union_sorted"), count_calls(minkowski, "_union_counted")
     twice = minkowski_average(prism, 2)
-    assert runs == [] and len(ffts) == 1
+    assert sorts == [] and len(counts) == 1
     assert twice.grid.occ.tobytes() == dilation_reference(occ, occ).tobytes()
 
 
