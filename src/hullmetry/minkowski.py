@@ -183,6 +183,11 @@ def _run_edges(occ: np.ndarray, wide: tuple) -> np.ndarray:
     return np.ravel_multi_index(np.unravel_index(np.flatnonzero(changes), changes.shape), wide)
 
 
+# _union_pair_runs forms at most this many pairs of runs at once, a block of
+# a's runs against all of b's, so its index buffers stay bounded.
+_PAIR_BLOCK = 1 << 20
+
+
 def _dilate_runs(a_occ: np.ndarray, b_occ: np.ndarray) -> np.ndarray:
     """The dilation of the 0/1 grid a_occ by b_occ, in integers.
 
@@ -194,75 +199,54 @@ def _dilate_runs(a_occ: np.ndarray, b_occ: np.ndarray) -> np.ndarray:
     its two starts and stops at the sum of its two stops less one, never
     past the widening cell that ends its line. The dilation is the union of
     the R_a * R_b pair runs.
-
-    Two union methods stay, because each is the faster on one side of
-    R_a * R_b = N, the output's cell count: _union_sorted costs
-    O(R_a R_b log(R_a R_b)) and _union_counted O(R_a R_b + N). On a 2-vCPU
-    host the 28 sums of the bundled suite, at 0.11-0.35 pairs per cell,
-    take 0.06 s in all by sorting and 0.09-0.10 s by counting; the sums
-    k = 2..8 of a 20-cell solid 3-D L-prism, at 1.3-1.9 pairs per cell,
-    take 0.64-0.70 s by sorting and 0.16-0.17 s by counting.
     """
     shape = tuple(m + n - 1 for m, n in zip(a_occ.shape, b_occ.shape))
     wide = shape[:-1] + (shape[-1] + 1,)
     a, b = _run_edges(a_occ, wide), _run_edges(b_occ, wide)
-    if not len(a) or not len(b):
-        return np.zeros(shape, dtype=bool)
-    union = _union_sorted if (len(a) // 2) * (len(b) // 2) <= math.prod(shape) else _union_counted
-    return np.ascontiguousarray(union(a, b, math.prod(wide)).reshape(wide)[..., :-1])
+    cells = np.zeros(math.prod(wide), dtype=bool)
+    if len(a) and len(b):
+        _union_pair_runs(a, b, cells)
+    return np.ascontiguousarray(cells.reshape(wide)[..., :-1])
 
 
-def _union_sorted(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
-    """The flat cells of the union of the pair runs of the run edges a and b.
-
-    The pair runs, sorted by start, merge wherever a start does not pass the
-    running maximum of the stops before it; a merge never crosses a line,
-    since each line ends on a widening cell that no run covers. Every merged
-    run sets the cells at its start and its stop, all distinct, and a
-    running XOR fills the cells in between.
-    """
-    starts = (a[0::2, None] + b[0::2]).ravel()
-    stops = (a[1::2, None] + (b[1::2] - 1)).ravel()
-    order = np.argsort(starts, kind="stable")
-    starts = starts[order]
-    reach = stops[order]
-    del stops, order
-    np.maximum.accumulate(reach, out=reach)
-    cut = np.flatnonzero(starts[1:] > reach[:-1])  # pair cut + 1 begins a merged run
-    cells = np.zeros(size, dtype=bool)
-    cells[starts[np.r_[0, cut + 1]]] = True
-    cells[reach[np.r_[cut, -1]]] = True
-    np.logical_xor.accumulate(cells, out=cells)
-    return cells
-
-
-# Pairs that _union_counted forms at once: a block of a's runs against all of
-# b's. This bounds its buffers however many pairs a sum has.
-_PAIR_BLOCK = 1 << 20
-
-
-def _union_counted(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
-    """The flat cells of the union of the pair runs of the run edges a and b.
+def _union_pair_runs(a: np.ndarray, b: np.ndarray, cells: np.ndarray) -> None:
+    """Sets the flat cells of the union of the pair runs of the run edges a and b.
 
     A cell is covered where more pair runs have started than stopped at or
-    before it: the running sum of the count of starts less the count of
-    stops at each cell. Both edge lists increase, so the pairs of a block of
-    a's runs fall between its first start and its last stop, and each block
-    is counted over that span alone. No count exceeds the set cells of a, so
-    int32 holds every count.
+    before it. The runs of a are counted in blocks, in order: a run and
+    those after it that start within b's span of it (b's first start to its
+    last stop), at most _PAIR_BLOCK pairs. No later pair starts before the
+    next block's first pair, so the cells before that are final once the
+    block is counted in: a running sum of the counts, carried over block to
+    block. The counts live in a window that slides along the output, at most
+    two spans of b and one run of a wide. The time is
+    O(R_a R_b + N + blocks * span_b) for N output cells, and the memory
+    besides the output is proportional to b's span, not to N or to the
+    pairs.
     """
     a_starts, a_stops = a[0::2], a[1::2]
     b_starts, b_stops = b[0::2], b[1::2] - 1
-    depth = np.zeros(size, dtype=np.int32)
+    reach = b[-1] - b[0]
     rows = max(1, _PAIR_BLOCK // len(b_starts))
-    for i in range(0, len(a_starts), rows):
-        lo = a_starts[i] + b_starts[0]
-        span = a_stops[min(i + rows, len(a_stops)) - 1] + b_stops[-1] + 1 - lo
-        block = depth[lo:lo + span]
-        block += np.bincount((a_starts[i:i + rows, None] + (b_starts - lo)).ravel(), minlength=span)
-        block -= np.bincount((a_stops[i:i + rows, None] + (b_stops - lo)).ravel(), minlength=span)
-    np.add.accumulate(depth, out=depth)
-    return depth > 0
+    depth = np.zeros(2 * reach + (a_stops - a_starts).max(), dtype=np.int64)
+    done, carry, i = a_starts[0] + b_starts[0], 0, 0
+    while i < len(a_starts):
+        j = min(i + rows, np.searchsorted(a_starts, a_starts[i] + reach, "right"))
+        # ufunc.at adds in place; np.bincount would build a span of counts
+        np.add.at(depth, (a_starts[i:j, None] + (b_starts - done)).ravel(), 1)
+        np.subtract.at(depth, (a_stops[i:j, None] + (b_stops - done)).ravel(), 1)
+        span = a_stops[j - 1] + b_stops[-1] + 1 - done
+        # past this block's last stop when a gap between a's runs is wider
+        # than b's span: no pair covers the cells in between
+        nxt = a_starts[j] + b_starts[0] if j < len(a_starts) else done + span
+        m = min(nxt - done, span)
+        depth[0] += carry
+        np.cumsum(depth[:m], out=depth[:m])
+        np.greater(depth[:m], 0, out=cells[done:done + m])
+        carry = depth[m - 1]
+        depth[:span - m] = depth[m:span]
+        depth[span - m:span] = 0
+        done, i = nxt, j
 
 
 def minkowski_sum(A: BodyApprox, B: BodyApprox) -> BodyApprox:

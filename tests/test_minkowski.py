@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -331,55 +332,53 @@ def test_dilate_matches_shift_or_oracle(pair):
     assert np.array_equal(np.unique(cells, axis=0), np.argwhere(got.occ).reshape(-1, a.dim))
 
 
-def dilate_by(union, a_occ, b_occ):
-    """The dilation of a_occ by b_occ through one union method, called
-    directly, whichever one _dilate_runs would pick."""
-    shape = tuple(m + n - 1 for m, n in zip(a_occ.shape, b_occ.shape))
-    wide = shape[:-1] + (shape[-1] + 1,)
-    a, b = minkowski._run_edges(a_occ, wide), minkowski._run_edges(b_occ, wide)
-    if not len(a) or not len(b):
-        return np.zeros(shape, dtype=bool)
-    return union(a, b, math.prod(wide)).reshape(wide)[..., :-1]
-
-
-@pytest.mark.parametrize(
-    "union, block",
-    [
-        ("_union_sorted", minkowski._PAIR_BLOCK),
-        ("_union_counted", minkowski._PAIR_BLOCK),
-        ("_union_counted", 7),
-    ],
-    ids=["sorted", "counted", "counted_in_7_pair_blocks"],
-)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(dilation_pairs())
-def test_each_union_matches_shift_or_oracle(union, block, pair):
+def test_dilate_in_7_pair_blocks_matches_shift_or_oracle(pair):
     # at 7 pairs a block is one run of a whenever b has 4 runs or more, so
-    # the counting union adds most of these sums over several blocks
+    # most of these sums are counted over several blocks
     a, b = pair
-    with mock.patch.object(minkowski, "_PAIR_BLOCK", block):
-        got = dilate_by(getattr(minkowski, union), a.occ, b.occ)
+    with mock.patch.object(minkowski, "_PAIR_BLOCK", 7):
+        got = minkowski._dilate_runs(a.occ, b.occ)
     want = dilation_reference(a.occ, b.occ)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
-def test_bundled_lshape_trace_dilates_by_runs(count_calls):
-    sorts, counts = count_calls(minkowski, "_union_sorted"), count_calls(minkowski, "_union_counted")
-    scen = bundled_lshape()
-    convexification_gap(scen.approx, scen.params["k_max"])
-    assert len(sorts) == 7 and counts == []
+def test_bundled_lshape_trace_dilates_by_runs():
+    # one run of a per block slides the count window over every run of the
+    # trace's sums, up to 834 runs against 120; the grids must not change
+    A = bundled_lshape().approx
+    trace = [Ak.grid.occ for k, Ak in minkowski._average_sequence(A, 8) if k > 1]
+    with mock.patch.object(minkowski, "_PAIR_BLOCK", 1):
+        by_run = [Ak.grid.occ for k, Ak in minkowski._average_sequence(A, 8) if k > 1]
+    assert len(trace) == 7
+    assert all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(trace, by_run))
 
 
-def test_solid_3d_prism_sum_dilates_by_counting(count_calls):
+def test_solid_3d_prism_sum_dilates_by_counting():
     # 300 runs a side: 90 000 pairs against 39^3 = 59 319 output cells
     occ = np.ones((20, 20, 20), dtype=bool)
     occ[10:, 10:, :] = False
     prism = BodyApprox.from_grid(GridBody(np.zeros(3), 0.05, occ))
-    sorts, counts = count_calls(minkowski, "_union_sorted"), count_calls(minkowski, "_union_counted")
     twice = minkowski_average(prism, 2)
-    assert sorts == [] and len(counts) == 1
     assert twice.grid.occ.tobytes() == dilation_reference(occ, occ).tobytes()
+
+
+def test_dilate_counts_in_a_window_of_b_not_of_the_output():
+    # a 2000-cell square by a 10-cell one: 4 million output cells, 20 000
+    # pair runs. Besides the output (a byte a cell, copied once to drop the
+    # widening cells) the counts take a window of about 2 * 18 100 cells.
+    a = np.ones((2000, 2000), dtype=bool)
+    b = np.ones((10, 10), dtype=bool)
+    tracemalloc.start()
+    try:
+        got = minkowski._dilate_runs(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (2009, 2009) and got.all()
+    assert peak < 2.5 * got.size
 
 
 def test_decimate_rejects_an_empty_grid():
