@@ -168,10 +168,14 @@ def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
     diameters, but it is deterministic.
 
     A level whose budget is at least n cannot bind, since n points make at
-    most n cells: every cell splits until its diameter is 0. Each split
-    depends on its own cell alone and the level ends ordered by min index,
-    so such a level splits its cells from a work list in any order, without
-    looking for the widest, and ends with the same cells in the same order.
+    most n cells: every cell splits until its diameter is 0, and the level
+    ends as the classes of equal points, ordered by min index. A split never
+    parts equal points, and a cell of distinct points has a positive
+    diameter unless their squared differences underflow; so that level is
+    built in closed form (_equal_point_classes) and is the last. Where
+    underflow is possible it splits its cells from a work list in any order,
+    without looking for the widest: each split depends on its own cell
+    alone, so the level ends with the same cells in the same order.
     """
     pts = _points_of(cloud)
     n = len(pts)
@@ -199,7 +203,12 @@ def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
         budget = cardinality_limit(m)
         if budget >= n:
             # no level holds more than n cells, so the budget cannot bind:
-            # split every splittable cell until all diameters are 0
+            # every cell splits until all diameters are 0, which leaves the
+            # classes of equal points and adds nothing to the totals
+            classes = _equal_point_classes(pts)
+            if classes is not None:
+                partitions.append(classes)
+                break
             work = [ci for ci, d in enumerate(diams) if d[0] > 0]
             while work:
                 pick = work.pop()
@@ -224,6 +233,27 @@ def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
 
     witness = AdmissibleSequence(tuple(partitions))
     return GammaEstimate(alpha, float(totals.max()), "greedy", witness)
+
+
+# a coordinate gap of at least this squares to a normal double, so two
+# points that differ on some axis by it have a positive distance
+UNDERFLOW_GAP = 1e-150
+
+
+def _equal_point_classes(pts: np.ndarray) -> tuple | None:
+    """The points' classes of equal rows, ordered by lowest index, indices
+    ascending in each; None when some axis has two distinct values less than
+    UNDERFLOW_GAP apart, so that two distinct points may be at distance 0.
+    """
+    gaps = np.diff(np.sort(pts, axis=0), axis=0)
+    if np.any((gaps > 0) & (gaps < UNDERFLOW_GAP)):
+        return None
+    _, first, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)
+    key = first[inverse.reshape(-1)]  # each point's class, named by its lowest index
+    order = np.argsort(key, kind="stable")
+    cuts = (np.flatnonzero(np.diff(key[order])) + 1).tolist()
+    flat = order.tolist()
+    return tuple(tuple(flat[start:end]) for start, end in zip([0] + cuts, cuts + [len(flat)]))
 
 
 def _split(pts: np.ndarray, cells: list, diams: list, pick: int) -> None:

@@ -198,19 +198,53 @@ def inradius(poly: Polytope) -> float:
     return float(res.x[-1])
 
 
+# linprog (HiGHS) meets each constraint to a feasibility tolerance of 1e-7,
+# relative to the data, so inradius may stray that far from the Chebyshev
+# radius; the bracket decides only past ten times that
+INRADIUS_MARGIN = 1e-6
+
+
+def _inradius_below(poly: Polytope, epsilon: float) -> bool:
+    """``inradius(poly) + 1e-12 < epsilon``, decided without linprog where it can be.
+
+    For a convex polytope the Chebyshev radius r lies in [lo, hi]: lo is the
+    least facet distance of the vertex centroid, a feasible center, and hi is
+    half the least width of the vertices along a facet normal, since an
+    inscribed ball fits between the facet and the parallel supporting
+    hyperplane across the body. The width bound needs the halfspaces to cut
+    out the hull of the vertices, so the bracket is used only when no vertex
+    lies beyond a facet's hyperplane by more than rounding (a thousandth of
+    the margin); otherwise, or when epsilon is within the margin of the
+    bracket, linprog decides.
+    """
+    normals, offsets = poly.halfspaces
+    if len(normals):
+        margin = INRADIUS_MARGIN * (1.0 + float(np.abs(offsets).max()))
+        heights = normals @ poly.vertices.T  # (F, V)
+        if np.all(heights.max(axis=1) <= offsets + 1e-3 * margin):
+            lo = float((offsets - heights.mean(axis=1)).min())
+            hi = 0.5 * float((offsets - heights.min(axis=1)).min())
+            if lo + 1e-12 >= epsilon + margin:
+                return False
+            if hi + 1e-12 < epsilon - margin:
+                return True
+    return inradius(poly) + 1e-12 < epsilon
+
+
 def volume_cover_bounds(poly: Polytope, epsilon: float):
     """(lower, upper) volume sandwich for the covering number of a convex body.
 
     lower = (1/eps)^n Vol(A)/Vol(B); upper = (3/eps)^n Vol(A)/Vol(B) with B the
     unit euclidean ball. The upper form needs eps B to fit inside A (checked by
-    the Chebyshev inradius); when it does not, upper is None.
+    the Chebyshev inradius, bracketed in closed form first); when it does
+    not, upper is None.
     """
     _check_epsilon(epsilon)
     n = poly.dim
     vol_a = volume_det(poly.boundary)
     vol_b = unit_ball_volume(n)
     lower = (1.0 / epsilon) ** n * vol_a / vol_b
-    if inradius(poly) + 1e-12 < epsilon:
+    if _inradius_below(poly, epsilon):
         return lower, None
     upper = (3.0 / epsilon) ** n * vol_a / vol_b
     return lower, upper

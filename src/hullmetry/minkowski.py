@@ -177,9 +177,10 @@ def _run_edges(occ: np.ndarray, wide: tuple) -> np.ndarray:
     the line has its stop. Starts and stops alternate in increasing order, a
     start first.
     """
-    padded = np.zeros(occ.shape[:-1] + (occ.shape[-1] + 2,), dtype=bool)
-    padded[..., 1:-1] = occ
-    changes = padded[..., 1:] != padded[..., :-1]
+    # where occ padded with an empty cell at each end of a line changes value
+    changes = np.empty(occ.shape[:-1] + (occ.shape[-1] + 1,), dtype=bool)
+    changes[..., 0], changes[..., -1] = occ[..., 0], occ[..., -1]
+    np.not_equal(occ[..., 1:], occ[..., :-1], out=changes[..., 1:-1])
     return np.ravel_multi_index(np.unravel_index(np.flatnonzero(changes), changes.shape), wide)
 
 
@@ -198,7 +199,8 @@ def _dilate_runs(a_occ: np.ndarray, b_occ: np.ndarray) -> np.ndarray:
     index is linear in the multi-index, so a pair run starts at the sum of
     its two starts and stops at the sum of its two stops less one, never
     past the widening cell that ends its line. The dilation is the union of
-    the R_a * R_b pair runs.
+    the R_a * R_b pair runs, returned as a view of the widened grid without
+    its widening cells, so the output is not copied.
     """
     shape = tuple(m + n - 1 for m, n in zip(a_occ.shape, b_occ.shape))
     wide = shape[:-1] + (shape[-1] + 1,)
@@ -206,7 +208,7 @@ def _dilate_runs(a_occ: np.ndarray, b_occ: np.ndarray) -> np.ndarray:
     cells = np.zeros(math.prod(wide), dtype=bool)
     if len(a) and len(b):
         _union_pair_runs(a, b, cells)
-    return np.ascontiguousarray(cells.reshape(wide)[..., :-1])
+    return cells.reshape(wide)[..., :-1]
 
 
 def _union_pair_runs(a: np.ndarray, b: np.ndarray, cells: np.ndarray) -> None:

@@ -260,6 +260,63 @@ def test_volume_cover_bounds_reads_the_cached_halfspaces(count_calls):
     assert len(normals) == 4  # one per edge of the square, on the first call only
 
 
+# star-shaped polygons that are not convex, vertices in order; the
+# halfspaces of their edges, facing away from the vertex centroid, cut out a
+# set that is not the hull of the vertices
+NONCONVEX_GATE_BODIES = {
+    # linprog finds no Chebyshev ball (inradius 0.0), yet the centroid lies
+    # 0.0068 inside every halfspace
+    "nonconvex-open": [[1.668, 0.435], [1.188, 1.023], [0.507, 0.912], [1.726, -0.126],
+                       [2.12, -1.388], [2.573, -1.177]],
+    # inradius 0.787, above half the least width along an edge normal (0.746)
+    "nonconvex-wide": [[-2.316, -0.699], [-2.789, 0.453], [-3.325, 0.663], [-2.769, -0.923],
+                       [-4.083, -0.735], [-3.11, -1.139], [-3.287, -1.285], [-2.751, -1.17],
+                       [-4.289, -1.855], [-3.609, -1.583]],
+}
+
+
+def _gate_body(name):
+    if name == "thin_triangle":
+        # the centroid lies 0.1 from the long side; the inradius is about 0.15
+        return quickhull(np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 0.3]]))
+    if name in NONCONVEX_GATE_BODIES:
+        verts = np.array(NONCONVEX_GATE_BODIES[name])
+        return polytope_from_facets(verts, [[i, (i + 1) % len(verts)] for i in range(len(verts))])
+    kind, seed = name.split("-")
+    rng = np.random.default_rng(int(seed))
+    dim = 2 if kind == "polygon" else 3
+    pts = rng.normal(size=(int(rng.integers(dim + 2, 30)), dim))
+    return quickhull(pts * rng.uniform(0.1, 3.0, dim) + rng.uniform(-5.0, 5.0, dim))
+
+
+GATE_BODIES = ([f"polygon-{s}" for s in range(4)] + [f"polytope-{s}" for s in range(4)]
+               + ["thin_triangle"] + sorted(NONCONVEX_GATE_BODIES))
+
+
+@pytest.mark.parametrize("name", GATE_BODIES)
+def test_volume_cover_bounds_gate_matches_linprog(name, count_calls):
+    # across the closed-form bracket of the Chebyshev radius, and at the
+    # radius itself, upper is None exactly when linprog puts it below epsilon
+    poly = _gate_body(name)
+    radius = inradius(poly)
+    normals, offsets = poly.halfspaces
+    heights = normals @ poly.vertices.T
+    lo = (offsets - heights.mean(axis=1)).min()
+    hi = 0.5 * (offsets - heights.min(axis=1)).min()
+    convex = name not in NONCONVEX_GATE_BODIES
+    if convex:
+        assert lo - 1e-9 <= radius <= hi + 1e-9
+    epsilons = np.concatenate([np.linspace(lo / 2, 1.5 * hi, 13),
+                               radius + np.array([-1e-9, -1e-12, 0.0, 1e-12, 1e-9])])
+    calls = count_calls(covering, "inradius")
+    for eps in epsilons[epsilons > 0]:
+        assert (volume_cover_bounds(poly, eps)[1] is None) == (radius + 1e-12 < eps)
+    if name == "thin_triangle" or not convex:
+        assert calls  # epsilon between the bounds, or a body that is not convex
+    if convex:
+        assert len(calls) < len(epsilons)
+
+
 def test_volume_lower_bound_below_exact_cover():
     # convex sampled bodies: the volume lower bound never exceeds the exact
     # internal covering number

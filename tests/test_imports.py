@@ -108,7 +108,8 @@ def test_module_level_names_are_referenced(module):
 def test_import_loads_no_scipy_signal_stats_or_fft():
     # the package never calls scipy.signal, which alone pulls in scipy.stats
     # and costs about 0.4 s of a fresh process, nor scipy.fft; scipy.optimize
-    # loads scipy.fft, so covering.inradius imports it at call time
+    # loads scipy.fft, so covering.inradius imports it at call time, and only
+    # for an epsilon that the closed-form inradius bracket cannot place
     modules = ("scipy.signal", "scipy.stats", "scipy.fft")
     probe = (
         "import sys, hullmetry, hullmetry.cli; "
@@ -117,6 +118,20 @@ def test_import_loads_no_scipy_signal_stats_or_fft():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_volume_cover_bounds_on_the_unit_square_loads_no_scipy_optimize():
+    # the inradius 1/2 of the unit square is both ends of its closed-form
+    # bracket, so no epsilon of the bundled cover_ratio checks needs linprog
+    probe = (
+        "import sys; from hullmetry import quickhull, volume_cover_bounds; "
+        "sq = quickhull([[0, 0], [1, 0], [1, 1], [0, 1]]); "
+        "print([volume_cover_bounds(sq, e)[1] is None for e in (0.2, 0.4, 0.8)], "
+        "'scipy.optimize' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False, True] False"
 
 
 def relative_imports(source: str) -> set[str]:
