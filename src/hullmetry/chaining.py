@@ -376,7 +376,12 @@ def gaussian_sup_mc(cloud, trials: int, seed: int) -> SupEstimate:
     """Monte Carlo estimate of E sup over the cloud of the canonical Gaussian process.
 
     Per-trial Gaussians come from fixed-size seed-derived chunks, so the
-    estimate is independent of any execution partitioning.
+    estimate is independent of any execution partitioning. Every chunk's
+    product ``g @ pts.T`` is written into one buffer allocated for the first
+    chunk, instead of a fresh array whose pages are faulted in anew. The
+    product keeps its full per-chunk shape: BLAS may compute a block of
+    fewer rows with another kernel (gemv for a single row) and round some
+    entries differently, which would change the last bits of the estimate.
     """
     pts = _points_of(cloud)
     if trials < 1:
@@ -386,11 +391,13 @@ def gaussian_sup_mc(cloud, trials: int, seed: int) -> SupEstimate:
     n_chunks = (trials + MC_CHUNK - 1) // MC_CHUNK
     children = ss.spawn(n_chunks)
     sups = np.empty(trials)
+    prod = np.empty((min(MC_CHUNK, trials), len(pts)))
     done = 0
     for child in children:
         take = min(MC_CHUNK, trials - done)
         g = np.random.default_rng(child).standard_normal((take, n))
-        sups[done : done + take] = (g @ pts.T).max(axis=1)
+        np.matmul(g, pts.T, out=prod[:take])
+        prod[:take].max(axis=1, out=sups[done : done + take])
         done += take
     mean = float(sups.mean())
     std_error = float(sups.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

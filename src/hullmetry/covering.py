@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .errors import ParamOutOfRange, TooLarge
+from .errors import ParamOutOfRange, TooLarge, Unsupported
 from .geometry import Polytope, unit_ball_volume, volume_det, _points_of
 from .minkowski import as_body, hull_ratio
 from . import sampling
@@ -179,7 +179,12 @@ def packing_number(cloud, epsilon: float) -> int:
 
 
 def inradius(poly: Polytope) -> float:
-    """Chebyshev radius of a convex polytope via linear programming."""
+    """Chebyshev radius of a convex polytope via linear programming.
+
+    Raises Unsupported for a polytope that is not convex, one with a vertex
+    beyond a facet hyperplane by more than rounding.
+    """
+    _convex_heights(poly)
     from scipy.optimize import linprog  # loads scipy.fft: only the calls pay for it
 
     n = poly.dim
@@ -204,6 +209,24 @@ def inradius(poly: Polytope) -> float:
 INRADIUS_MARGIN = 1e-6
 
 
+def _convex_heights(poly: Polytope) -> np.ndarray:
+    """Heights ``normals @ vertices.T`` (F, V) of the vertices over the facet planes.
+
+    Raises Unsupported when some vertex lies beyond a facet's hyperplane by
+    more than rounding (a thousandth of ``INRADIUS_MARGIN`` times
+    1 + max |offset|): the polytope is then not convex, and its halfspaces,
+    which face away from the vertex centroid, need not face outward, so they
+    do not cut out the body.
+    """
+    normals, offsets = poly.halfspaces
+    heights = normals @ poly.vertices.T
+    if len(normals):
+        rounding = 1e-3 * INRADIUS_MARGIN * (1.0 + float(np.abs(offsets).max()))
+        if not np.all(heights.max(axis=1) <= offsets + rounding):
+            raise Unsupported("polytope is not convex: a vertex lies beyond a facet hyperplane")
+    return heights
+
+
 def _inradius_below(poly: Polytope, epsilon: float) -> bool:
     """``inradius(poly) + 1e-12 < epsilon``, decided without linprog where it can be.
 
@@ -211,23 +234,20 @@ def _inradius_below(poly: Polytope, epsilon: float) -> bool:
     least facet distance of the vertex centroid, a feasible center, and hi is
     half the least width of the vertices along a facet normal, since an
     inscribed ball fits between the facet and the parallel supporting
-    hyperplane across the body. The width bound needs the halfspaces to cut
-    out the hull of the vertices, so the bracket is used only when no vertex
-    lies beyond a facet's hyperplane by more than rounding (a thousandth of
-    the margin); otherwise, or when epsilon is within the margin of the
-    bracket, linprog decides.
+    hyperplane across the body. When epsilon is within the margin of the
+    bracket, linprog decides. A polytope that is not convex raises
+    Unsupported (see :func:`_convex_heights`).
     """
+    heights = _convex_heights(poly)
     normals, offsets = poly.halfspaces
     if len(normals):
         margin = INRADIUS_MARGIN * (1.0 + float(np.abs(offsets).max()))
-        heights = normals @ poly.vertices.T  # (F, V)
-        if np.all(heights.max(axis=1) <= offsets + 1e-3 * margin):
-            lo = float((offsets - heights.mean(axis=1)).min())
-            hi = 0.5 * float((offsets - heights.min(axis=1)).min())
-            if lo + 1e-12 >= epsilon + margin:
-                return False
-            if hi + 1e-12 < epsilon - margin:
-                return True
+        lo = float((offsets - heights.mean(axis=1)).min())
+        hi = 0.5 * float((offsets - heights.min(axis=1)).min())
+        if lo + 1e-12 >= epsilon + margin:
+            return False
+        if hi + 1e-12 < epsilon - margin:
+            return True
     return inradius(poly) + 1e-12 < epsilon
 
 
@@ -237,7 +257,7 @@ def volume_cover_bounds(poly: Polytope, epsilon: float):
     lower = (1/eps)^n Vol(A)/Vol(B); upper = (3/eps)^n Vol(A)/Vol(B) with B the
     unit euclidean ball. The upper form needs eps B to fit inside A (checked by
     the Chebyshev inradius, bracketed in closed form first); when it does
-    not, upper is None.
+    not, upper is None. A polytope that is not convex raises Unsupported.
     """
     _check_epsilon(epsilon)
     n = poly.dim

@@ -8,6 +8,7 @@ can cross-check each other.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -122,10 +123,8 @@ class Polytope:
         is ``{x : normals @ x <= offsets}``. Degenerate simplices are skipped.
         """
         centroid = self.vertices.mean(axis=0)
-        planes = [_facet_normal(self.vertices, simp, centroid) for simp in self.boundary.simplices]
-        planes = [(normal, offset) for normal, offset in planes if normal is not None]
-        normals = np.array([normal for normal, _ in planes]).reshape(-1, self.dim)
-        return normals, np.array([offset for _, offset in planes])
+        _, normals, offsets = _facet_normals(self.vertices, self.boundary.simplices, centroid)
+        return normals, offsets
 
     @functools.cached_property
     def volume_ratio(self) -> float:
@@ -169,43 +168,97 @@ def _minor_cols(d: int) -> np.ndarray:
     return cols
 
 
-def _facet_normal(pts: np.ndarray, verts, interior: np.ndarray):
-    """Unit normal and offset of the hyperplane through ``verts``, facing away from ``interior``.
+def _facet_normals(pts: np.ndarray, verts, interior: np.ndarray):
+    """Unit normals and offsets of the hyperplanes through each row of ``verts``.
 
-    The generalized cross product is expanded in cofactors; the d minors are
-    stacked into one ``det`` call, which still factors each minor on its own.
-    Returns ``(None, 0.0)`` for an affinely degenerate ``verts``.
+    Each normal faces away from ``interior``. Returns ``(kept, normals,
+    offsets)``: ``kept`` marks the rows of ``verts`` that are not affinely
+    degenerate, and ``normals`` (K, d) and ``offsets`` (K,) hold those rows'
+    planes in order. The generalized cross product is expanded in cofactors;
+    the d minors of every row are stacked into one ``det`` call, which still
+    factors each minor on its own, so a normal does not depend on the rows
+    beside it. Its norm, offset and side are one-vector dot products.
     """
-    base = pts[verts[0]]
-    rows = pts[list(verts[1:])] - base
+    verts = np.asarray(verts, dtype=np.intp).reshape(-1, pts.shape[1])
     d = pts.shape[1]
-    minors = np.swapaxes(rows[:, _minor_cols(d)], 0, 1)
-    normal = np.linalg.det(minors)
-    normal[1::2] = -normal[1::2]
-    norm = np.linalg.norm(normal)
-    if norm == 0.0:
-        return None, 0.0
-    normal /= norm
-    offset = float(normal @ base)
-    if normal @ interior > offset:
-        normal = -normal
-        offset = -offset
-    return normal, offset
+    bases = pts[verts[:, 0]]
+    rows = pts[verts[:, 1:]] - bases[:, None, :]  # (F, d-1, d)
+    # det returns the stack in Fortran order; its rows are copied to C order,
+    # because a strided vector takes another BLAS dot loop, which sums in
+    # another order
+    dets = np.ascontiguousarray(np.linalg.det(np.swapaxes(rows[:, :, _minor_cols(d)], 1, 2)))
+    dets[:, 1::2] = -dets[:, 1::2]
+    # math.sqrt(v @ v) is what np.linalg.norm takes of a 1-d vector: same bits
+    norms = np.array([math.sqrt(v @ v) for v in dets])
+    kept = norms != 0.0
+    normals = dets[kept] / norms[kept, None]
+    offsets = np.array([normal @ base for normal, base in zip(normals, bases[kept])])
+    flip = np.array([normal @ interior for normal in normals]) > offsets
+    normals[flip] = -normals[flip]
+    offsets[flip] = -offsets[flip]
+    return kept, normals, offsets
+
+
+# The screened value ``pts @ normals.T - offsets`` (a matmul) and the exact one
+# (``normal @ p - offset``, a one-vector dot product) are two roundings of the
+# same sum of d products and a subtraction. Each is within
+# gamma_d * ||p||_1 + u (||p||_1 + |offset|) of the true value, u = eps / 2,
+# gamma_d = d u / (1 - d u), whatever the summation order and with or without
+# FMA, for a unit normal. So they differ by at most about (d + 1) eps
+# (||p||_1 + |offset|). The screen's margin, 2 (d + 2) eps (max ||p||_1 +
+# |offset|), is more than twice that.
+_SCREEN_EPS = 2.0 * np.finfo(float).eps
+
+
+def _screen_margins(d: int, l1_max: float, offsets: np.ndarray) -> np.ndarray:
+    """Per-facet bound on |screened - exact| for points of 1-norm at most ``l1_max``."""
+    return _SCREEN_EPS * (d + 2) * (l1_max + np.abs(offsets))
+
+
+def _first_outside(pts, rows, normals, offsets, margins, tau) -> np.ndarray:
+    """For each point ``pts[rows[k]]``, the first facet ``j`` (in order) with
+    ``normals[j] @ p - offsets[j] > tau``, or -1 if there is none.
+
+    One matmul screens every pair: a screened value above ``tau + margin``
+    passes, one at or below ``tau - margin`` fails, and only the pairs in
+    between are decided by the exact one-vector expression.
+    """
+    vals = pts[rows] @ normals.T - offsets  # (m, k)
+    passes = vals > tau + margins
+    for r, j in zip(*np.nonzero((vals > tau - margins) & ~passes)):
+        passes[r, j] = normals[j] @ pts[rows[r]] - offsets[j] > tau
+    first = passes.argmax(axis=1)
+    return np.where(passes[np.arange(len(rows)), first], first, -1)
+
+
+def _farthest_outside(pts, outside: list[int], normal, offset, margin) -> int:
+    """The point of ``outside`` with the largest ``normal @ p - offset``, first on ties.
+
+    The screened maximum is within ``margin`` of the exact one, so only the
+    points screened within ``2 * margin`` of it can attain it; the exact
+    expression picks among those.
+    """
+    vals = pts[outside] @ normal - offset
+    cand = np.flatnonzero(vals >= vals.max() - 2.0 * margin)
+    exact = np.array([normal @ pts[outside[k]] - offset for k in cand])
+    return outside[cand[int(np.argmax(exact))]]
 
 
 class _Facet:
-    __slots__ = ("verts", "normal", "offset", "outside")
+    __slots__ = ("verts", "ridges", "normal", "offset", "margin", "outside")
 
-    def __init__(self, verts, normal, offset):
+    def __init__(self, verts, normal, offset, margin):
         self.verts = verts
+        self.ridges = _ridges(verts)
         self.normal = normal
         self.offset = offset
+        self.margin = margin
         self.outside: list[int] = []
 
 
 def _ridges(verts: tuple) -> list[tuple]:
     """Sorted vertex tuples of a facet's ridges, one per omitted vertex."""
-    return [tuple(sorted(verts[:omit] + verts[omit + 1 :])) for omit in range(len(verts))]
+    return list(itertools.combinations(sorted(verts), len(verts) - 1))
 
 
 def _initial_simplex(pts: np.ndarray, tau: float) -> list[int]:
@@ -261,44 +314,51 @@ def _hull_facets(pts: np.ndarray, tau: float) -> list[_Facet]:
     cleared), and the horizon is read off the ridges of the visible facets
     alone. An iteration therefore costs in proportion to the facets it
     replaces, not to the whole hull.
+
+    A point is outside a facet when ``normal @ p - offset > tau``, that one
+    dot product exactly. The outside sets and the apex are screened with
+    matmuls first (:func:`_first_outside`, :func:`_farthest_outside`), and
+    only the tests the screen cannot decide run the exact expression, so the
+    decisions and their order are those of a point-by-point loop.
     """
     n = pts.shape[1]
     init = _initial_simplex(pts, tau)
     interior = pts[init].mean(axis=0)
+    l1_max = float(np.abs(pts).sum(axis=1).max())
 
     facets: list[_Facet | None] = []  # by id; None once the facet is dead
     ridge_map: dict[tuple, list[int]] = {}  # ridge -> ids of the live facets holding it
 
-    def add_facet(verts, normal, offset) -> int:
-        fid = len(facets)
-        for ridge in _ridges(verts):
-            ridge_map.setdefault(ridge, []).append(fid)
-        facets.append(_Facet(verts, normal, offset))
-        return fid
+    def add_facets(verts: list[tuple], normals, offsets, candidates: list[int]) -> None:
+        # new facets, then each candidate point goes to the first it is outside of
+        margins = _screen_margins(n, l1_max, offsets)
+        fids = []
+        for v, normal, offset, margin in zip(verts, normals, offsets.tolist(), margins.tolist()):
+            fid = len(facets)
+            facet = _Facet(v, normal, offset, margin)
+            for ridge in facet.ridges:
+                ridge_map.setdefault(ridge, []).append(fid)
+            facets.append(facet)
+            fids.append(fid)
+        if fids and candidates:
+            first = _first_outside(pts, np.array(candidates), normals, offsets, margins, tau)
+            for idx, j in zip(candidates, first.tolist()):
+                if j >= 0:
+                    facets[fids[j]].outside.append(idx)
 
     def kill_facet(fid: int) -> None:
-        for ridge in _ridges(facets[fid].verts):
+        for ridge in facets[fid].ridges:
             members = ridge_map[ridge]
             members.remove(fid)
             if not members:
                 del ridge_map[ridge]
         facets[fid] = None
 
-    for omit in range(n + 1):
-        verts = tuple(init[i] for i in range(n + 1) if i != omit)
-        normal, offset = _facet_normal(pts, verts, interior)
-        if normal is None:
-            raise DegenerateInput("initial simplex facet is degenerate")
-        add_facet(verts, normal, offset)
-
-    in_simplex = set(init)
-    for idx in range(len(pts)):
-        if idx in in_simplex:
-            continue
-        for f in facets:
-            if f.normal @ pts[idx] - f.offset > tau:
-                f.outside.append(idx)
-                break
+    verts = [tuple(init[i] for i in range(n + 1) if i != omit) for omit in range(n + 1)]
+    kept, normals, offsets = _facet_normals(pts, verts, interior)
+    if not kept.all():
+        raise DegenerateInput("initial simplex facet is degenerate")
+    add_facets(verts, normals, offsets, sorted(set(range(len(pts))) - set(init)))
 
     # Facets before the cursor are dead or have no outside points; neither
     # can change, because only facets created later receive points.
@@ -311,16 +371,13 @@ def _hull_facets(pts: np.ndarray, tau: float) -> list[_Facet]:
             break
         pick = cursor
         f = facets[pick]
-        dists = np.array([f.normal @ pts[i] - f.offset for i in f.outside])
-        far_pos = int(np.argmax(dists))
-        apex = f.outside[far_pos]
+        apex = _farthest_outside(pts, f.outside, f.normal, f.offset, f.margin)
 
         apex_pt = pts[apex]
         visible = {pick}
         stack = [pick]
         while stack:
-            g = facets[stack.pop()]
-            for ridge in _ridges(g.verts):
+            for ridge in facets[stack.pop()].ridges:
                 for nb in ridge_map[ridge]:
                     if nb in visible:
                         continue
@@ -331,7 +388,7 @@ def _hull_facets(pts: np.ndarray, tau: float) -> list[_Facet]:
 
         horizon = []
         for fid in visible:
-            for ridge in _ridges(facets[fid].verts):
+            for ridge in facets[fid].ridges:
                 members = ridge_map[ridge]
                 if len(members) == 2 and (members[0] in visible) != (members[1] in visible):
                     horizon.append(ridge)
@@ -343,20 +400,9 @@ def _hull_facets(pts: np.ndarray, tau: float) -> list[_Facet]:
             kill_facet(fid)
         orphan = sorted(set(orphan) - {apex})
 
-        new_ids = []
-        for ridge in horizon:
-            verts = tuple(ridge) + (apex,)
-            normal, offset = _facet_normal(pts, verts, interior)
-            if normal is None:
-                continue
-            new_ids.append(add_facet(verts, normal, offset))
-
-        for idx in orphan:
-            for fid in new_ids:
-                g = facets[fid]
-                if g.normal @ pts[idx] - g.offset > tau:
-                    g.outside.append(idx)
-                    break
+        verts = [ridge + (apex,) for ridge in horizon]
+        kept, normals, offsets = _facet_normals(pts, verts, interior)
+        add_facets([v for v, k in zip(verts, kept) if k], normals, offsets, orphan)
 
     return [f for f in facets if f is not None]
 
@@ -368,9 +414,15 @@ def quickhull(cloud: PointCloud | np.ndarray) -> Polytope:
     it; ties in farthest-point selection break toward the lowest index, so
     the construction is deterministic. The ridge adjacency is maintained
     incrementally (see :func:`_hull_facets`), so the cost follows the facets
-    created rather than growing with the square of the hull size. Every
-    returned vertex is an extreme point: a tie-broken pick that lands inside
-    a hull face is dropped and the hull rebuilt from the remaining vertices.
+    created rather than growing with the square of the hull size. Each
+    iteration's new facet normals come from one stacked ``det``, and the
+    outside sets and the apex from matmuls that decide every test lying
+    clearly past the tolerance; the few within a rounding margin of it
+    (2 (n + 2) eps (max ||p||_1 + |offset|)) are confirmed with the exact
+    one-vector expression, so the triangulation is that of a
+    point-by-point loop, bit for bit. Every returned vertex is an extreme
+    point: a tie-broken pick that lands inside a hull face is dropped and
+    the hull rebuilt from the remaining vertices.
 
     The hull is not delegated to Qhull (``scipy.spatial.ConvexHull``): Qhull
     triangulates coplanar faces differently (it splits a cube's squares

@@ -491,3 +491,147 @@ def ray_crossings_reference(pts, direction, coords, tau):
         on_boundary |= near_face
         bad |= grazing & ~near_face
     return (crossings % 2 == 1) | on_boundary, bad & ~on_boundary
+
+
+def _reference_plane(pts, verts, interior):
+    """(normal, offset) of the hyperplane through ``pts[verts]``, facing away
+    from ``interior``, or None when the vertices are affinely dependent. The
+    normal is the cofactor expansion of the generalized cross product: its
+    d minors go to ``np.linalg.det`` as one stack; it is scaled to unit
+    ``np.linalg.norm`` and flipped when ``normal @ interior > offset``."""
+    base = pts[verts[0]]
+    rows = pts[list(verts[1:])] - base
+    d = pts.shape[1]
+    normal = np.linalg.det(np.array([np.delete(rows, i, axis=1) for i in range(d)]))
+    normal[1::2] = -normal[1::2]
+    norm = np.linalg.norm(normal)
+    if norm == 0.0:
+        return None
+    normal /= norm
+    offset = float(normal @ base)
+    if normal @ interior > offset:
+        return -normal, -offset
+    return normal, offset
+
+
+def _reference_ridges(verts):
+    return [tuple(sorted(verts[:k] + verts[k + 1 :])) for k in range(len(verts))]
+
+
+def _reference_hull_facets(pts, tau):
+    """Live facets [verts, normal, offset, outside] of a point-by-point Quickhull."""
+    n = pts.shape[1]
+    # initial simplex: least first coordinate, then the farthest point from
+    # the affine span so far, lowest index on ties
+    init = [int(np.argmin(pts[:, 0]))]
+    basis = np.zeros((0, n))
+    for _ in range(n):
+        rel = pts - pts[init[0]]
+        if len(basis):
+            rel = rel - rel @ basis.T @ basis
+        dist = np.linalg.norm(rel, axis=1)
+        far = int(np.argmax(dist))
+        if dist[far] <= tau:
+            raise ValueError("points are affinely dependent")
+        init.append(far)
+        basis = np.vstack([basis, rel[far] / dist[far]])
+    interior = pts[init].mean(axis=0)
+
+    def outside(facet, p):
+        return facet[1] @ p - facet[2] > tau
+
+    def assign(points, targets):
+        for idx in points:
+            for facet in targets:
+                if outside(facet, pts[idx]):
+                    facet[3].append(idx)
+                    break
+
+    facets = []  # [verts, normal, offset, outside]; None once dead
+    for omit in range(n + 1):
+        verts = tuple(init[i] for i in range(n + 1) if i != omit)
+        facets.append([verts, *_reference_plane(pts, verts, interior), []])
+    assign([i for i in range(len(pts)) if i not in init], facets)
+
+    while True:
+        pick = next((k for k, f in enumerate(facets) if f and f[3]), None)
+        if pick is None:
+            return [f for f in facets if f]
+        f = facets[pick]
+        apex = f[3][int(np.argmax([f[1] @ pts[i] - f[2] for i in f[3]]))]
+        owners = {}
+        for k, g in enumerate(facets):
+            for ridge in _reference_ridges(g[0]) if g else ():
+                owners.setdefault(ridge, []).append(k)
+        # the facets the apex sees, connected to pick through shared ridges
+        visible, stack = {pick}, [pick]
+        while stack:
+            for ridge in _reference_ridges(facets[stack.pop()][0]):
+                for k in owners[ridge]:
+                    if k not in visible and outside(facets[k], pts[apex]):
+                        visible.add(k)
+                        stack.append(k)
+        horizon = sorted(r for r, own in owners.items()
+                         if len(own) == 2 and (own[0] in visible) != (own[1] in visible))
+        orphans = sorted({i for k in visible for i in facets[k][3]} - {apex})
+        for k in visible:
+            facets[k] = None
+        new = []
+        for ridge in horizon:
+            plane = _reference_plane(pts, ridge + (apex,), interior)
+            if plane is not None:
+                new.append([ridge + (apex,), *plane, []])
+        facets.extend(new)
+        assign(orphans, new)
+
+
+def quickhull_reference(points):
+    """(vertices, simplices) of the Quickhull of ``points``, test by test.
+
+    A point is outside a facet when ``normal @ p - offset > tau``, one
+    one-vector dot product, with tau = 1e-9 times the bounding-box diagonal
+    (at least 1). The facet with outside points that was made first is
+    expanded next, from its first farthest outside point; the new facets
+    stand on the sorted horizon ridges, and each orphaned point goes to the
+    first new facet it is outside of. A vertex whose incident facet normals
+    do not span R^n (least singular value at most 1e-9) lies inside a face:
+    the hull is rebuilt without such vertices. Each simplex is ordered so
+    that its determinant about the vertex centroid is positive (the first
+    two vertices swapped), and the simplices are sorted.
+    """
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[1]
+    tau = 1e-9 * float(max(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)), 1.0))
+    while True:
+        facets = _reference_hull_facets(pts, tau)
+        incident = {}
+        for verts, normal, _, _ in facets:
+            for v in verts:
+                incident.setdefault(v, []).append(normal)
+        hull_idx = sorted(incident)
+        flat = {v for v, normals in incident.items()
+                if len(normals) < n or np.linalg.svd(np.array(normals), compute_uv=False)[-1] <= 1e-9}
+        if not flat:
+            break
+        pts = pts[sorted(set(hull_idx) - flat)]
+    remap = {old: new for new, old in enumerate(hull_idx)}
+    vertices = pts[hull_idx]
+    simplices = np.array([[remap[v] for v in f[0]] for f in facets], dtype=int)
+    flip = np.linalg.det(vertices[simplices] - vertices.mean(axis=0)) < 0
+    simplices[flip, :2] = simplices[flip, 1::-1]
+    return vertices, np.array(sorted(simplices.tolist()), dtype=int)
+
+
+def gaussian_sup_reference(points, trials, seed, chunk=4096):
+    """(mean, std_error) of max over the points of <g, p>, over ``trials``
+    standard Gaussian vectors g. The k-th chunk of ``chunk`` trials (fewer in
+    the last) draws its g from the k-th child of ``SeedSequence(seed)`` and
+    forms the whole chunk's ``(g @ pts.T).max(axis=1)``."""
+    pts = np.asarray(points, dtype=float)
+    children = np.random.SeedSequence(int(seed)).spawn(-(-trials // chunk))
+    sups = []
+    for k, child in enumerate(children):
+        g = np.random.default_rng(child).standard_normal((min(chunk, trials - k * chunk), pts.shape[1]))
+        sups.append((g @ pts.T).max(axis=1))
+    sups = np.concatenate(sups)
+    return float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(trials))

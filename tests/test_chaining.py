@@ -30,6 +30,7 @@ from oracles import (
     farthest_pair,
     gamma_by_enumeration,
     gamma_greedy_reference,
+    gaussian_sup_reference,
     halfnormal_mean,
     max_two_gaussians_mean,
     positive_part_gaussian_mean,
@@ -389,6 +390,18 @@ def test_sup_deterministic_bit_for_bit():
     a = gaussian_sup_mc(np.eye(3), 12345, 77)
     b = gaussian_sup_mc(np.eye(3), 12345, 77)
     assert a == b
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4095, 4096, 4097, 8449]), st.sampled_from([1, 2, 137, 2000]),
+       st.sampled_from([1, 2, 8, 16]), st.sampled_from("CF"), st.integers(0, 2**31 - 1))
+def test_sup_replays_the_full_chunk_product_bit_for_bit(trials, n, d, order, seed):
+    # the buffered product keeps each chunk's (take, n) shape, around the
+    # chunk boundary and for a last chunk of any size
+    pts = np.asarray(np.random.default_rng(seed).standard_normal((n, d)), order=order)
+    est = gaussian_sup_mc(pts, trials, seed)
+    mean, std_error = gaussian_sup_reference(pts, trials, seed)
+    assert (est.mean.hex(), est.std_error.hex()) == (mean.hex(), std_error.hex())
 
 
 def test_sup_changes_with_seed():

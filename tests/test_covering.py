@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hullmetry import covering, geometry
 from hullmetry.chaining import entropy_integral
-from hullmetry.errors import ParamOutOfRange, TooLarge
+from hullmetry.errors import ParamOutOfRange, TooLarge, Unsupported
 from hullmetry.covering import (
     _gonzalez,
     _greedy_centers,
@@ -254,10 +254,12 @@ def test_volume_bounds_upper_needs_inball():
 
 def test_volume_cover_bounds_reads_the_cached_halfspaces(count_calls):
     sq = quickhull(SQ_VERTS)
-    normals = count_calls(geometry, "_facet_normal")
-    for eps in (0.2, 0.4, 0.8):
+    normals = count_calls(geometry, "_facet_normals")
+    volume_cover_bounds(sq, 0.2)
+    assert len(normals) == 1  # one batched call for the four edges of the square
+    for eps in (0.4, 0.8):
         volume_cover_bounds(sq, eps)
-    assert len(normals) == 4  # one per edge of the square, on the first call only
+    assert len(normals) == 1
 
 
 # star-shaped polygons that are not convex, vertices in order; the
@@ -290,7 +292,7 @@ def _gate_body(name):
 
 
 GATE_BODIES = ([f"polygon-{s}" for s in range(4)] + [f"polytope-{s}" for s in range(4)]
-               + ["thin_triangle"] + sorted(NONCONVEX_GATE_BODIES))
+               + ["thin_triangle"])
 
 
 @pytest.mark.parametrize("name", GATE_BODIES)
@@ -303,18 +305,24 @@ def test_volume_cover_bounds_gate_matches_linprog(name, count_calls):
     heights = normals @ poly.vertices.T
     lo = (offsets - heights.mean(axis=1)).min()
     hi = 0.5 * (offsets - heights.min(axis=1)).min()
-    convex = name not in NONCONVEX_GATE_BODIES
-    if convex:
-        assert lo - 1e-9 <= radius <= hi + 1e-9
+    assert lo - 1e-9 <= radius <= hi + 1e-9
     epsilons = np.concatenate([np.linspace(lo / 2, 1.5 * hi, 13),
                                radius + np.array([-1e-9, -1e-12, 0.0, 1e-12, 1e-9])])
     calls = count_calls(covering, "inradius")
     for eps in epsilons[epsilons > 0]:
         assert (volume_cover_bounds(poly, eps)[1] is None) == (radius + 1e-12 < eps)
-    if name == "thin_triangle" or not convex:
-        assert calls  # epsilon between the bounds, or a body that is not convex
-    if convex:
-        assert len(calls) < len(epsilons)
+    if name == "thin_triangle":
+        assert calls  # epsilon between the bounds
+    assert len(calls) < len(epsilons)
+
+
+@pytest.mark.parametrize("name", sorted(NONCONVEX_GATE_BODIES))
+def test_inradius_and_volume_cover_bounds_reject_a_nonconvex_polytope(name):
+    poly = _gate_body(name)
+    with pytest.raises(Unsupported, match="not convex"):
+        inradius(poly)
+    with pytest.raises(Unsupported, match="not convex"):
+        volume_cover_bounds(poly, 0.1)
 
 
 def test_volume_lower_bound_below_exact_cover():

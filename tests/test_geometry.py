@@ -10,6 +10,9 @@ from hullmetry.errors import DegenerateInput, NonOrientable
 from hullmetry.geometry import (
     Ball,
     PointCloud,
+    _farthest_outside,
+    _first_outside,
+    _screen_margins,
     load_body,
     load_cloud,
     min_enclosing_ball,
@@ -24,7 +27,7 @@ from hullmetry.minkowski import BodyApprox, body_beta
 from hullmetry.sampling import membership
 
 import bundled
-from oracles import extreme_points, shoelace, welzl_reference
+from oracles import extreme_points, quickhull_reference, shoelace, welzl_reference
 
 L_DOC, SQ_DOC = bundled.payload("lshape"), bundled.payload("unit_square")
 L_VERTS, L_FACETS = np.array(L_DOC["vertices"]), L_DOC["facets"]
@@ -138,18 +141,24 @@ def _pinned_clouds():
         "gauss300_r5": np.random.default_rng(102).standard_normal((300, 5)),
         "lattice5_r3": np.array([[x, y, z] for x in g for y in g for z in g]),
         "gauss_rounded_r3": np.round(np.random.default_rng(103).standard_normal((400, 3)), 1),
+        "gauss1000_r5_t1e4": np.random.default_rng(104).standard_normal((1000, 5)) + 1e4,
+        "lattice3_r6": np.stack(np.meshgrid(*[np.arange(3.0)] * 6, indexing="ij"), -1).reshape(-1, 6),
     }
 
 
-# sha256 of vertices.tobytes() + boundary.simplices.tobytes(), recorded with the
-# Quickhull that rebuilt its ridge map on every iteration. A changed initial
-# simplex, pick order, apex, tolerance test, horizon order or outside-set
-# assignment shows up here as a different triangulation.
+# sha256 of vertices.tobytes() + boundary.simplices.tobytes(). The first four
+# were recorded with the Quickhull that rebuilt its ridge map on every
+# iteration, the last two with the one that tested every point against every
+# facet one dot product at a time. A changed initial simplex, pick order,
+# apex, tolerance test, horizon order or outside-set assignment shows up here
+# as a different triangulation.
 PINNED_HULL_DIGESTS = {
     "sphere500_r3": "5d7c7d83cef50cac0a60f9b3b01a05079ffc35343b6955181e897e6733668241",
     "gauss300_r5": "ced3ec177c8f92c546a2f196430c668c879026a8683cbea4e37534d979b128aa",
     "lattice5_r3": "68db971cf8a2dbb145b90a6b2e0b8f4c299ea268da8e58235d78f9ceb28fd93b",
     "gauss_rounded_r3": "c6b1662d430f746debc8a1d42e659d046b5544b04be2e4868a2f39836a4f3a26",
+    "gauss1000_r5_t1e4": "8c3a9a0564a35fe9646533f96eac725b55739c6b92c6cfcf0f86cb4dfe1077ab",
+    "lattice3_r6": "bd897b208f3e8a55fccf91d78d71eb1d0f225f82c933924cc4b9d645abba600c",
 }
 
 
@@ -158,6 +167,87 @@ def test_quickhull_output_is_bit_identical_to_pinned(name):
     hull = quickhull(_pinned_clouds()[name])
     digest = hashlib.sha256(hull.vertices.tobytes() + hull.boundary.simplices.tobytes())
     assert digest.hexdigest() == PINNED_HULL_DIGESTS[name]
+
+
+def _replay_cloud(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal((int(rng.integers(d + 2, 8 * d)), d))
+    if kind == "gauss":
+        return g
+    if kind == "sphere":
+        return g / np.linalg.norm(g, axis=1, keepdims=True)
+    if kind == "rounded":
+        return np.round(g, 1)
+    if kind == "duplicated":
+        return np.vstack([g, g[rng.integers(0, len(g), len(g) // 2)]])
+    lattice = np.stack(np.meshgrid(*[np.arange(3.0)] * d, indexing="ij"), -1).reshape(-1, d)
+    return lattice[np.sort(rng.choice(len(lattice), min(len(lattice), 8 * d), replace=False))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.sampled_from(["gauss", "sphere", "lattice", "rounded", "duplicated"]),
+       st.integers(min_value=2, max_value=6), st.booleans())
+def test_quickhull_replays_the_point_by_point_loop_bit_for_bit(seed, kind, d, moved):
+    # the screened outside sets and apex make the decisions of the reference's
+    # one-dot-product-per-test loop; far from the origin the screen's margin
+    # grows with |offset|
+    rng = np.random.default_rng(seed)
+    pts = _replay_cloud(kind, d, rng)
+    if moved:
+        pts = pts * 10 ** rng.uniform(0, 6) + rng.uniform(-1e6, 1e6, d)
+    if np.linalg.matrix_rank(pts[1:] - pts[0]) < d:
+        with pytest.raises(DegenerateInput):
+            quickhull(pts)
+        return
+    hull = quickhull(pts)
+    vertices, simplices = quickhull_reference(pts)
+    assert hull.vertices.tobytes() == vertices.tobytes()
+    assert hull.boundary.simplices.tobytes() == simplices.tobytes()
+
+
+def _screen_case(d: int, seed: int):
+    # points far from the origin and unit normals whose planes pass near them
+    rng = np.random.default_rng(seed)
+    pts = 10.0 * rng.standard_normal((200, d)) + rng.uniform(-1e4, 1e4, d)
+    normals = rng.standard_normal((3, d))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    offsets = np.array([normal @ pts[k] for k, normal in enumerate(normals)])
+    margins = _screen_margins(d, float(np.abs(pts).sum(axis=1).max()), offsets)
+    exact = np.array([[normal @ p - offset for normal, offset in zip(normals, offsets)] for p in pts])
+    return pts, normals, offsets, margins, exact
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_first_outside_decides_every_test_as_the_exact_expression(d):
+    pts, normals, offsets, margins, exact = _screen_case(d, d)
+    screened = pts @ normals.T - offsets
+    assert np.all(np.abs(screened - exact) <= margins)
+    rows = np.arange(len(pts))
+    first = np.where((exact > 0).any(axis=1), (exact > 0).argmax(axis=1), -1)
+    assert _first_outside(pts, rows, normals, offsets, margins, 0.0).tolist() == first.tolist()
+    # thresholds at every exact value and just below it: wherever the screened
+    # value rounds the other way, only the exact expression decides
+    for j in range(len(normals)):
+        for tau in np.concatenate([exact[:, j], np.nextafter(exact[:, j], -np.inf)]):
+            got = _first_outside(pts, rows, normals[j : j + 1], offsets[j : j + 1], margins[j : j + 1], tau)
+            assert got.tolist() == np.where(exact[:, j] > tau, 0, -1).tolist()
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_farthest_outside_picks_the_first_exact_maximum(d):
+    # points on one hyperplane: their values differ only by rounding, so the
+    # screened maximum is often another point than the exact one
+    rng = np.random.default_rng(100 + d)
+    normal = rng.standard_normal(d)
+    normal /= np.linalg.norm(normal)
+    tangents = rng.standard_normal((300, d))
+    pts = 1e4 + tangents - np.outer(tangents @ normal, normal)
+    offset = float(normal @ pts[0]) - 1.0
+    margin = float(_screen_margins(d, float(np.abs(pts).sum(axis=1).max()), np.array([offset]))[0])
+    outside = list(range(len(pts)))
+    exact = [normal @ p - offset for p in pts]
+    assert _farthest_outside(pts, outside, normal, offset, margin) == int(np.argmax(exact))
+    assert _farthest_outside(pts, outside[::-1], normal, offset, margin) == 299 - int(np.argmax(exact[::-1]))
 
 
 @settings(max_examples=30, deadline=None)
