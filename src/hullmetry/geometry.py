@@ -143,8 +143,8 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not 0 <= self.radius < math.inf:
+            raise ValueError("radius must be finite and nonnegative")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         d = np.linalg.norm(np.atleast_2d(points) - self.center, axis=1)
@@ -177,7 +177,8 @@ def _facet_normals(pts: np.ndarray, verts, interior: np.ndarray):
     planes in order. The generalized cross product is expanded in cofactors;
     the d minors of every row are stacked into one ``det`` call, which still
     factors each minor on its own, so a normal does not depend on the rows
-    beside it. Its norm, offset and side are one-vector dot products.
+    beside it. Its norm, offset and side come from ``np.vecdot``, whose
+    float64 loop on contiguous rows is the one-vector dot product's.
     """
     verts = np.asarray(verts, dtype=np.intp).reshape(-1, pts.shape[1])
     d = pts.shape[1]
@@ -188,71 +189,38 @@ def _facet_normals(pts: np.ndarray, verts, interior: np.ndarray):
     # another order
     dets = np.ascontiguousarray(np.linalg.det(np.swapaxes(rows[:, :, _minor_cols(d)], 1, 2)))
     dets[:, 1::2] = -dets[:, 1::2]
-    # math.sqrt(v @ v) is what np.linalg.norm takes of a 1-d vector: same bits
-    norms = np.array([math.sqrt(v @ v) for v in dets])
+    # the square root of v @ v is what np.linalg.norm takes of a 1-d vector
+    norms = np.sqrt(np.vecdot(dets, dets))
     kept = norms != 0.0
     normals = dets[kept] / norms[kept, None]
-    offsets = np.array([normal @ base for normal, base in zip(normals, bases[kept])])
-    flip = np.array([normal @ interior for normal in normals]) > offsets
+    offsets = np.vecdot(normals, bases[kept])
+    flip = np.vecdot(normals, interior) > offsets
     normals[flip] = -normals[flip]
     offsets[flip] = -offsets[flip]
     return kept, normals, offsets
 
 
-# The screened value ``pts @ normals.T - offsets`` (a matmul) and the exact one
-# (``normal @ p - offset``, a one-vector dot product) are two roundings of the
-# same sum of d products and a subtraction. Each is within
-# gamma_d * ||p||_1 + u (||p||_1 + |offset|) of the true value, u = eps / 2,
-# gamma_d = d u / (1 - d u), whatever the summation order and with or without
-# FMA, for a unit normal. So they differ by at most about (d + 1) eps
-# (||p||_1 + |offset|). The screen's margin, 2 (d + 2) eps (max ||p||_1 +
-# |offset|), is more than twice that.
-_SCREEN_EPS = 2.0 * np.finfo(float).eps
-
-
-def _screen_margins(d: int, l1_max: float, offsets: np.ndarray) -> np.ndarray:
-    """Per-facet bound on |screened - exact| for points of 1-norm at most ``l1_max``."""
-    return _SCREEN_EPS * (d + 2) * (l1_max + np.abs(offsets))
-
-
-def _first_outside(pts, rows, normals, offsets, margins, tau) -> np.ndarray:
+def _first_outside(pts, rows, normals, offsets, tau) -> np.ndarray:
     """For each point ``pts[rows[k]]``, the first facet ``j`` (in order) with
-    ``normals[j] @ p - offsets[j] > tau``, or -1 if there is none.
-
-    One matmul screens every pair: a screened value above ``tau + margin``
-    passes, one at or below ``tau - margin`` fails, and only the pairs in
-    between are decided by the exact one-vector expression.
-    """
-    vals = pts[rows] @ normals.T - offsets  # (m, k)
-    passes = vals > tau + margins
-    for r, j in zip(*np.nonzero((vals > tau - margins) & ~passes)):
-        passes[r, j] = normals[j] @ pts[rows[r]] - offsets[j] > tau
+    ``normals[j] @ p - offsets[j] > tau``, or -1 if there is none."""
+    passes = np.vecdot(pts[rows][:, None, :], normals) - offsets > tau  # (m, k)
     first = passes.argmax(axis=1)
     return np.where(passes[np.arange(len(rows)), first], first, -1)
 
 
-def _farthest_outside(pts, outside: list[int], normal, offset, margin) -> int:
-    """The point of ``outside`` with the largest ``normal @ p - offset``, first on ties.
-
-    The screened maximum is within ``margin`` of the exact one, so only the
-    points screened within ``2 * margin`` of it can attain it; the exact
-    expression picks among those.
-    """
-    vals = pts[outside] @ normal - offset
-    cand = np.flatnonzero(vals >= vals.max() - 2.0 * margin)
-    exact = np.array([normal @ pts[outside[k]] - offset for k in cand])
-    return outside[cand[int(np.argmax(exact))]]
+def _farthest_outside(pts, outside: list[int], normal, offset) -> int:
+    """The point of ``outside`` with the largest ``normal @ p - offset``, first on ties."""
+    return outside[int(np.argmax(np.vecdot(pts[outside], normal) - offset))]
 
 
 class _Facet:
-    __slots__ = ("verts", "ridges", "normal", "offset", "margin", "outside")
+    __slots__ = ("verts", "ridges", "normal", "offset", "outside")
 
-    def __init__(self, verts, normal, offset, margin):
+    def __init__(self, verts, normal, offset):
         self.verts = verts
         self.ridges = _ridges(verts)
         self.normal = normal
         self.offset = offset
-        self.margin = margin
         self.outside: list[int] = []
 
 
@@ -316,32 +284,30 @@ def _hull_facets(pts: np.ndarray, tau: float) -> list[_Facet]:
     replaces, not to the whole hull.
 
     A point is outside a facet when ``normal @ p - offset > tau``, that one
-    dot product exactly. The outside sets and the apex are screened with
-    matmuls first (:func:`_first_outside`, :func:`_farthest_outside`), and
-    only the tests the screen cannot decide run the exact expression, so the
-    decisions and their order are those of a point-by-point loop.
+    dot product exactly. The outside sets and the apex take all their tests
+    in one ``np.vecdot`` call each (:func:`_first_outside`,
+    :func:`_farthest_outside`), which gives the same bits, so the decisions
+    and their order are those of a point-by-point loop.
     """
     n = pts.shape[1]
     init = _initial_simplex(pts, tau)
     interior = pts[init].mean(axis=0)
-    l1_max = float(np.abs(pts).sum(axis=1).max())
 
     facets: list[_Facet | None] = []  # by id; None once the facet is dead
     ridge_map: dict[tuple, list[int]] = {}  # ridge -> ids of the live facets holding it
 
     def add_facets(verts: list[tuple], normals, offsets, candidates: list[int]) -> None:
         # new facets, then each candidate point goes to the first it is outside of
-        margins = _screen_margins(n, l1_max, offsets)
         fids = []
-        for v, normal, offset, margin in zip(verts, normals, offsets.tolist(), margins.tolist()):
+        for v, normal, offset in zip(verts, normals, offsets.tolist()):
             fid = len(facets)
-            facet = _Facet(v, normal, offset, margin)
+            facet = _Facet(v, normal, offset)
             for ridge in facet.ridges:
                 ridge_map.setdefault(ridge, []).append(fid)
             facets.append(facet)
             fids.append(fid)
         if fids and candidates:
-            first = _first_outside(pts, np.array(candidates), normals, offsets, margins, tau)
+            first = _first_outside(pts, np.array(candidates), normals, offsets, tau)
             for idx, j in zip(candidates, first.tolist()):
                 if j >= 0:
                     facets[fids[j]].outside.append(idx)
@@ -371,7 +337,7 @@ def _hull_facets(pts: np.ndarray, tau: float) -> list[_Facet]:
             break
         pick = cursor
         f = facets[pick]
-        apex = _farthest_outside(pts, f.outside, f.normal, f.offset, f.margin)
+        apex = _farthest_outside(pts, f.outside, f.normal, f.offset)
 
         apex_pt = pts[apex]
         visible = {pick}
@@ -416,20 +382,20 @@ def quickhull(cloud: PointCloud | np.ndarray) -> Polytope:
     incrementally (see :func:`_hull_facets`), so the cost follows the facets
     created rather than growing with the square of the hull size. Each
     iteration's new facet normals come from one stacked ``det``, and the
-    outside sets and the apex from matmuls that decide every test lying
-    clearly past the tolerance; the few within a rounding margin of it
-    (2 (n + 2) eps (max ||p||_1 + |offset|)) are confirmed with the exact
-    one-vector expression, so the triangulation is that of a
-    point-by-point loop, bit for bit. Every returned vertex is an extreme
-    point: a tie-broken pick that lands inside a hull face is dropped and
-    the hull rebuilt from the remaining vertices.
+    outside sets and the apex from batched ``np.vecdot`` calls, whose
+    float64 loop on contiguous rows is the one-vector dot product's, so the
+    triangulation is that of a point-by-point loop, bit for bit. The points
+    are taken in C order, so the result does not depend on the input's
+    memory layout. Every returned vertex is an extreme point: a tie-broken
+    pick that lands inside a hull face is dropped and the hull rebuilt from
+    the remaining vertices.
 
     The hull is not delegated to Qhull (``scipy.spatial.ConvexHull``): Qhull
     triangulates coplanar faces differently (it splits a cube's squares
     along the other diagonals), which changes the boundary samples drawn
     from the hull and with them the certified values in ``results.json``.
     """
-    pts = _points_of(cloud)
+    pts = np.ascontiguousarray(_points_of(cloud))
     n = pts.shape[1]
     if n < 2:
         raise Unsupported("hull computation needs ambient dimension >= 2")
@@ -599,57 +565,50 @@ _WELZL_DIM_CAP = 10
 
 def _circumball(points: np.ndarray, support: list[int]) -> tuple[np.ndarray, float]:
     """Smallest ball with every support point (rows of ``points``) on its sphere."""
-    p0 = points[support[0]]
+    sup = points[support]
     if len(support) == 1:
-        return p0.copy(), 0.0
-    Q = points[support[1:]] - p0
+        return sup[0], 0.0
+    Q = sup[1:] - sup[0]
     gram = 2.0 * Q @ Q.T
     rhs = np.einsum("ij,ij->i", Q, Q)
     try:
         lam = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         lam = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-    center = p0 + lam @ Q
-    # v @ v is the dot product np.linalg.norm takes of a 1-d vector: same bits
-    radius = max(math.sqrt(v @ v) for v in points[support] - center)
-    return center, radius
+    center = sup[0] + lam @ Q
+    # sqrt is correctly rounded and monotone: the max of the square roots
+    diff = sup - center
+    return center, math.sqrt(np.vecdot(diff, diff).max())
 
 
 def _welzl(points: np.ndarray, order: list[int], tau: float) -> tuple[np.ndarray, float, list[int]]:
     """Welzl's recursion over ``points`` taken in ``order``; (center, radius, support).
 
     A point is outside the current ball when its distance to the centre, the
-    norm of one vector, exceeds r + tau. A scan computes the squared distances
-    of all its remaining points at once, flags those beyond (r + tau)(1 - 1e-12)
-    and confirms the first flagged point with the one-vector norm. Unflagged
-    points cannot pass that test, so the recursion makes the same decisions,
-    in the same order, as a point-by-point scan.
+    norm of one vector, exceeds r + tau. A scan takes the distances of all
+    its remaining points in one ``np.vecdot`` call, whose float64 loop on
+    contiguous rows is the one-vector dot product's, and moves to the first
+    point outside; so the recursion makes the decisions, in the order, of a
+    point-by-point scan.
     """
     dim = points.shape[1]
     ordered = points[order]
 
     # the active points of every call are a prefix ordered[:m] of the order
     def solve(m: int, boundary: list[int]):
-        if len(boundary) == dim + 1 or m == 0:
-            if not boundary:
-                return None, -1.0, []
-            c, r = _circumball(ordered, boundary)
-            return c, r, list(boundary)
-        c, r, sup = solve(0, boundary)
-        pos = 0
-        if c is None:  # no boundary yet: the first point starts the ball
-            c, r, sup = solve(0, [0])
-            pos = 1
+        pos = 0 if boundary else 1  # with no boundary yet, the first point starts the ball
+        sup = boundary or [0]
+        c, r = _circumball(ordered, sup)
+        if len(boundary) == dim + 1:
+            return c, r, sup
         while pos < m:
             diff = ordered[pos:m] - c
-            flagged = np.einsum("ij,ij->i", diff, diff) > ((r + tau) * (1 - 1e-12)) ** 2
-            j = int(flagged.argmax())
-            if not flagged[j]:
+            outside = np.sqrt(np.vecdot(diff, diff)) > r + tau
+            j = int(outside.argmax())
+            if not outside[j]:
                 break
-            v = diff[j]
             pos += j
-            if math.sqrt(v @ v) > r + tau:
-                c, r, sup = solve(pos, boundary + [pos])
+            c, r, sup = solve(pos, boundary + [pos])
             pos += 1
         return c, r, sup
 
@@ -671,12 +630,14 @@ def min_enclosing_ball(cloud: PointCloud | np.ndarray) -> Ball:
     """Smallest ball containing all points.
 
     Exact Welzl recursion up to dimension 10, over the distinct points in a
-    fixed seeded order. Each scan for points outside the current ball checks
-    its remaining points with one vectorised distance array and confirms the
-    flagged ones one by one, so the support and its order are those of a
+    fixed seeded order. Each scan for a point outside the current ball takes
+    the distances of its remaining points in one exact batched call (see
+    :func:`_welzl`), so the support and its order are those of a
     point-by-point scan. Beyond dimension 10 an iterative refinement whose
     reported radius always covers every point. The points are taken in C
     order, so the result does not depend on the input's memory layout.
+    Raises :class:`DegenerateInput` when the squared distances overflow and
+    the radius is not finite.
     """
     pts = np.ascontiguousarray(_points_of(cloud))
     tau = TAU_GEOM * _scale_of(pts)
@@ -686,13 +647,17 @@ def min_enclosing_ball(cloud: PointCloud | np.ndarray) -> Ball:
         return Ball(uniq[0], 0.0, support=uniq[:1])
     if pts.shape[1] > _WELZL_DIM_CAP:
         center, radius = _badoiu_clarkson(uniq)
-        return Ball(center, radius, support=None)
-    rng = np.random.default_rng(0x5EED)
-    order = list(rng.permutation(len(uniq)))
-    center, radius, sup = _welzl(uniq, order, tau)
-    # report the radius that certifiably covers everything
-    radius = max(radius, float(np.max(np.linalg.norm(pts - center, axis=1))))
-    return Ball(center, radius, support=uniq[sup])
+        support = None
+    else:
+        rng = np.random.default_rng(0x5EED)
+        order = list(rng.permutation(len(uniq)))
+        center, radius, sup = _welzl(uniq, order, tau)
+        # report the radius that certifiably covers everything
+        radius = max(radius, float(np.max(np.linalg.norm(pts - center, axis=1))))
+        support = uniq[sup]
+    if not math.isfinite(radius):
+        raise DegenerateInput("squared distances overflow float64: the enclosing ball has no finite radius")
+    return Ball(center, radius, support=support)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from hullmetry.errors import DegenerateInput, NonOrientable
 from hullmetry.geometry import (
+    TAU_GEOM,
     Ball,
     PointCloud,
+    _facet_normals,
     _farthest_outside,
     _first_outside,
-    _screen_margins,
     load_body,
     load_cloud,
     min_enclosing_ball,
@@ -27,7 +28,7 @@ from hullmetry.minkowski import BodyApprox, body_beta
 from hullmetry.sampling import membership
 
 import bundled
-from oracles import extreme_points, quickhull_reference, shoelace, welzl_reference
+from oracles import _reference_plane, extreme_points, quickhull_reference, shoelace, welzl_reference
 
 L_DOC, SQ_DOC = bundled.payload("lshape"), bundled.payload("unit_square")
 L_VERTS, L_FACETS = np.array(L_DOC["vertices"]), L_DOC["facets"]
@@ -188,9 +189,9 @@ def _replay_cloud(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
        st.sampled_from(["gauss", "sphere", "lattice", "rounded", "duplicated"]),
        st.integers(min_value=2, max_value=6), st.booleans())
 def test_quickhull_replays_the_point_by_point_loop_bit_for_bit(seed, kind, d, moved):
-    # the screened outside sets and apex make the decisions of the reference's
-    # one-dot-product-per-test loop; far from the origin the screen's margin
-    # grows with |offset|
+    # the batched outside sets and apex make the decisions of the reference's
+    # one-dot-product-per-test loop, also far from the origin, where the
+    # tested values are small differences of large products
     rng = np.random.default_rng(seed)
     pts = _replay_cloud(kind, d, rng)
     if moved:
@@ -203,51 +204,88 @@ def test_quickhull_replays_the_point_by_point_loop_bit_for_bit(seed, kind, d, mo
     vertices, simplices = quickhull_reference(pts)
     assert hull.vertices.tobytes() == vertices.tobytes()
     assert hull.boundary.simplices.tobytes() == simplices.tobytes()
+    fortran = quickhull(np.asfortranarray(pts))
+    assert fortran.vertices.tobytes() == vertices.tobytes()
+    assert fortran.boundary.simplices.tobytes() == simplices.tobytes()
 
 
-def _screen_case(d: int, seed: int):
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=33),
+       st.integers(min_value=1, max_value=60))
+def test_vecdot_is_the_one_vector_dot_product_bit_for_bit(seed, d, m):
+    # the premise of the batched Quickhull and Welzl tests: on C-contiguous
+    # rows np.vecdot runs the float64 loop of a 1-d ``a @ b``; d >= 16
+    # reaches OpenBLAS's SIMD block. Far from the origin the products cancel.
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((m, d)) * 10 ** rng.uniform(-3, 6) + rng.uniform(-1e4, 1e4, d)
+    vectors = rng.standard_normal((m, d))
+    one = vectors[0] / np.linalg.norm(vectors[0])
+    assert np.vecdot(rows, one).tobytes() == np.array([p @ one for p in rows]).tobytes()
+    i, j = rng.integers(0, m, 2 * m).reshape(2, -1)
+    pairs = np.vecdot(rows[i], vectors[j])
+    assert pairs.tobytes() == np.array([rows[a] @ vectors[b] for a, b in zip(i, j)]).tobytes()
+    table = np.vecdot(rows[:, None, :], vectors[: min(m, 5)])
+    want = np.array([[p @ v for v in vectors[: min(m, 5)]] for p in rows])
+    assert table.tobytes() == want.tobytes()
+    diff = rows - rows[m // 2]
+    assert np.vecdot(diff, diff).tobytes() == np.array([v @ v for v in diff]).tobytes()
+
+
+def _exact_case(d: int, seed: int):
     # points far from the origin and unit normals whose planes pass near them
     rng = np.random.default_rng(seed)
     pts = 10.0 * rng.standard_normal((200, d)) + rng.uniform(-1e4, 1e4, d)
     normals = rng.standard_normal((3, d))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     offsets = np.array([normal @ pts[k] for k, normal in enumerate(normals)])
-    margins = _screen_margins(d, float(np.abs(pts).sum(axis=1).max()), offsets)
     exact = np.array([[normal @ p - offset for normal, offset in zip(normals, offsets)] for p in pts])
-    return pts, normals, offsets, margins, exact
+    return pts, normals, offsets, exact
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_first_outside_decides_every_test_as_the_exact_expression(d):
-    pts, normals, offsets, margins, exact = _screen_case(d, d)
-    screened = pts @ normals.T - offsets
-    assert np.all(np.abs(screened - exact) <= margins)
+    pts, normals, offsets, exact = _exact_case(d, d)
     rows = np.arange(len(pts))
     first = np.where((exact > 0).any(axis=1), (exact > 0).argmax(axis=1), -1)
-    assert _first_outside(pts, rows, normals, offsets, margins, 0.0).tolist() == first.tolist()
-    # thresholds at every exact value and just below it: wherever the screened
-    # value rounds the other way, only the exact expression decides
+    assert _first_outside(pts, rows, normals, offsets, 0.0).tolist() == first.tolist()
+    # thresholds at every exact value and just below it: a value that rounds
+    # the other way by one ulp decides the other way
     for j in range(len(normals)):
         for tau in np.concatenate([exact[:, j], np.nextafter(exact[:, j], -np.inf)]):
-            got = _first_outside(pts, rows, normals[j : j + 1], offsets[j : j + 1], margins[j : j + 1], tau)
+            got = _first_outside(pts, rows, normals[j : j + 1], offsets[j : j + 1], tau)
             assert got.tolist() == np.where(exact[:, j] > tau, 0, -1).tolist()
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_farthest_outside_picks_the_first_exact_maximum(d):
-    # points on one hyperplane: their values differ only by rounding, so the
-    # screened maximum is often another point than the exact one
+    # points on one hyperplane: their values differ only by rounding, so a
+    # product summed in another order often has another maximum
     rng = np.random.default_rng(100 + d)
     normal = rng.standard_normal(d)
     normal /= np.linalg.norm(normal)
     tangents = rng.standard_normal((300, d))
     pts = 1e4 + tangents - np.outer(tangents @ normal, normal)
     offset = float(normal @ pts[0]) - 1.0
-    margin = float(_screen_margins(d, float(np.abs(pts).sum(axis=1).max()), np.array([offset]))[0])
     outside = list(range(len(pts)))
     exact = [normal @ p - offset for p in pts]
-    assert _farthest_outside(pts, outside, normal, offset, margin) == int(np.argmax(exact))
-    assert _farthest_outside(pts, outside[::-1], normal, offset, margin) == 299 - int(np.argmax(exact[::-1]))
+    assert _farthest_outside(pts, outside, normal, offset) == int(np.argmax(exact))
+    assert _farthest_outside(pts, outside[::-1], normal, offset) == 299 - int(np.argmax(exact[::-1]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_facet_normals_give_each_plane_the_bits_of_the_reference(d):
+    # far from the origin the offsets are small differences of large
+    # products, and a norm or offset summed in another order moves their bits
+    rng = np.random.default_rng(200 + d)
+    pts = 10.0 * rng.standard_normal((60, d)) + rng.uniform(-1e4, 1e4, d)
+    verts = [tuple(rng.choice(len(pts), d, replace=False)) for _ in range(300)]
+    verts.append((0,) * d)  # affinely degenerate: dropped
+    interior = pts.mean(axis=0)
+    kept, normals, offsets = _facet_normals(pts, verts, interior)
+    planes = [_reference_plane(pts, v, interior) for v in verts]
+    assert kept.tolist() == [plane is not None for plane in planes]
+    assert normals.tobytes() == np.array([plane[0] for plane in planes if plane]).tobytes()
+    assert offsets.tobytes() == np.array([plane[1] for plane in planes if plane]).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -440,7 +478,7 @@ def test_meb_covers_every_point_with_support_on_sphere(seed, dim, lattice):
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
-    st.sampled_from([1, 2, 3, 6, 8]),
+    st.sampled_from([1, 2, 3, 6, 8, 10]),
     st.sampled_from(["gauss", "repeats", "lattice"]),
     st.booleans(),
 )
@@ -467,6 +505,85 @@ def test_meb_replays_the_point_by_point_welzl_scan(seed, dim, kind, fortran):
     assert other.center.tobytes() == ball.center.tobytes()
     assert repr(other.radius) == repr(ball.radius)
     assert other.support.tobytes() == ball.support.tobytes()
+
+
+def _point_on_the_scan_threshold(d: int, above: bool) -> np.ndarray:
+    """Rows [p, e1, -e1]: the scan visits p last, against the ball of centre
+    0 and radius 1 through the other two. The one-vector norm of p is
+    exactly 1 + tau (``above``: the float after it), and the row-wise einsum
+    norm rounds to the other side of the test."""
+    def edge(pts):  # r + tau, as min_enclosing_ball sums it
+        return 1.0 + TAU_GEOM * float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+
+    rng = np.random.default_rng(d)
+    for _ in range(20_000):
+        u = rng.standard_normal(d)
+        pts = np.zeros((3, d))
+        pts[0], pts[1, 0], pts[2, 0] = u / np.linalg.norm(u), 1.0, -1.0
+        target = edge(pts)
+        if above:
+            target = float(np.nextafter(target, math.inf))
+        pts[0] *= target
+        p = pts[0]
+        other = math.sqrt(np.einsum("ij,ij->i", p[None], p[None])[0])
+        if (math.sqrt(p @ p) == target and edge(pts) == (np.nextafter(target, 0.0) if above else target)
+                and (other < target if above else other > target)):
+            return pts
+    raise AssertionError("no threshold point found")
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, 10])
+@pytest.mark.parametrize("above", [False, True])
+def test_welzl_scan_decides_a_point_at_r_plus_tau_exactly(d, above):
+    # the scan visits the rows in the seeded order [1, 2, 0]
+    assert np.random.default_rng(0x5EED).permutation(3).tolist() == [1, 2, 0]
+    pts = _point_on_the_scan_threshold(d, above)
+    ball = min_enclosing_ball(pts)
+    center, radius, support = welzl_reference(pts)
+    assert ball.center.tobytes() == center.tobytes()
+    assert repr(ball.radius) == repr(radius)
+    assert ball.support.tobytes() == support.tobytes()
+    # at exactly r + tau the point is not outside; one float above, it is
+    assert (ball.support == pts[0]).all(axis=1).any() == above
+
+
+# sha256 of center.tobytes() + radius.hex() + support.tobytes(), recorded with
+# the Welzl scan that screened its squared distances with einsum and
+# confirmed the flagged points one norm at a time. The first is the
+# meb_gauss6 shape, the second a cloud at the dimension cap; both recurse
+# deep, so a changed scan decision, support order or radius shows up here.
+PINNED_MEB_DIGESTS = {
+    "gauss800_r6": "1c69e7f07078fe85523b19efc4e596f0fb8026baf6dcb1dd3e39f881a9561046",
+    "gauss200_r10": "9d9b264b5c244e69614597d9d2b127867cf03650a1c8828b5b086e3b4bf5c185",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MEB_DIGESTS))
+def test_meb_output_is_bit_identical_to_pinned(name):
+    pts = {
+        "gauss800_r6": np.random.default_rng(20240501).standard_normal((800, 6)),
+        "gauss200_r10": np.random.default_rng(105).standard_normal((200, 10)),
+    }[name]
+    ball = min_enclosing_ball(pts)
+    digest = hashlib.sha256(ball.center.tobytes() + ball.radius.hex().encode() + ball.support.tobytes())
+    assert digest.hexdigest() == PINNED_MEB_DIGESTS[name]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("dim", [2, 12])
+def test_meb_rejects_overflowing_coordinates(dim):
+    # finite coordinates whose squared distances overflow: the ball would
+    # have an infinite radius and a one-point support
+    pts = np.zeros((3, dim))
+    pts[0, 0], pts[1, 0], pts[2, 1] = 1e200, -1e200, 1e200
+    with pytest.raises(DegenerateInput, match="overflow"):
+        min_enclosing_ball(pts)
+
+
+@pytest.mark.parametrize("radius", [-1.0, math.inf, math.nan])
+def test_ball_rejects_a_radius_that_is_negative_or_not_finite(radius):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        Ball(np.zeros(2), radius)
 
 
 @pytest.mark.parametrize("n", [11, 16])
