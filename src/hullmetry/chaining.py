@@ -183,13 +183,9 @@ def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
         raise TooLarge(f"greedy construction capped at {GREEDY_CAP} points, got {n}")
     _check_alpha(alpha)
 
-    # cells stay ascending index arrays, so a cell's min index is cell[0];
-    # D[i] and M[i] are the diameter and min index of cells[i]
+    # cells stay ascending index arrays, so a cell's min index is cell[0]
     cells = [np.arange(n)]
     diams = [_cell_diam(pts, cells[0])]
-    D = np.zeros(n)
-    M = np.zeros(n, dtype=np.int64)
-    D[0] = diams[0][0]
     totals = np.zeros(n)
     partitions = [tuple((tuple(cells[0].tolist()),))]
     m = 0
@@ -214,21 +210,15 @@ def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
                 pick = work.pop()
                 _split(pts, cells, diams, pick)
                 work += [ci for ci in (pick, len(cells) - 1) if diams[ci][0] > 0]
-            for ci, cell in enumerate(cells):
-                D[ci], M[ci] = diams[ci][0], cell[0]
         else:
             while len(cells) < budget:
-                pick = _widest_cell(D[: len(cells)], M[: len(cells)])
+                pick = _widest_cell(cells, diams)
                 if pick < 0:
                     break
                 _split(pts, cells, diams, pick)
-                for ci in (pick, len(cells) - 1):
-                    D[ci], M[ci] = diams[ci][0], cells[ci][0]
-        k = len(cells)
-        order = np.argsort(M[:k])
+        order = sorted(range(len(cells)), key=lambda ci: cells[ci][0])
         cells = [cells[ci] for ci in order]
         diams = [diams[ci] for ci in order]
-        D[:k], M[:k] = D[order], M[order]
         partitions.append(tuple(tuple(c.tolist()) for c in cells))
 
     witness = AdmissibleSequence(tuple(partitions))
@@ -275,46 +265,19 @@ def _split(pts: np.ndarray, cells: list, diams: list, pick: int) -> None:
     diams.append(_cell_diam(pts, right))
 
 
-def _widest_cell(D: np.ndarray, M: np.ndarray) -> int:
-    """Index of the widest splittable cell, as a scan of the cells in list order picks it.
+def _widest_cell(cells: list, diams: list) -> int:
+    """Index of the widest splittable cell, by one scan of the cells in list order.
 
-    The scan keeps a pick p and, for each cell i with D[i] > 0, moves to i
-    when D[i] > D[p] + TIE_TOL, or when |D[i] - D[p]| <= TIE_TOL and
-    M[i] < M[p]; it returns -1 when no cell is splittable.
-
-    Only the top band can win. The band holds every splittable diameter
-    down to lo, where lo starts at max D and moves down to the next smaller
-    diameter hi while the scan's own tests fail to separate them
-    (lo > hi + TIE_TOL and lo - hi > TIE_TOL). Every band cell then beats
-    every cell below the band on the first test, and no cell below the band
-    ties with or beats a band pick. So the scan picks the first band cell it
-    meets, whatever it picked before, and keeps a band cell from then on:
-    scanning the band alone, in list order, gives the same pick. When the
-    band spans at most TIE_TOL (top - lo <= TIE_TOL and top <= lo + TIE_TOL),
-    every pair in it ties, so that scan ends at the band's lowest M.
+    The scan keeps a pick p and, for each cell i of positive diameter, moves
+    to i when its diameter exceeds p's by more than TIE_TOL, or lies within
+    TIE_TOL of it and cells[i][0] < cells[p][0]; -1 when no cell is splittable.
     """
-    live = D > 0.0
-    if not live.any():
-        return -1
-    top = D.max()
-    lo = top
-    while True:
-        below = D[live & (D < lo)]
-        if not below.size:
-            break
-        hi = below.max()
-        if lo > hi + TIE_TOL and lo - hi > TIE_TOL:
-            break
-        lo = hi
-    band = np.flatnonzero(D >= lo)
-    if top - lo <= TIE_TOL and top <= lo + TIE_TOL:
-        return int(band[np.argmin(M[band])])
-    pick = band[0]
-    for ci in band[1:]:
-        d, dp = D[ci], D[pick]
-        if d > dp + TIE_TOL or (abs(d - dp) <= TIE_TOL and M[ci] < M[pick]):
-            pick = ci
-    return int(pick)
+    pick, top = -1, -math.inf
+    for ci, (diam, _, _) in enumerate(diams):
+        if diam > 0.0 and (diam > top + TIE_TOL or (
+                abs(diam - top) <= TIE_TOL and cells[ci][0] < cells[pick][0])):
+            pick, top = ci, diam
+    return pick
 
 
 def _cell_diam(pts: np.ndarray, cell: np.ndarray):
@@ -451,7 +414,9 @@ def certify_hull_gamma(T, alpha: float, R: float | None = None,
     T is coerced by as_body: a body is sampled at axis_cells, a finite point
     set is used as-is. Both sides are discretized at one resolution: the
     body's sampling grid, or the point set's nearest-neighbor spacing. R
-    defaults to hull_ratio of the coerced body.
+    defaults to hull_ratio of the coerced body. The hull is sampled at
+    doubling spacings until the sample fits GREEDY_CAP, and TooLarge is
+    raised when no spacing makes it fit.
     """
     _check_alpha(alpha)
     A = as_body(T)
@@ -467,6 +432,10 @@ def certify_hull_gamma(T, alpha: float, R: float | None = None,
         hull_pts = sampling.sample_hull(A, h)
         if len(hull_pts) <= GREEDY_CAP:
             break
+        # past the bounding-box diagonal of the hull points no spacing shrinks the sample
+        if h > float(np.linalg.norm(np.ptp(A.hull_points(), axis=0))):
+            raise TooLarge(f"hull sample of {len(hull_pts)} points exceeds the greedy "
+                           f"gamma cap at every spacing")
         h *= 2.0
     if len(pts_T) > GREEDY_CAP:
         raise TooLarge("body sample exceeds the greedy gamma cap; coarsen axis_cells")

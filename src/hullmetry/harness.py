@@ -362,7 +362,13 @@ def _check_seed(seed) -> int:
 
 
 def run_suite(suite_file, out_dir, seed: int | None = None, jobs: int = 1) -> int:
-    """Execute a suite and write reports; exit status 0 iff every check holds."""
+    """Execute a suite and write reports; exit status 0 iff every check holds.
+
+    The pool has at most one worker per scenario: the fork start method
+    starts every worker at once.
+    """
+    if jobs < 1:
+        raise ParamOutOfRange(f"jobs must be >= 1, got {jobs!r}")
     suite = load_suite(suite_file)
     master = _check_seed(seed if seed is not None else suite.get("seed", 0))
     out = Path(out_dir)
@@ -371,7 +377,8 @@ def run_suite(suite_file, out_dir, seed: int | None = None, jobs: int = 1) -> in
     docs = suite["scenarios"]
     all_records: list[CertificationRecord] = []
     artifacts: dict[str, str] = {}
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    workers = min(jobs, len(docs))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         outcomes = (pool.map if pool else map)(run_scenario, docs, repeat(master))
         for records, files in outcomes:
             all_records.extend(records)

@@ -111,6 +111,11 @@ def _simpson(f, a: float, b: float) -> float:
     return total * h / 3.0
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ParamOutOfRange(f"{name} must be positive and finite, got {value!r}")
+
+
 REFINE_CAP = 60
 CONVERGENCE_RTOL = 1e-4
 DIVERGENCE_STREAK = 6
@@ -124,8 +129,7 @@ def integral_exists(f: RatioFunction, delta: float, refine_cap: int = REFINE_CAP
     windows. Divergence needs sustained non-decaying mass, convergence needs
     two successive refinements agreeing to 1e-4 relative.
     """
-    if delta <= 0:
-        raise ParamOutOfRange("delta must be positive")
+    _check_positive("delta", delta)
     trace: list = []
 
     for point in f.singular_points():
@@ -203,6 +207,7 @@ class LExistenceReport:
 
 def l_existence_report(p: EntropyProfile, delta: float, C: float = 1.0) -> LExistenceReport:
     """Chain the hull transformation, ratio bound, and integrability criterion."""
+    _check_positive("C", C)
     hull = hull_profile(p)
     ratio = ratio_bound(p)
     if C != 1.0:

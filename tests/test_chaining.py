@@ -179,7 +179,10 @@ def test_widest_cell_matches_sequential_scan_property(seed):
     D = base + rng.integers(0, 13, k) * np.spacing(base)
     D[rng.random(k) < 0.2] = 0.0
     M = rng.permutation(10 * k)[:k]
-    assert _widest_cell(D, M) == widest_by_scan(D.tolist(), M.tolist())
+    # the scan reads a cell's min index alone, its first entry
+    cells = [np.array([mi]) for mi in M.tolist()]
+    diams = [(d, 0, 0) for d in D.tolist()]
+    assert _widest_cell(cells, diams) == widest_by_scan(D.tolist(), M.tolist())
 
 
 def test_widest_cell_runs_only_where_the_budget_binds(monkeypatch):
@@ -195,9 +198,9 @@ def test_widest_cell_runs_only_where_the_budget_binds(monkeypatch):
         budgets.append(real_limit(m))
         return budgets[-1]
 
-    def widest(D, M):
+    def widest(cells, diams):
         scans.append(budgets[-1])
-        return real_widest(D, M)
+        return real_widest(cells, diams)
 
     monkeypatch.setattr(chaining, "cardinality_limit", limit)
     monkeypatch.setattr(chaining, "_widest_cell", widest)
@@ -210,9 +213,11 @@ def test_widest_cell_runs_only_where_the_budget_binds(monkeypatch):
 def test_widest_cell_keeps_an_earlier_pick_that_rounding_ties():
     # 1 + 5 ulp exceeds 1 by more than 1e-15, yet not 1 + 1e-15 rounded: the
     # scan moves on neither test and keeps the first, narrower cell
-    D = np.array([1.0, 1.0 + 5 * np.spacing(1.0)])
-    assert _widest_cell(D, np.array([0, 1])) == 0 == widest_by_scan(D.tolist(), [0, 1])
-    assert _widest_cell(D[::-1].copy(), np.array([1, 0])) == 0
+    D = [1.0, 1.0 + 5 * float(np.spacing(1.0))]
+    cells = [np.array([0]), np.array([1])]
+    diams = [(d, 0, 0) for d in D]
+    assert _widest_cell(cells, diams) == 0 == widest_by_scan(D, [0, 1])
+    assert _widest_cell(cells[::-1], diams[::-1]) == 0 == widest_by_scan(D[::-1], [1, 0])
 
 
 # sha256 of repr(witness.partitions) for the body and hull samples of the
@@ -468,6 +473,18 @@ def test_certify_small_cloud_uses_exact_identity():
     diam = math.sqrt(2)
     assert rep.gamma_T == pytest.approx(diam, abs=1e-12)
     assert rep.holds
+
+
+def test_certify_stops_when_no_spacing_brings_the_hull_sample_under_the_cap(
+        monkeypatch, count_calls):
+    # the square's four vertices exceed a cap of 3 at every spacing: the
+    # spacing doubles from the cloud's gap 1 past the diagonal sqrt(2), then stops
+    monkeypatch.setattr(chaining, "GREEDY_CAP", 3)
+    calls = count_calls(sampling, "sample_hull", limit=64)
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(TooLarge, match="hull sample of 4 points .* at every spacing"):
+        certify_hull_gamma(square, 2.0, R=1.0)
+    assert [h for _, h in calls] == [1.0, 2.0]
 
 
 def test_certify_rejects_unknown_mode():

@@ -256,6 +256,78 @@ def test_failing_checks_give_failed_records(tmp_path):
     )
 
 
+def test_bad_profile_inputs_give_failed_records():
+    # 1e999 parses to inf; a verdict that L does not exist would hold here
+    cases = {"inf_delta": ("delta", "1e999"), "nan_delta": ("delta", "NaN"),
+             "negative_C": ("C", "-1")}
+    for sid, (key, text) in cases.items():
+        payload = json.loads(json.dumps(bundled.payload("profile_case3")).replace(
+            f'"{key}": 1.0', f'"{key}": {text}'))
+        doc = {"id": sid, "kind": "profile", "payload": payload, "checks": ["l_existence"],
+               "params": {"expect_l_exists": False}}
+        (record,), files = run_scenario(doc, 1)
+        assert not record.holds and files == {}
+        assert record.constants["error"].startswith(
+            f"ParamOutOfRange: {key} must be positive and finite, got ")
+
+
+def test_gamma_hull_of_a_cloud_in_r5_is_a_too_large_record(count_calls):
+    # sample_hull ignores the spacing above affine rank 3: 100 vertices and
+    # their midpoints make 5051 points at every spacing, over the greedy cap
+    pts = np.random.default_rng(0).standard_normal((100, 5))
+    calls = count_calls(sampling, "sample_hull", limit=64)
+    doc = {"id": "gauss_r5", "kind": "cloud", "payload": {"dim": 5, "points": pts.tolist()},
+           "checks": ["gamma_hull"]}
+    (record,), _ = run_scenario(doc, 1)
+    assert not record.holds
+    assert record.constants == {"error": "TooLarge: hull sample of 5051 points exceeds the "
+                                         "greedy gamma cap at every spacing"}
+    assert 1 < len(calls) <= 64
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no
+    process and maps in this one."""
+
+    asked: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_run_suite_starts_at_most_one_worker_per_scenario(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    suite = small_suite()
+    one = dict(suite, scenarios=suite["scenarios"][1:])
+    for name, doc, jobs, asked in (("two", suite, 64, [2]), ("two", suite, 2, [2]),
+                                   ("one", one, 8, [])):
+        RecordingPool.asked = []
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert run_suite(path, tmp_path / f"{name}_{jobs}", jobs=jobs) == 0
+        assert RecordingPool.asked == asked
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_rejects_fewer_than_one_job(tmp_path, capsys, monkeypatch, jobs):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.asked = []
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(small_suite()))
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+    assert RecordingPool.asked == [] and not (tmp_path / "out").exists()
+
+
 def _gamma_greedy_calls(count_calls, scenario):
     """Number of gamma_greedy calls made by one bundled gamma_hull check."""
     calls = count_calls(chaining, "gamma_greedy")
@@ -446,6 +518,15 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     assert main(["run", str(bad), "--out", str(tmp_path / "out2")]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--delta", "nan"), ("--delta", "inf"),
+                                         ("--delta", "-1"), ("--C", "-1")])
+def test_cli_profile_rejects_a_bad_delta_or_constant(capsys, flag, value):
+    argv = ["profile", "--chi", "2", "--psi", "-3", flag, value]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {flag[2:]} must be positive and finite")
 
 
 def test_cli_usage_error_is_exit_two(capsys):

@@ -137,6 +137,22 @@ def test_integral_rejects_bad_delta():
         integral_exists(RatioFunction("constant", 1.0), 0.0)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -1.0])
+def test_integral_rejects_a_delta_that_is_not_finite_and_positive(delta):
+    with pytest.raises(ParamOutOfRange, match="delta must be positive and finite"):
+        integral_exists(RatioFunction("constant", 1.0), delta)
+
+
+@pytest.mark.parametrize("name, delta, C", [
+    ("delta", math.nan, 1.0), ("delta", math.inf, 1.0), ("delta", 0.0, 1.0),
+    ("C", 1.0, math.nan), ("C", 1.0, math.inf), ("C", 1.0, 0.0), ("C", 1.0, -1.0),
+])
+def test_l_existence_rejects_a_delta_or_constant_that_is_not_finite_and_positive(
+        name, delta, C):
+    with pytest.raises(ParamOutOfRange, match=f"{name} must be positive and finite"):
+        l_existence_report(EntropyProfile(2.0, -3.0), delta, C)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end reports
 # ---------------------------------------------------------------------------
