@@ -416,10 +416,17 @@ def certify_hull_gamma(T, alpha: float, R: float | None = None,
     body's sampling grid, or the point set's nearest-neighbor spacing. R
     defaults to hull_ratio of the coerced body. The hull is sampled at
     doubling spacings until the sample fits GREEDY_CAP, and TooLarge is
-    raised when no spacing makes it fit.
+    raised when no spacing makes it fit. A hull whose bounding-box diagonal
+    overflows float64 raises ParamOutOfRange.
     """
     _check_alpha(alpha)
     A = as_body(T)
+    # past twice the hull points' bounding-box diagonal the hull sample is the
+    # vertices alone: the single grid cell's centre lo + h/2 lies outside the
+    # box on every axis, and each boundary simplex keeps only its corners
+    diag = float(np.linalg.norm(np.ptp(A.hull_points(), axis=0)))
+    if not math.isfinite(diag):
+        raise ParamOutOfRange("the hull points' bounding-box diagonal overflows float64")
     if R is None:
         R = hull_ratio(A)
     if A.kind == "points":
@@ -432,8 +439,7 @@ def certify_hull_gamma(T, alpha: float, R: float | None = None,
         hull_pts = sampling.sample_hull(A, h)
         if len(hull_pts) <= GREEDY_CAP:
             break
-        # past the bounding-box diagonal of the hull points no spacing shrinks the sample
-        if h > float(np.linalg.norm(np.ptp(A.hull_points(), axis=0))):
+        if h > 2.0 * diag:
             raise TooLarge(f"hull sample of {len(hull_pts)} points exceeds the greedy "
                            f"gamma cap at every spacing")
         h *= 2.0

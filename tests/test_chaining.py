@@ -478,13 +478,30 @@ def test_certify_small_cloud_uses_exact_identity():
 def test_certify_stops_when_no_spacing_brings_the_hull_sample_under_the_cap(
         monkeypatch, count_calls):
     # the square's four vertices exceed a cap of 3 at every spacing: the
-    # spacing doubles from the cloud's gap 1 past the diagonal sqrt(2), then stops
+    # spacing doubles from the cloud's gap 1 past twice the diagonal sqrt(2), then stops
     monkeypatch.setattr(chaining, "GREEDY_CAP", 3)
     calls = count_calls(sampling, "sample_hull", limit=64)
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(TooLarge, match="hull sample of 4 points .* at every spacing"):
         certify_hull_gamma(square, 2.0, R=1.0)
-    assert [h for _, h in calls] == [1.0, 2.0]
+    assert [h for _, h in calls] == [1.0, 2.0, 4.0]
+
+
+def test_certify_doubles_until_the_grid_centre_leaves_the_hull(monkeypatch, count_calls):
+    # a regular octagon of radius 1/2 at its side s: at 4s, past the diagonal
+    # sqrt(2), the one grid centre (4s - 1)/2 * (1, 1) is still inside; only 8s
+    # drops it and leaves the eight vertices, which fit a cap of 8
+    monkeypatch.setattr(chaining, "GREEDY_CAP", 8)
+    sample_hull = sampling.sample_hull
+    calls = count_calls(sampling, "sample_hull", limit=64)
+    t = np.arange(8) * (2 * np.pi / 8)
+    octagon = 0.5 * np.stack([np.cos(t), np.sin(t)], axis=1)
+    s = chaining._diameter_and_gap(octagon)[1]
+    assert math.sqrt(2) < 4 * s < 2 * math.sqrt(2) < 8 * s
+    rep = certify_hull_gamma(octagon, 2.0, R=1.0)
+    assert rep.holds and rep.gamma_Th == rep.gamma_T
+    assert [h for _, h in calls] == [s, 2 * s, 4 * s, 8 * s]
+    assert [len(sample_hull(*args)) for args in calls] == [18, 9, 9, 8]
 
 
 def test_certify_rejects_unknown_mode():

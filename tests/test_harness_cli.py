@@ -283,6 +283,15 @@ def test_gamma_hull_of_a_cloud_in_r5_is_a_too_large_record(count_calls):
     assert record.constants == {"error": "TooLarge: hull sample of 5051 points exceeds the "
                                          "greedy gamma cap at every spacing"}
     assert 1 < len(calls) <= 64
+    # scaled past 1e154 the bounding-box diagonal overflows, and no spacing
+    # could be compared with it: a named failed record before any sampling
+    calls.clear()
+    doc["payload"]["points"] = (pts * 1e160).tolist()
+    with np.errstate(over="ignore"):
+        (record,), _ = run_scenario(doc, 1)
+    assert not record.holds and calls == []
+    assert record.constants == {"error": "ParamOutOfRange: the hull points' bounding-box "
+                                         "diagonal overflows float64"}
 
 
 class RecordingPool:
