@@ -416,8 +416,9 @@ def certify_hull_gamma(T, alpha: float, R: float | None = None,
     body's sampling grid, or the point set's nearest-neighbor spacing. R
     defaults to hull_ratio of the coerced body. The hull is sampled at
     doubling spacings until the sample fits GREEDY_CAP, and TooLarge is
-    raised when no spacing makes it fit. A hull whose bounding-box diagonal
-    overflows float64 raises ParamOutOfRange.
+    raised when no spacing makes it fit: at once when the hull's affine rank
+    exceeds sampling.MAX_GRID_RANK, where the sample ignores the spacing. A
+    hull whose bounding-box diagonal overflows float64 raises ParamOutOfRange.
     """
     _check_alpha(alpha)
     A = as_body(T)
@@ -439,7 +440,7 @@ def certify_hull_gamma(T, alpha: float, R: float | None = None,
         hull_pts = sampling.sample_hull(A, h)
         if len(hull_pts) <= GREEDY_CAP:
             break
-        if h > 2.0 * diag:
+        if h > 2.0 * diag or sampling.affine_basis(A.hull_points())[2] > sampling.MAX_GRID_RANK:
             raise TooLarge(f"hull sample of {len(hull_pts)} points exceeds the greedy "
                            f"gamma cap at every spacing")
         h *= 2.0

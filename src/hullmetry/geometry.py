@@ -1,9 +1,9 @@
 """Oriented polytopes, Quickhull, boundary-determinant volumes, and enclosing balls.
 
-A polytope is carried as a vertex array plus a closed, outward-oriented
-simplicial boundary. Both boundary volume formulas (the signed-determinant
-sum and the projected-coordinate sum) are implemented independently so they
-can cross-check each other.
+A polytope is carried as its closed, outward-oriented simplicial boundary,
+whose points are its vertices. Both boundary volume formulas (the
+signed-determinant sum and the projected-coordinate sum) are implemented
+independently so they can cross-check each other.
 """
 from __future__ import annotations
 
@@ -84,11 +84,14 @@ class SimplicialBoundary:
 
     points: np.ndarray
     simplices: np.ndarray
-    dim: int
 
     def __post_init__(self):
         object.__setattr__(self, "points", _as_points(self.points))
         object.__setattr__(self, "simplices", np.asarray(self.simplices, dtype=int))
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
 
     @property
     def n_simplices(self) -> int:
@@ -101,14 +104,17 @@ class SimplicialBoundary:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Vertex list plus oriented simplicial boundary in dimension n."""
+    """A polytope in dimension n, carried as its oriented simplicial boundary."""
 
-    vertices: np.ndarray
     boundary: SimplicialBoundary
-    dim: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", _as_points(self.vertices))
+    @property
+    def vertices(self) -> np.ndarray:
+        return self.boundary.points
+
+    @property
+    def dim(self) -> int:
+        return self.boundary.dim
 
     @functools.cached_property
     def hull(self) -> "Polytope":
@@ -422,7 +428,7 @@ def quickhull(cloud: PointCloud | np.ndarray) -> Polytope:
     flip = np.linalg.det(vertices[simplices] - centroid) < 0
     simplices[flip, :2] = simplices[flip, 1::-1]
     simplices_arr = np.array(sorted(simplices.tolist()), dtype=int)
-    return Polytope(vertices, SimplicialBoundary(vertices, simplices_arr, n), n)
+    return Polytope(SimplicialBoundary(vertices, simplices_arr))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +453,7 @@ def _ridge_signature(simplex) -> list[tuple[tuple, int]]:
     return out
 
 
-def triangulate_facets(vertices, facets, dim: int) -> SimplicialBoundary:
+def triangulate_facets(vertices, facets) -> SimplicialBoundary:
     """Fan-triangulate facet polygons into a closed outward-oriented boundary.
 
     Each facet is fanned from its lowest-index vertex. Facets may come with
@@ -456,8 +462,6 @@ def triangulate_facets(vertices, facets, dim: int) -> SimplicialBoundary:
     """
     pts = _as_points(vertices)
     n = pts.shape[1]
-    if n != dim:
-        raise ValueError("vertex dimension disagrees with declared dim")
     tris: list[list[int]] = []
     for facet in facets:
         facet = list(facet)
@@ -509,7 +513,7 @@ def triangulate_facets(vertices, facets, dim: int) -> SimplicialBoundary:
             tri[0], tri[1] = tri[1], tri[0]
         oriented.append(tri)
 
-    boundary = SimplicialBoundary(pts, np.array(oriented, dtype=int), n)
+    boundary = SimplicialBoundary(pts, np.array(oriented, dtype=int))
     vol = volume_det(boundary)
     scale = _scale_of(pts)
     if abs(vol) <= TAU_GEOM * scale**n:
@@ -517,15 +521,12 @@ def triangulate_facets(vertices, facets, dim: int) -> SimplicialBoundary:
     if vol < 0:
         flipped = boundary.simplices.copy()
         flipped[:, [0, 1]] = flipped[:, [1, 0]]
-        boundary = SimplicialBoundary(pts, flipped, n)
+        boundary = SimplicialBoundary(pts, flipped)
     return boundary
 
 
-def polytope_from_facets(vertices, facets, dim: int | None = None) -> Polytope:
-    pts = _as_points(vertices)
-    if dim is None:
-        dim = pts.shape[1]
-    return Polytope(pts, triangulate_facets(pts, facets, dim), dim)
+def polytope_from_facets(vertices, facets) -> Polytope:
+    return Polytope(triangulate_facets(vertices, facets))
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,9 @@ class Scenario:
         bad = [c for c in scen.checks if not isinstance(c, str) or c not in valid]
         if bad:
             raise SuiteError(f"scenario {scen.id}: checks {bad} invalid for kind {scen.kind!r}")
+        twice = sorted({c for c in scen.checks if scen.checks.count(c) > 1})
+        if twice:
+            raise SuiteError(f"scenario {scen.id}: checks {twice} named more than once")
         expect = scen.params.get("expect_l_exists")
         if "l_existence" in scen.checks and not isinstance(expect, bool):
             raise SuiteError(f"scenario {scen.id}: l_existence needs a boolean expect_l_exists")

@@ -52,35 +52,33 @@ class BodyApprox:
     """A compact body, carried exactly (convex / finite) or as a solid to rasterize."""
 
     kind: str  # "convex" | "solid" | "grid" | "points"
-    dim: int
     vertices: np.ndarray | None = None  # convex: extreme points
     poly: Polytope | None = None  # solid
     grid: GridBody | None = None
     points: np.ndarray | None = None  # finite set
-    axis_cells: int = sampling.DEFAULT_AXIS_CELLS
+    axis_cells: int | None = None  # None: sampling.grid_spacing picks the resolution
+
+    @property
+    def dim(self) -> int:
+        return self.grid.dim if self.kind == "grid" else self.hull_points().shape[1]
 
     @staticmethod
     def convex_hull_of(points) -> "BodyApprox":
-        pts = _as_points(points)
-        return BodyApprox("convex", pts.shape[1], vertices=pts)
+        return BodyApprox("convex", vertices=_as_points(points))
 
     @staticmethod
     def from_polytope(poly: Polytope, axis_cells: int | None = None) -> "BodyApprox":
         convex = poly.volume_ratio <= 1.0 + 1e-9
-        return BodyApprox(
-            "convex" if convex else "solid", poly.dim,
-            vertices=poly.vertices if convex else None, poly=poly,
-            axis_cells=axis_cells or sampling.DEFAULT_AXIS_CELLS,
-        )
+        return BodyApprox("convex" if convex else "solid", poly=poly, axis_cells=axis_cells,
+                          vertices=poly.vertices if convex else None)
 
     @staticmethod
     def from_points(points) -> "BodyApprox":
-        pts = _as_points(points)
-        return BodyApprox("points", pts.shape[1], points=pts)
+        return BodyApprox("points", points=_as_points(points))
 
     @staticmethod
     def from_grid(grid: GridBody) -> "BodyApprox":
-        return BodyApprox("grid", grid.dim, grid=grid)
+        return BodyApprox("grid", grid=grid)
 
     def volume(self) -> float:
         if self.kind == "points":
@@ -263,7 +261,7 @@ def minkowski_sum(A: BodyApprox, B: BodyApprox) -> BodyApprox:
         if rank == A.dim and len(sums) > A.dim + 1:
             hull = quickhull(sums)
             sums = hull.vertices
-        return BodyApprox("convex", A.dim, vertices=sums, poly=hull, axis_cells=A.axis_cells)
+        return BodyApprox("convex", vertices=sums, poly=hull, axis_cells=A.axis_cells)
     if A.kind == "points" and B.kind == "points":
         if len(A.points) * len(B.points) > POINTS_CAP:
             raise TooLarge("pairwise sum of point sets exceeds the cap")
@@ -277,16 +275,14 @@ def scale_body(A: BodyApprox, s: float) -> BodyApprox:
     if s <= 0:
         raise NonpositiveScale(f"scale factor must be positive, got {s}")
     if A.kind == "convex":
-        return BodyApprox("convex", A.dim, vertices=A.vertices * s, axis_cells=A.axis_cells)
+        return BodyApprox("convex", vertices=A.vertices * s, axis_cells=A.axis_cells)
     if A.kind == "points":
         return BodyApprox.from_points(A.points * s)
     if A.kind == "grid":
         g = A.grid
         return BodyApprox.from_grid(GridBody(g.origin * s, g.h * s, g.occ))
-    poly = A.poly
-    verts = poly.vertices * s
-    scaled = Polytope(verts, SimplicialBoundary(verts, poly.boundary.simplices, poly.dim), poly.dim)
-    return BodyApprox("solid", A.dim, poly=scaled, axis_cells=A.axis_cells)
+    scaled = Polytope(SimplicialBoundary(A.poly.vertices * s, A.poly.boundary.simplices))
+    return BodyApprox("solid", poly=scaled, axis_cells=A.axis_cells)
 
 
 def minkowski_average(A: BodyApprox, k: int) -> BodyApprox:

@@ -11,6 +11,9 @@ from .geometry import Polytope, quickhull, _as_points, _scale_of, TAU_GEOM
 
 SAMPLE_POINT_CAP = 10**6
 DEFAULT_AXIS_CELLS = 200
+# sample_hull grids a hull of affine rank up to this; above it, it takes a
+# combinatorial sample that does not depend on the spacing
+MAX_GRID_RANK = 3
 EPS = float(np.finfo(float).eps)
 
 
@@ -50,7 +53,7 @@ def membership(poly: Polytope, points: np.ndarray) -> np.ndarray:
     coords = poly.boundary.simplex_coords()  # (F, n, n)
     # retry directions in case a ray grazes a simplex edge-on
     rng = np.random.default_rng(0xCA57)
-    inside = np.zeros(len(pts), dtype=bool)
+    inside = np.zeros(len(pts), dtype=bool)  # a point every ray grazes stays outside
     undecided = np.arange(len(pts))
     for attempt in range(8):
         direction = rng.standard_normal(n)
@@ -61,8 +64,6 @@ def membership(poly: Polytope, points: np.ndarray) -> np.ndarray:
         undecided = undecided[bad]
         if len(undecided) == 0:
             break
-    if len(undecided):
-        inside[undecided] = False
     return inside
 
 
@@ -236,10 +237,10 @@ def sample_hull(A, h: float) -> np.ndarray:
     """Deterministic sample of the convex hull of a BodyApprox A at spacing h.
 
     Handles hulls that are lower-dimensional than the ambient space by
-    working inside the affine hull. A full-rank hull in dimension <= 3 is
-    A.hull(), the polytope's cached hull when A has one. For affine
-    dimension > 3 a coarse combinatorial sample (vertices, edge midpoints,
-    centroid) is used.
+    working inside the affine hull. A full-rank hull in dimension up to
+    MAX_GRID_RANK is A.hull(), the polytope's cached hull when A has one.
+    Above affine dimension MAX_GRID_RANK a coarse combinatorial sample
+    (vertices, edge midpoints, centroid) is used, whatever h is.
     """
     pts = A.hull_points()
     origin, basis, rank = affine_basis(pts)
@@ -251,9 +252,9 @@ def sample_hull(A, h: float) -> np.ndarray:
         m = max(int(math.ceil((hi - lo) / h)), 1)
         line = lo + (hi - lo) * np.arange(m + 1) / m
         return origin + np.outer(line, basis[0])
-    if rank == pts.shape[1] and rank <= 3:
+    if rank == pts.shape[1] and rank <= MAX_GRID_RANK:
         return sample_polytope(A.hull(), h=h)[0]
-    if rank > 3:
+    if rank > MAX_GRID_RANK:
         mids = (pts[:, None, :] + pts[None, :, :]) / 2.0
         mids = mids.reshape(-1, pts.shape[1])
         return _dedupe(np.vstack([pts, mids, pts.mean(axis=0, keepdims=True)]))

@@ -504,6 +504,16 @@ def test_certify_doubles_until_the_grid_centre_leaves_the_hull(monkeypatch, coun
     assert [len(sample_hull(*args)) for args in calls] == [18, 9, 9, 8]
 
 
+def test_certify_builds_one_hull_sample_above_the_grid_rank(count_calls):
+    # above affine rank sampling.MAX_GRID_RANK the hull sample ignores the
+    # spacing: one oversized build settles that no spacing fits the cap
+    calls = count_calls(sampling, "sample_hull", limit=64)
+    cloud = np.random.default_rng(0).standard_normal((400, 5))
+    with pytest.raises(TooLarge, match="hull sample of 80201 points .* at every spacing"):
+        certify_hull_gamma(cloud, 2.0, R=1.0)
+    assert len(calls) == 1
+
+
 def test_certify_rejects_unknown_mode():
     with pytest.raises(ParamOutOfRange):
         hull_ratio(TWO, "weird")

@@ -315,20 +315,20 @@ def test_quickhull_vertices_match_extreme_points_property(seed, kind):
 
 
 def test_triangulate_square_gives_four_edges():
-    b = triangulate_facets(SQ, SQ_DOC["facets"], 2)
+    b = triangulate_facets(SQ, SQ_DOC["facets"])
     assert b.n_simplices == 4
 
 
 def test_triangulate_cube_gives_twelve_triangles():
     doc = bundled.payload("unit_cube")
-    b = triangulate_facets(np.array(doc["vertices"]), doc["facets"], 3)
+    b = triangulate_facets(np.array(doc["vertices"]), doc["facets"])
     assert b.n_simplices == 12
     assert volume_det(b) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_triangulate_tetrahedron_outward():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
-    b = triangulate_facets(verts, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], 3)
+    b = triangulate_facets(verts, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
     assert b.n_simplices == 4
     centroid = verts.mean(axis=0)
     for simp in b.simplices:
@@ -337,7 +337,7 @@ def test_triangulate_tetrahedron_outward():
 
 def test_triangulate_open_boundary_rejected():
     with pytest.raises(NonOrientable):
-        triangulate_facets(SQ, [[0, 1], [1, 2], [2, 3]], 2)
+        triangulate_facets(SQ, [[0, 1], [1, 2], [2, 3]])
 
 
 def test_triangulate_boundary_of_polytope():

@@ -68,6 +68,16 @@ def test_suite_duplicate_ids_rejected(tmp_path):
         load_suite(path)
 
 
+def test_suite_rejects_a_check_named_twice(tmp_path):
+    # run twice, the check would write two identical records
+    doc = small_suite()
+    doc["scenarios"][0]["checks"] = ["volume_xcheck", "ratio_poly", "volume_xcheck"]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SuiteError, match=r"scenario sq: checks \['volume_xcheck'\] named more"):
+        load_suite(path)
+
+
 def test_suite_parse_error(tmp_path):
     path = tmp_path / "s.json"
     path.write_text("{not json")
@@ -273,7 +283,8 @@ def test_bad_profile_inputs_give_failed_records():
 
 def test_gamma_hull_of_a_cloud_in_r5_is_a_too_large_record(count_calls):
     # sample_hull ignores the spacing above affine rank 3: 100 vertices and
-    # their midpoints make 5051 points at every spacing, over the greedy cap
+    # their midpoints make 5051 points at every spacing, over the greedy cap,
+    # so the first build is the last
     pts = np.random.default_rng(0).standard_normal((100, 5))
     calls = count_calls(sampling, "sample_hull", limit=64)
     doc = {"id": "gauss_r5", "kind": "cloud", "payload": {"dim": 5, "points": pts.tolist()},
@@ -282,7 +293,7 @@ def test_gamma_hull_of_a_cloud_in_r5_is_a_too_large_record(count_calls):
     assert not record.holds
     assert record.constants == {"error": "TooLarge: hull sample of 5051 points exceeds the "
                                          "greedy gamma cap at every spacing"}
-    assert 1 < len(calls) <= 64
+    assert len(calls) == 1
     # scaled past 1e154 the bounding-box diagonal overflows, and no spacing
     # could be compared with it: a named failed record before any sampling
     calls.clear()
@@ -472,6 +483,9 @@ MALFORMED_SUITES = {
     "scenario_number": ({"seed": 1, "scenarios": [1]}, "malformed scenario: 1"),
     "params_string": ({"seed": 1, "scenarios": [dict(small_suite()["scenarios"][0], params="ab")]},
                       "scenario sq: params"),
+    "check_twice": ({"seed": 1, "scenarios": [dict(small_suite()["scenarios"][0],
+                                                   checks=["ratio_poly", "ratio_poly"])]},
+                    "checks ['ratio_poly'] named more than once"),
     "seed_string": ({"seed": "7", "scenarios": []}, "seed must be"),
     "seed_negative": ({"seed": -1, "scenarios": []}, "seed must be"),
 }

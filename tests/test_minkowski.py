@@ -133,6 +133,30 @@ def test_scale_body_rejects_nonpositive():
         scale_body(square_body(), -1.0)
 
 
+def l_prism():
+    """The L-shape extruded by 1: a solid 3-D body that is not convex."""
+    verts = np.vstack([np.c_[L_VERTS, np.zeros(6)], np.c_[L_VERTS, np.ones(6)]])
+    sides = [[i, (i + 1) % 6, (i + 1) % 6 + 6, i + 6] for i in range(6)]
+    return polytope_from_facets(verts, [list(range(6)), list(range(6, 12))] + sides)
+
+
+def test_a_3d_body_without_axis_cells_takes_the_grid_spacing_default():
+    # min(200, floor(10**6 ** (1/3))) = 99 cells on the longest axis, so the
+    # grid stays under the sample cap
+    cube = bundled.payload("unit_cube")
+    cases = [(l_prism(), "solid", (99, 99, 50)),
+             (polytope_from_facets(np.array(cube["vertices"]), cube["facets"]), "convex",
+              (99, 99, 99))]
+    for poly, kind, shape in cases:
+        body = BodyApprox.from_polytope(poly)
+        assert (body.kind, body.dim, body.axis_cells) == (kind, 3, None)
+        lo, hi = poly.vertices.min(axis=0), poly.vertices.max(axis=0)
+        h = body.natural_spacing()
+        assert h == sampling.grid_spacing(lo, hi)
+        assert sampling.grid_points(lo, hi, h)[1] == shape
+        assert math.prod(shape) <= sampling.SAMPLE_POINT_CAP
+
+
 # ---------------------------------------------------------------------------
 # Minkowski averages
 # ---------------------------------------------------------------------------
