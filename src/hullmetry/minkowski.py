@@ -354,6 +354,11 @@ def convexification_gap(A: BodyApprox, k_max: int):
     hull_tree = sampling.kd_tree(hull_sample)
     vols, gaps = [], []
     for k, Ak in _average_sequence(A, k_max):
+        if k > 1 and A.kind == "convex":
+            # A(k) of a convex body is A itself
+            vols.append(vols[0])
+            gaps.append(gaps[0])
+            continue
         if A.kind == "points":
             pts = Ak.points
         elif Ak.kind == "grid" and Ak.grid.h < h_cmp:

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -279,6 +280,22 @@ def test_bad_profile_inputs_give_failed_records():
         assert not record.holds and files == {}
         assert record.constants["error"].startswith(
             f"ParamOutOfRange: {key} must be positive and finite, got ")
+
+
+@pytest.mark.parametrize("delta, expect", [
+    (math.nextafter(math.exp(-1.0), 1.0), True),
+    (math.nextafter(math.exp(-1.0), 0.0), False),
+])
+def test_l_existence_record_one_float_from_the_singular_point_does_not_hold(delta, expect):
+    # the integral of the chi = 2, psi = -3 ratio bound diverges exactly when
+    # 1/e lies in (0, delta]: L does not exist one float above, and does below
+    doc = {"id": "near_e_inv", "kind": "profile",
+           "payload": {"chi": 2.0, "psi": -3.0, "delta": delta}, "checks": ["l_existence"],
+           "params": {"expect_l_exists": expect}}
+    (record,), _ = run_scenario(doc, 1)
+    assert "error" not in record.constants
+    assert record.constants["L_exists"] is not expect
+    assert not record.holds
 
 
 def test_gamma_hull_of_a_cloud_in_r5_is_a_too_large_record(count_calls):

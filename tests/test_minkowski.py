@@ -235,6 +235,17 @@ def test_convex_body_has_zero_gap():
         assert t.hausdorff_to_hull <= 0.02
 
 
+def test_convex_body_is_sampled_once_for_every_k(count_calls):
+    # A(k) of a convex body is A itself: one hull sample and one body sample
+    # serve all k, with the volume and gap bits of the k = 1 trace
+    calls = count_calls(sampling, "sample_polytope")
+    traces = convexification_gap(square_body(), 4)
+    assert len(calls) == 2
+    (first,) = convexification_gap(square_body(), 1)
+    assert [(t.k, t.vol_Ak, t.hausdorff_to_hull) for t in traces] == [
+        (k, first.vol_Ak, first.hausdorff_to_hull) for k in range(1, 5)]
+
+
 def test_two_point_gap_is_half_spacing():
     tp = BodyApprox.from_points([[0.0, 0.0], [1.0, 0.0]])
     traces = convexification_gap(tp, 8)

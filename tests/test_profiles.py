@@ -114,10 +114,27 @@ def test_log3_converges_below_the_singularity():
     assert v.value is not None and v.value > 0
 
 
-def test_divergence_stable_under_bigger_budget():
-    base = integral_exists(RatioFunction("log3_over_loglog", 1.0), 1.0)
-    double = integral_exists(RatioFunction("log3_over_loglog", 1.0), 1.0, refine_cap=120)
-    assert not base.converges and not double.converges
+def test_verdict_walks_across_the_singular_point_one_float_at_a_time():
+    # math.exp(-1) lies above the true 1/e and the float below it lies under,
+    # so the float test p <= delta agrees with the real one on both sides
+    f = RatioFunction("log3_over_loglog", 1.0)
+    below = math.nextafter(math.exp(-1.0), 0.0)
+    assert integral_exists(f, below).converges
+    for delta in (math.exp(-1.0), math.nextafter(math.exp(-1.0), 1.0), math.e, 3.0):
+        v = integral_exists(f, delta)
+        assert not v.converges and v.value is None
+        assert v.singularity == math.exp(-1.0)
+        assert v.reason == f"interior singularity at eps={math.exp(-1.0)!r}"
+        assert v.quadrature_trace == []
+
+
+@pytest.mark.parametrize("C, delta", [(1e-300, 1e-300), (1.0, 1.7e308)])
+def test_constant_whose_shells_underflow_or_overflow_converges_with_no_value(C, delta):
+    # every shell of C = delta = 1e-300 underflows to 0, and the first shell
+    # of delta = 1.7e308 overflows to inf: neither sum is a value
+    v = integral_exists(RatioFunction("constant", C), delta)
+    assert v.converges and v.value is None
+    assert v.reason is None and v.singularity is None
 
 
 def test_scaling_of_values():
