@@ -454,11 +454,27 @@ def reverse_bm_sweep(
     """check_reverse_bm(A, B, s, t, m) for every s, t, m, nested in that order.
 
     The volumes and betas are computed once, and the Minkowski sum sA + tB
-    once per (s, t): neither depends on m. Each case is validated, and
-    raises, in the order that one check_reverse_bm call per case would.
+    once per (s, t): neither depends on m. A sum that is not a convex pair
+    is, as in minkowski_sum, the dilation of sA and tB rasterized at the
+    larger of their spacings; over the (s, t) grid the same (body, scale,
+    spacing) triples recur, so each is rasterized once. Each case is
+    validated, and raises, in the order that one check_reverse_bm call per
+    case would.
     """
     if A.dim != B.dim:
         raise DimensionMismatch(f"dimensions {A.dim} and {B.dim} differ")
+    grids = {}
+
+    def sum_volume(s, t):
+        sA, tB = scale_body(A, s), scale_body(B, t)
+        if sA.kind == tB.kind == "convex":
+            return minkowski_sum(sA, tB).volume()
+        h = max(sA.natural_spacing(), tB.natural_spacing())
+        for key, body in (((id(A), s, h), sA), ((id(B), t, h), tB)):
+            if key not in grids:
+                grids[key] = _rasterize(body, h)
+        return _dilate(grids[id(A), s, h], grids[id(B), t, h]).volume()
+
     reports = []
     vol_A = vol_B = beta_A = beta_B = None
     for s in s_values:
@@ -473,7 +489,7 @@ def reverse_bm_sweep(
                         raise DegenerateInput("reverse-BM check needs bodies with interior")
                     beta_A, beta_B = body_beta(A), body_beta(B)
                 if lhs_vol is None:
-                    lhs_vol = minkowski_sum(scale_body(A, s), scale_body(B, t)).volume()
+                    lhs_vol = sum_volume(s, t)
                 term_a = s * (beta_A * vol_A) ** (1.0 / m)
                 term_b = t * (beta_B * vol_B) ** (1.0 / m)
                 c1 = lhs_vol ** (1.0 / m) / (term_a + term_b)

@@ -269,7 +269,7 @@ def kd_tree(points: np.ndarray) -> cKDTree:
     return cKDTree(np.atleast_2d(points), balanced_tree=False, compact_nodes=False)
 
 
-# every HAUSDORFF_STRIDE-th query point is probed for the lower bound L
+# every HAUSDORFF_STRIDE-th point of each sample is probed for the lower bound L
 HAUSDORFF_STRIDE = 64
 
 
@@ -277,24 +277,27 @@ def hausdorff_distance(a, b) -> float:
     """Symmetric Hausdorff distance between two finite samples.
 
     Each sample is a point array or its kd_tree, so a sample compared many
-    times is indexed once. Each direction queries a point only when no
-    target shares its grid cell; a target in the cell puts the point closer
-    than a lower bound already taken from exact queries, so it cannot change
-    the maximum, and the result is that of querying every point (see
-    _directed_hausdorff).
+    times is indexed once. Both directions feed one maximum, so each culls
+    against a lower bound on it (Taha and Hanbury 2015). An exact query of
+    every HAUSDORFF_STRIDE-th point of both samples gives the first bound L,
+    the nearest distance of a real point. The first direction culls at L and
+    returns max(L, its exact result); the second culls at that. A point
+    closer than the bound cannot change the maximum, so the result is that
+    of querying every point (see _directed_hausdorff).
     """
     ta, tb = (x if isinstance(x, cKDTree) else kd_tree(x) for x in (a, b))
-    return float(max(_directed_hausdorff(ta, tb), _directed_hausdorff(tb, ta)))
+    L = max(float(y.query(x.data[::HAUSDORFF_STRIDE], k=1)[0].max())
+            for x, y in ((ta, tb), (tb, ta)))
+    return _directed_hausdorff(tb, ta, _directed_hausdorff(ta, tb, L))
 
 
-def _directed_hausdorff(source: cKDTree, tree: cKDTree) -> float:
-    """max over the points q of source of the distance to the nearest point of tree.
+def _directed_hausdorff(source: cKDTree, tree: cKDTree, L: float) -> float:
+    """max(L, the largest distance from a point of source to its nearest point of tree).
 
-    An exact query of every HAUSDORFF_STRIDE-th point gives a lower bound L
-    on the result. Cut the common bounding box into cells of side
-    s = L / sqrt(n) * (1 - 1e-9). A point that shares its cell with a target
+    This holds for any bound L >= 0. Cut the common bounding box into cells
+    of side s = L / sqrt(n) * (1 - 1e-9). A point that shares its cell with a target
     is within sqrt(n) * s < L of it, so its nearest distance is below L and
-    cannot change the maximum; only the other points are queried, and the
+    cannot change the result; only the other points are queried, and the
     result is the larger of L and their maximum. Cell indices are
     floor((x - lo) / s), which rounding moves by at most 8 eps * span in
     each coordinate (span: the largest coordinate extent), so the cull runs
@@ -307,7 +310,6 @@ def _directed_hausdorff(source: cKDTree, tree: cKDTree) -> float:
     """
     q, t = source.data, tree.data
     n = q.shape[1]
-    L = float(tree.query(q[::HAUSDORFF_STRIDE], k=1)[0].max())
     lo = np.minimum(source.mins, tree.mins)
     extent = np.maximum(source.maxes, tree.maxes) - lo
     side = L / math.sqrt(n) * (1 - 1e-9)

@@ -418,6 +418,17 @@ def test_revbm_builds_each_sum_once(count_calls):
     assert len(dilations) == 9
 
 
+@pytest.mark.parametrize("scenario, rasterized", [("lshape", 6), ("unit_square", 0), ("unit_cube", 0)])
+def test_revbm_rasterizes_each_scale_and_spacing_once(count_calls, scenario, rasterized):
+    # sA + tA rasterizes sA and tA at spacing max(s, t) h: the 3 x 3 (s, t)
+    # grid of {0.5, 1, 2} has 6 distinct (scale, spacing) pairs, not 18;
+    # a convex body is summed from its vertices and rasterized never
+    grids = count_calls(minkowski, "_rasterize")
+    records, _ = run_scenario(dict(bundled.scenario(scenario), checks=["revbm"]), 20240501)
+    assert records[0].holds and records[0].constants["cases"] > 0
+    assert len(grids) == rasterized
+
+
 def test_bundled_run_builds_each_hull_once(count_calls, tmp_path):
     # each body's hull is built once, cached on its Polytope and sampled by
     # sample_hull; the ratio_poly rebuilds are the idempotence checks

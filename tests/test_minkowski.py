@@ -479,6 +479,19 @@ def test_revbm_sweep_matches_one_check_per_case():
     assert sweep == [check_reverse_bm(body, body, s, t, m) for s, t, m in cases]
 
 
+def test_revbm_sweep_sums_match_one_minkowski_sum_per_pair():
+    # the sweep shares rasterizations across (s, t); its sum volumes are
+    # those of one minkowski_sum per pair, for one solid body, two solids
+    # at different resolutions, and a convex body with a solid one
+    lshape, square = lshape_body(axis_cells=40), square_body()
+    scales = (0.5, 1.0, 2.0)
+    for A, B in ((lshape, lshape), (lshape, lshape_body(axis_cells=30)), (square, lshape)):
+        sweep = reverse_bm_sweep(A, B, scales, scales, [1])
+        want = [minkowski_sum(scale_body(A, s), scale_body(B, t)).volume()
+                for s in scales for t in scales]
+        assert [r.lhs_vol for r in sweep] == want
+
+
 def test_revbm_sweep_raises_where_the_first_bad_case_is():
     seg = BodyApprox.convex_hull_of([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ParamOutOfRange):

@@ -6,6 +6,8 @@ its shadow across the ray. Both are compared with the full-work oracles of
 tests/oracles.py by exact equality, and each comparison is shown to fail on
 a planted mutant of the pruning.
 """
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,9 +35,12 @@ def hausdorff_pair(seed, dim, kind):
     """Two samples in R^dim: uniform points, uniform points in two clusters
     1000 apart (far more cells than points), points of the
     1/8 lattice (shared points, tied distances), the lattice against its
-    copy shifted by half a step, or a set against a copy moved by about
-    1e-13, where the lower bound is too small for the cell cull. Scaled and
-    translated far from the origin at random."""
+    copy shifted by half a step, a set against a copy moved by about
+    1e-13, where the lower bound is too small for the cell cull, or a
+    nested pair: lattice points outside the positive orthant of the cube,
+    with its corners, against a denser uniform sample of their hull, the
+    cube, so the hull-to-sample direction dominates, as in convexify.
+    Scaled and translated far from the origin at random."""
     rng = np.random.default_rng(seed)
     size_a, size_b = (int(k) for k in rng.integers(1, 700, 2))
     if kind in ("random", "clusters"):
@@ -46,6 +51,11 @@ def hausdorff_pair(seed, dim, kind):
     elif kind == "jitter":
         a = rng.uniform(-1, 1, (size_a, dim))
         b = a + rng.uniform(-1e-13, 1e-13, a.shape)
+    elif kind == "nested":
+        corners = np.array(list(itertools.product((-8, 8), repeat=dim)))
+        a = np.vstack([corners, rng.integers(-8, 9, (size_a, dim))])
+        a = np.unique(a[(a <= 0).any(axis=1) | (a == 8).all(axis=1)], axis=0) / 8.0
+        b = rng.uniform(-1, 1, (4 * size_b, dim))
     else:
         a, b = (np.unique(rng.integers(-8, 9, (k, dim)), axis=0) / 8.0 for k in (size_a, size_b))
         if kind == "offset":
@@ -57,10 +67,12 @@ def hausdorff_pair(seed, dim, kind):
 def hausdorff_agrees(seed, dim, kind) -> bool:
     a, b = hausdorff_pair(seed, dim, kind)
     want = hausdorff_reference(a, b)
-    return hausdorff_distance(a, b) == want == hausdorff_distance(sampling.kd_tree(a), b)
+    # bit for bit, whichever sample comes first
+    return (hausdorff_distance(a, b) == want == hausdorff_distance(sampling.kd_tree(a), b)
+            == hausdorff_distance(b, a))
 
 
-HAUSDORFF_KINDS = ["random", "clusters", "lattice", "offset", "jitter"]
+HAUSDORFF_KINDS = ["random", "clusters", "lattice", "offset", "jitter", "nested"]
 
 
 @settings(max_examples=80, deadline=None)
@@ -82,17 +94,33 @@ def test_hausdorff_cell_keys_are_exact_past_2_to_the_53():
 
 
 def test_hausdorff_property_fails_without_the_exact_requery(monkeypatch):
-    # the planted mutant returns the probes' lower bound and queries none
-    # of the points the cull keeps
-    def probes_only(source, tree):
-        return float(tree.query(source.data[:: sampling.HAUSDORFF_STRIDE], k=1)[0].max())
+    # the planted mutant returns the lower bound it is given and queries
+    # none of the points the cull keeps
+    def bound_only(source, tree, L):
+        return L
 
-    monkeypatch.setattr(sampling, "_directed_hausdorff", probes_only)
+    monkeypatch.setattr(sampling, "_directed_hausdorff", bound_only)
     cases = [(seed, dim, kind) for seed in range(4) for dim in (2, 3) for kind in HAUSDORFF_KINDS]
     assert sum(not hausdorff_agrees(*case) for case in cases) >= len(cases) // 2
 
 
-def test_lshape_convexify_queries_under_half_of_its_points(monkeypatch):
+def test_hausdorff_property_fails_with_a_bound_above_the_first_direction(monkeypatch):
+    # the planted mutant seeds the second direction with (1 + 1e-9) times
+    # the first direction's result, a bound that is no longer a distance
+    # of a real point, so it can exceed the true maximum
+    real = sampling._directed_hausdorff
+    calls = []
+
+    def inflated(source, tree, L):
+        calls.append(L)
+        return real(source, tree, L * (1 + 1e-9) if len(calls) % 2 == 0 else L)
+
+    monkeypatch.setattr(sampling, "_directed_hausdorff", inflated)
+    cases = [(seed, dim, kind) for seed in range(4) for dim in (2, 3) for kind in HAUSDORFF_KINDS]
+    assert sum(not hausdorff_agrees(*case) for case in cases) >= len(cases) // 2
+
+
+def test_lshape_convexify_queries_under_a_tenth_of_its_points(monkeypatch):
     queried, sources = [], []
 
     class CountingTree(cKDTree):
@@ -102,9 +130,9 @@ def test_lshape_convexify_queries_under_half_of_its_points(monkeypatch):
 
     real = sampling._directed_hausdorff
 
-    def counted(source, tree):
+    def counted(source, tree, L):
         sources.append(len(source.data))
-        return real(source, tree)
+        return real(source, tree, L)
 
     monkeypatch.setattr(
         sampling, "kd_tree",
@@ -114,7 +142,8 @@ def test_lshape_convexify_queries_under_half_of_its_points(monkeypatch):
     scen = Scenario.from_dict(bundled.scenario("lshape"))
     convexification_gap(scen.approx, scen.params["k_max"])
     assert len(sources) == 2 * scen.params["k_max"]
-    assert sum(queried) < sum(sources) / 2
+    # the probes of both directions count as queries too
+    assert sum(queried) < sum(sources) / 10
 
 
 def test_hausdorff_reference_by_hand():
