@@ -173,9 +173,7 @@ def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
     parts equal points, and a cell of distinct points has a positive
     diameter unless their squared differences underflow; so that level is
     built in closed form (_equal_point_classes) and is the last. Where
-    underflow is possible it splits its cells from a work list in any order,
-    without looking for the widest: each split depends on its own cell
-    alone, so the level ends with the same cells in the same order.
+    underflow is possible the level splits widest-first like any other.
     """
     pts = _points_of(cloud)
     n = len(pts)
@@ -205,17 +203,11 @@ def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
             if classes is not None:
                 partitions.append(classes)
                 break
-            work = [ci for ci, d in enumerate(diams) if d[0] > 0]
-            while work:
-                pick = work.pop()
-                _split(pts, cells, diams, pick)
-                work += [ci for ci in (pick, len(cells) - 1) if diams[ci][0] > 0]
-        else:
-            while len(cells) < budget:
-                pick = _widest_cell(cells, diams)
-                if pick < 0:
-                    break
-                _split(pts, cells, diams, pick)
+        while len(cells) < budget:
+            pick = _widest_cell(cells, diams)
+            if pick < 0:
+                break
+            _split(pts, cells, diams, pick)
         order = sorted(range(len(cells)), key=lambda ci: cells[ci][0])
         cells = [cells[ci] for ci in order]
         diams = [diams[ci] for ci in order]
@@ -379,19 +371,16 @@ class GammaRatioReport:
     gamma_T: float
     gamma_Th: float
     L_bound: float
-    holds: bool
     alpha: float
     R: float
     dim: int
     slack: float
 
 
-GAMMA_SAMPLE_TOL = 1e-9
-
-
 def gamma_ratio_report(gamma_T: float, gamma_Th: float, dim: int, alpha: float,
                        R: float) -> GammaRatioReport:
-    """Certify gamma_Th <= L(R, dim, alpha) * gamma_T; R below 1 is raised to 1."""
+    """The inequality gamma_Th <= L(R, dim, alpha) * gamma_T, with its slack
+    L * gamma_T - gamma_Th; R below 1 is raised to 1."""
     R = float(max(R, 1.0))
     L = l_constant(R, dim, alpha)
     slack = L * gamma_T - gamma_Th
@@ -399,7 +388,6 @@ def gamma_ratio_report(gamma_T: float, gamma_Th: float, dim: int, alpha: float,
         gamma_T=gamma_T,
         gamma_Th=gamma_Th,
         L_bound=L,
-        holds=bool(slack >= -GAMMA_SAMPLE_TOL),
         alpha=alpha,
         R=R,
         dim=dim,
@@ -407,18 +395,17 @@ def gamma_ratio_report(gamma_T: float, gamma_Th: float, dim: int, alpha: float,
     )
 
 
-def certify_hull_gamma(T, alpha: float, R: float | None = None,
-                       axis_cells: int = 24) -> GammaRatioReport:
+def certify_hull_gamma(T, alpha: float, axis_cells: int = 24) -> GammaRatioReport:
     """Certify gamma_alpha(T_h) <= L * gamma_alpha(T) on deterministic samples.
 
     T is coerced by as_body: a body is sampled at axis_cells, a finite point
     set is used as-is. Both sides are discretized at one resolution: the
-    body's sampling grid, or the point set's nearest-neighbor spacing. R
-    defaults to hull_ratio of the coerced body. The hull is sampled at
-    doubling spacings until the sample fits GREEDY_CAP, and TooLarge is
-    raised when no spacing makes it fit: at once when the hull's affine rank
-    exceeds sampling.MAX_GRID_RANK, where the sample ignores the spacing. A
-    hull whose bounding-box diagonal overflows float64 raises ParamOutOfRange.
+    body's sampling grid, or the point set's nearest-neighbor spacing. R is
+    hull_ratio of the coerced body. The hull is sampled at doubling spacings
+    until the sample fits GREEDY_CAP, and TooLarge is raised when no spacing
+    makes it fit: at once when the hull's affine rank exceeds
+    sampling.MAX_GRID_RANK, where the sample ignores the spacing. A hull
+    whose bounding-box diagonal overflows float64 raises ParamOutOfRange.
     """
     _check_alpha(alpha)
     A = as_body(T)
@@ -428,8 +415,7 @@ def certify_hull_gamma(T, alpha: float, R: float | None = None,
     diag = float(np.linalg.norm(np.ptp(A.hull_points(), axis=0)))
     if not math.isfinite(diag):
         raise ParamOutOfRange("the hull points' bounding-box diagonal overflows float64")
-    if R is None:
-        R = hull_ratio(A)
+    R = hull_ratio(A)
     if A.kind == "points":
         pts_T = A.points
         h = _diameter_and_gap(pts_T)[1] or 1.0  # the cloud's own resolution

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import INPUT_ERRORS
 from .geometry import load_body, load_cloud, volume_det, volume_projected
-from .minkowski import BodyApprox, as_body, check_reverse_bm, minkowski_average
+from .minkowski import BodyApprox, as_body, minkowski_average, reverse_bm_sweep
 from .covering import exact_cover_small, greedy_cover
 from .chaining import entropy_integral, gamma_exact_small, gamma_greedy, gaussian_sup_mc
 from .profiles import EntropyProfile, l_existence_report
@@ -80,7 +80,7 @@ def cmd_minkavg(args) -> int:
 def cmd_revbm(args) -> int:
     A = BodyApprox.from_polytope(load_body(args.body_a))
     B = BodyApprox.from_polytope(load_body(args.body_b or args.body_a))
-    _emit(dataclasses.asdict(check_reverse_bm(A, B, args.s, args.t, args.m)))
+    _emit(dataclasses.asdict(reverse_bm_sweep(A, B, [args.s], [args.t], [args.m])[0]))
     return 0
 
 

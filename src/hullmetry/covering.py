@@ -283,17 +283,16 @@ class HullCoverCertificate:
     body_sample: np.ndarray = field(repr=False, compare=False)
 
 
-def check_hull_cover_ratio(T, epsilon: float, R: float | None = None) -> HullCoverCertificate:
+def check_hull_cover_ratio(T, epsilon: float) -> HullCoverCertificate:
     """Certify N(T_h, eps) <= R * 3^n * N(T, eps) on deterministic samples.
 
     T is coerced by as_body. A body and the hull are sampled at eps/4, a
     finite point set is used as-is; the body sample is kept as ``body_sample``.
-    R defaults to hull_ratio of the coerced body (1 for point sets).
+    R is hull_ratio of the coerced body (1 for point sets).
     """
     _check_epsilon(epsilon)
     A = as_body(T)
-    if R is None:
-        R = hull_ratio(A)
+    R = hull_ratio(A)
     h = epsilon / 4.0
     body_pts = A.sample(h)
     hull_pts = sampling.sample_hull(A, h)

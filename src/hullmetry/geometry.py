@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import DegenerateInput, NonOrientable, Unsupported
 
@@ -64,9 +63,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def diameter(self) -> float:
-        return float(pdist(self.points).max(initial=0.0))
 
 
 def _points_of(cloud) -> np.ndarray:
@@ -151,10 +147,6 @@ class Ball:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         if not 0 <= self.radius < math.inf:
             raise ValueError("radius must be finite and nonnegative")
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(np.atleast_2d(points) - self.center, axis=1)
-        return d <= self.radius
 
 
 def unit_ball_volume(n: int, radius: float = 1.0) -> float:
@@ -617,48 +609,34 @@ def _welzl(points: np.ndarray, order: list[int], tau: float) -> tuple[np.ndarray
     return center, radius, [order[k] for k in sup]
 
 
-def _badoiu_clarkson(points: np.ndarray) -> tuple[np.ndarray, float]:
-    center = points.mean(axis=0)
-    for t in range(2000):
-        d = np.linalg.norm(points - center, axis=1)
-        far = int(np.argmax(d))
-        center = center + (points[far] - center) / (t + 2)
-    radius = float(np.max(np.linalg.norm(points - center, axis=1)))
-    return center, radius
-
-
 def min_enclosing_ball(cloud: PointCloud | np.ndarray) -> Ball:
-    """Smallest ball containing all points.
+    """Smallest ball containing all points, in dimension at most 10.
 
-    Exact Welzl recursion up to dimension 10, over the distinct points in a
-    fixed seeded order. Each scan for a point outside the current ball takes
-    the distances of its remaining points in one exact batched call (see
-    :func:`_welzl`), so the support and its order are those of a
-    point-by-point scan. Beyond dimension 10 an iterative refinement whose
-    reported radius always covers every point. The points are taken in C
-    order, so the result does not depend on the input's memory layout.
-    Raises :class:`DegenerateInput` when the squared distances overflow and
-    the radius is not finite.
+    Exact Welzl recursion over the distinct points in a fixed seeded order.
+    Each scan for a point outside the current ball takes the distances of
+    its remaining points in one exact batched call (see :func:`_welzl`), so
+    the support and its order are those of a point-by-point scan. The
+    reported radius covers every point. The points are taken in C order, so
+    the result does not depend on the input's memory layout. Raises
+    :class:`Unsupported` above dimension 10, and :class:`DegenerateInput`
+    when the squared distances overflow and the radius is not finite.
     """
     pts = np.ascontiguousarray(_points_of(cloud))
+    if pts.shape[1] > _WELZL_DIM_CAP:
+        raise Unsupported(f"enclosing ball capped at dimension {_WELZL_DIM_CAP}")
     tau = TAU_GEOM * _scale_of(pts)
     _, first_idx = np.unique(pts, axis=0, return_index=True)
     uniq = pts[np.sort(first_idx)]
     if len(uniq) == 1:
         return Ball(uniq[0], 0.0, support=uniq[:1])
-    if pts.shape[1] > _WELZL_DIM_CAP:
-        center, radius = _badoiu_clarkson(uniq)
-        support = None
-    else:
-        rng = np.random.default_rng(0x5EED)
-        order = list(rng.permutation(len(uniq)))
-        center, radius, sup = _welzl(uniq, order, tau)
-        # report the radius that certifiably covers everything
-        radius = max(radius, float(np.max(np.linalg.norm(pts - center, axis=1))))
-        support = uniq[sup]
+    rng = np.random.default_rng(0x5EED)
+    order = list(rng.permutation(len(uniq)))
+    center, radius, sup = _welzl(uniq, order, tau)
+    # report the radius that certifiably covers everything
+    radius = max(radius, float(np.max(np.linalg.norm(pts - center, axis=1))))
     if not math.isfinite(radius):
         raise DegenerateInput("squared distances overflow float64: the enclosing ball has no finite radius")
-    return Ball(center, radius, support=support)
+    return Ball(center, radius, support=uniq[sup])
 
 
 # ---------------------------------------------------------------------------

