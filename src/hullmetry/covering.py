@@ -70,7 +70,8 @@ def _gonzalez(pts: np.ndarray, stop: float) -> tuple[np.ndarray, np.ndarray]:
     eps >= stop is the prefix of picks with radius > eps. Distances are numpy
     row norms of C-contiguous rows. After the first pick every distance to
     the picks is at most the new pick's radius, so only the points within
-    that radius of it, found by a cKDTree, can move closer.
+    that radius of it, found by a cKDTree, can move closer. A distance that
+    overflows float64 raises ParamOutOfRange.
     """
     pts = np.ascontiguousarray(pts)
     tree = cKDTree(pts)
@@ -86,6 +87,8 @@ def _gonzalez(pts: np.ndarray, stop: float) -> tuple[np.ndarray, np.ndarray]:
         radii.append(radius)
         if math.isinf(radius):  # the first pick
             mind = np.linalg.norm(pts - pts[far], axis=1)
+            if not np.isfinite(mind).all():  # else every pass is a first pick
+                raise ParamOutOfRange("distances between the points overflow float64")
             continue
         # every mind is <= radius, so no point farther than radius can change
         idx = np.asarray(tree.query_ball_point(pts[far], radius * (1 + 1e-12)), dtype=np.intp)

@@ -45,24 +45,14 @@ def _scale_of(pts: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Finite point set with a metric; the desk-scale stand-in for a space T."""
+    """Finite point set under the Euclidean metric; the desk-scale stand-in for a space T."""
 
     points: np.ndarray
-    metric: str = "euclidean"
 
     def __post_init__(self):
         object.__setattr__(self, "points", _as_points(self.points))
         if len(self.points) == 0:
             raise ValueError("point cloud must be non-empty")
-        if self.metric != "euclidean":
-            raise Unsupported(f"metric {self.metric!r} not implemented")
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def _points_of(cloud) -> np.ndarray:
@@ -655,9 +645,13 @@ def load_body(source) -> Polytope:
 
 
 def load_cloud(source) -> PointCloud:
-    """PointCloud from {"dim": n, "points": [[...]]}."""
+    """PointCloud from {"dim": n, "points": [[...]]}; an optional "metric" must be "euclidean"."""
     doc = _load_doc(source)
-    return PointCloud(_declared_points(doc, "points"), metric=doc.get("metric", "euclidean"))
+    cloud = PointCloud(_declared_points(doc, "points"))
+    metric = doc.get("metric", "euclidean")
+    if metric != "euclidean":
+        raise Unsupported(f"metric {metric!r} not implemented")
+    return cloud
 
 
 def _declared_points(doc: dict, key: str) -> np.ndarray:

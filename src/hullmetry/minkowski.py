@@ -1,7 +1,7 @@
 """Minkowski sums, scaled averages A(k), convexification traces, reverse-BM checks.
 
-Bodies come in three flavors: exact convex vertex sets, solid (possibly
-nonconvex) polytopes rasterized to occupancy grids when summed, and finite
+Bodies come in three flavors: polytopes, summed exactly when both are convex
+and rasterized to occupancy grids otherwise, the grids themselves, and finite
 point sets handled by direct enumeration. All paths are deterministic.
 """
 from __future__ import annotations
@@ -49,11 +49,10 @@ class GridBody:
 
 @dataclass(frozen=True)
 class BodyApprox:
-    """A compact body, carried exactly (convex / finite) or as a solid to rasterize."""
+    """A compact body: a Polytope (convex or solid), an occupancy grid or a finite set."""
 
     kind: str  # "convex" | "solid" | "grid" | "points"
-    vertices: np.ndarray | None = None  # convex: extreme points
-    poly: Polytope | None = None  # solid
+    poly: Polytope | None = None  # convex and solid
     grid: GridBody | None = None
     points: np.ndarray | None = None  # finite set
     axis_cells: int | None = None  # None: sampling.grid_spacing picks the resolution
@@ -63,14 +62,9 @@ class BodyApprox:
         return self.grid.dim if self.kind == "grid" else self.hull_points().shape[1]
 
     @staticmethod
-    def convex_hull_of(points) -> "BodyApprox":
-        return BodyApprox("convex", vertices=_as_points(points))
-
-    @staticmethod
     def from_polytope(poly: Polytope, axis_cells: int | None = None) -> "BodyApprox":
         convex = poly.volume_ratio <= 1.0 + 1e-9
-        return BodyApprox("convex" if convex else "solid", poly=poly, axis_cells=axis_cells,
-                          vertices=poly.vertices if convex else None)
+        return BodyApprox("convex" if convex else "solid", poly=poly, axis_cells=axis_cells)
 
     @staticmethod
     def from_points(points) -> "BodyApprox":
@@ -85,38 +79,26 @@ class BodyApprox:
             return 0.0
         if self.kind == "grid":
             return self.grid.volume()
-        if self.kind == "solid":
-            return volume_det(self.poly.boundary)
-        # convex: may be lower-dimensional
-        _, _, rank = sampling.affine_basis(self.vertices)
-        if rank < self.dim:
-            return 0.0
-        return volume_det(self.polytope().boundary)
+        return volume_det(self.poly.boundary)
 
     def polytope(self) -> Polytope:
-        """The body as a Polytope: its solid, or the hull of its convex vertices."""
-        if self.kind == "grid":
+        """The Polytope that a convex or solid body is."""
+        if self.poly is None:
             raise ParamOutOfRange(
-                "grid bodies have no polyhedral ratio: no polytope to hull or sample"
+                f"{self.kind} bodies have no polyhedral ratio: no polytope to hull or sample"
             )
-        return self.poly if self.poly is not None else quickhull(self.vertices)
+        return self.poly
 
     def hull_points(self) -> np.ndarray:
-        if self.kind == "convex":
-            return self.vertices
-        if self.kind == "solid":
+        if self.poly is not None:
             return self.poly.vertices
         if self.kind == "points":
             return self.points
         return self.grid.cell_centers()
 
     def hull(self) -> Polytope:
-        """Quickhull of hull_points(): the polytope's cached hull when it is built
-        from the same vertex array, else a fresh one."""
-        pts = self.hull_points()
-        if self.poly is not None and self.poly.vertices is pts:
-            return self.poly.hull
-        return quickhull(pts)
+        """Quickhull of hull_points(): the polytope's cached hull, if the body has one."""
+        return self.poly.hull if self.poly is not None else quickhull(self.hull_points())
 
     def sample(self, h: float | None = None) -> np.ndarray:
         """Sample points of the body for distance computations."""
@@ -250,18 +232,14 @@ def _union_pair_runs(a: np.ndarray, b: np.ndarray, cells: np.ndarray) -> None:
 
 
 def minkowski_sum(A: BodyApprox, B: BodyApprox) -> BodyApprox:
-    """A plus B pointwise. Convex pairs stay exact; otherwise grid dilation."""
+    """A plus B pointwise. Convex pairs stay exact, the hull of the vertex sums;
+    otherwise grid dilation."""
     if A.dim != B.dim:
         raise DimensionMismatch(f"dimensions {A.dim} and {B.dim} differ")
     if A.kind == "convex" and B.kind == "convex":
-        sums = (A.vertices[:, None, :] + B.vertices[None, :, :]).reshape(-1, A.dim)
-        sums = sampling._dedupe(sums)
-        _, _, rank = sampling.affine_basis(sums)
-        hull = None
-        if rank == A.dim and len(sums) > A.dim + 1:
-            hull = quickhull(sums)
-            sums = hull.vertices
-        return BodyApprox("convex", vertices=sums, poly=hull, axis_cells=A.axis_cells)
+        a, b = A.poly.vertices, B.poly.vertices
+        sums = (a[:, None, :] + b[None, :, :]).reshape(-1, A.dim)
+        return BodyApprox("convex", poly=quickhull(sampling._dedupe(sums)), axis_cells=A.axis_cells)
     if A.kind == "points" and B.kind == "points":
         if len(A.points) * len(B.points) > POINTS_CAP:
             raise TooLarge("pairwise sum of point sets exceeds the cap")
@@ -274,15 +252,13 @@ def minkowski_sum(A: BodyApprox, B: BodyApprox) -> BodyApprox:
 def scale_body(A: BodyApprox, s: float) -> BodyApprox:
     if s <= 0:
         raise NonpositiveScale(f"scale factor must be positive, got {s}")
-    if A.kind == "convex":
-        return BodyApprox("convex", vertices=A.vertices * s, axis_cells=A.axis_cells)
     if A.kind == "points":
         return BodyApprox.from_points(A.points * s)
     if A.kind == "grid":
         g = A.grid
         return BodyApprox.from_grid(GridBody(g.origin * s, g.h * s, g.occ))
     scaled = Polytope(SimplicialBoundary(A.poly.vertices * s, A.poly.boundary.simplices))
-    return BodyApprox("solid", poly=scaled, axis_cells=A.axis_cells)
+    return BodyApprox(A.kind, poly=scaled, axis_cells=A.axis_cells)
 
 
 def minkowski_average(A: BodyApprox, k: int) -> BodyApprox:

@@ -25,14 +25,17 @@ def grid_spacing(lo: np.ndarray, hi: np.ndarray, axis_cells: int | None = None) 
     return float(extent.max() / cells)
 
 
-def grid_points(lo: np.ndarray, hi: np.ndarray, h: float):
+def grid_points(lo: np.ndarray, hi: np.ndarray, h: float, cap: int | None = None):
     """Cell centers of the uniform grid with spacing h covering [lo, hi].
 
     Returns (centers, shape), the centers in row-major order of the cell
     shape. An extent within 1e-9 cells of a whole number of cells gets no
-    extra slab of cells.
+    extra slab of cells. A grid of more than cap cells raises DegenerateInput
+    before any array is built.
     """
     shape = tuple(max(int(math.ceil((b - a) / h - 1e-9)), 1) for a, b in zip(lo, hi))
+    if cap is not None and math.prod(shape) > cap:
+        raise DegenerateInput("sample cap exceeded; coarsen the resolution")
     axes = [a + (np.arange(m) + 0.5) * h for a, m in zip(lo, shape)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1), shape
@@ -179,9 +182,7 @@ def sample_polytope(poly: Polytope, h: float | None = None, axis_cells: int | No
     hi = poly.vertices.max(axis=0)
     if h is None:
         h = grid_spacing(lo, hi, axis_cells)
-    grid, _ = grid_points(lo, hi, h)
-    if len(grid) > SAMPLE_POINT_CAP:
-        raise DegenerateInput("sample cap exceeded; coarsen the resolution")
+    grid, _ = grid_points(lo, hi, h, cap=SAMPLE_POINT_CAP)
     inside = membership(poly, grid)
     parts = [grid[inside], poly.vertices]
     parts.append(_sample_boundary(poly, h))
@@ -250,6 +251,8 @@ def sample_hull(A, h: float) -> np.ndarray:
         coords = (pts - origin) @ basis[0]
         lo, hi = float(coords.min()), float(coords.max())
         m = max(int(math.ceil((hi - lo) / h)), 1)
+        if m + 1 > SAMPLE_POINT_CAP:
+            raise DegenerateInput("sample cap exceeded; coarsen the resolution")
         line = lo + (hi - lo) * np.arange(m + 1) / m
         return origin + np.outer(line, basis[0])
     if rank == pts.shape[1] and rank <= MAX_GRID_RANK:

@@ -125,7 +125,7 @@ def test_criterion_4_reverse_bm_ledger():
         body = BodyApprox.from_polytope(_body(doc), axis_cells=100)
         for rep in reverse_bm_sweep(body, body, scales, scales, (1, 2)):
             worst = max(worst, rep.empirical_C1)
-    sq = BodyApprox.convex_hull_of(bundled.payload("unit_square")["vertices"])
+    sq = BodyApprox.from_polytope(quickhull(np.array(bundled.payload("unit_square")["vertices"])))
     c1 = reverse_bm_sweep(sq, sq, [1.0], [1.0], [1])[0].empirical_C1
     square_ok = abs(c1 - 4 / math.pi) <= 1e-6
     ok = math.isfinite(worst) and worst <= 10.0 and square_ok

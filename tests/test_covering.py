@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -67,6 +68,24 @@ def test_covering_rejects_nonfinite_or_nonpositive_epsilon(fn, epsilon):
     # a nan epsilon used to make the greedy loop pick forever; inf gave 0 centres
     with pytest.raises(ParamOutOfRange):
         fn(TWO, epsilon)
+
+
+def test_greedy_cover_refuses_distances_that_overflow():
+    # every distance was inf, so each pass took the first-pick branch again
+    # and the traversal never returned; an alarm fails the test instead
+    pts = np.arange(16.0)[:, None] * 1e184
+
+    def timed_out(*_):
+        raise TimeoutError("the farthest-point traversal did not return in 10 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(10)
+    try:
+        with np.errstate(over="ignore"), pytest.raises(ParamOutOfRange, match="overflow float64"):
+            greedy_cover(pts, 1.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0])

@@ -322,6 +322,56 @@ def test_gamma_hull_of_a_cloud_in_r5_is_a_too_large_record(count_calls):
                                          "diagonal overflows float64"}
 
 
+def _wide_cloud():
+    # cover_ratio samples the hull at eps/4: at the default epsilons a grid
+    # of about 1e9 cells over this cloud's hull
+    return np.random.default_rng(7).standard_normal((10, 2)) * 1e3
+
+
+def _long_segment():
+    # collinear: sample_hull lays a line of 2.8e9 points at eps/4 = 0.05
+    return np.outer([0.0, 0.5, 1.0], [1e8, 1e8])
+
+
+@pytest.mark.parametrize("cloud", [_wide_cloud, _long_segment])
+def test_a_hull_sample_over_the_cap_is_refused_before_it_is_built(monkeypatch, cloud):
+    # an array over the cap is not built: it asked for tens of GiB, and the
+    # MemoryError, which is no input error, ended the whole run
+    cap = sampling.SAMPLE_POINT_CAP
+    meshgrid, arange = np.meshgrid, np.arange
+
+    def capped_meshgrid(*axes, **kw):
+        assert math.prod(map(len, axes)) <= cap, "a grid over the cap was built"
+        return meshgrid(*axes, **kw)
+
+    def capped_arange(*args, **kw):
+        assert not (len(args) == 1 and args[0] > cap), "a line over the cap was built"
+        return arange(*args, **kw)
+
+    monkeypatch.setattr(np, "meshgrid", capped_meshgrid)
+    monkeypatch.setattr(np, "arange", capped_arange)
+    pts = cloud()
+    doc = {"id": "wide", "kind": "cloud", "payload": {"dim": 2, "points": pts.tolist()},
+           "checks": ["cover_ratio", "convexify"]}
+    cover, convexify = run_scenario(doc, 0)[0]
+    assert cover.constants == {
+        "error": "DegenerateInput: sample cap exceeded; coarsen the resolution"}
+    assert not cover.holds and convexify.check == "convexify"
+
+
+def test_a_cloud_under_another_metric_is_refused(tmp_path, capsys):
+    payload = dict(bundled.payload("twopoint"), metric="l1")
+    doc = {"id": "l1", "kind": "cloud", "payload": payload, "checks": ["cover_ratio"]}
+    (record,), _ = run_scenario(doc, 0)
+    assert not record.holds
+    assert record.constants == {"error": "Unsupported: metric 'l1' not implemented"}
+    path = tmp_path / "cloud.json"
+    path.write_text(json.dumps(payload))
+    assert main(["cover", "--cloud", str(path), "--epsilon", "0.4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: metric 'l1' not implemented\n"
+
+
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, starts no
     process and maps in this one."""

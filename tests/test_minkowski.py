@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hullmetry import geometry, minkowski, sampling
 from hullmetry.chaining import certify_hull_gamma
 from hullmetry.errors import DegenerateInput, DimensionMismatch, NonpositiveScale, ParamOutOfRange
-from hullmetry.geometry import PointCloud, polytope_from_facets
+from hullmetry.geometry import PointCloud, load_body, polytope_from_facets, quickhull
 from hullmetry.harness import Scenario
 from hullmetry.minkowski import (
     BodyApprox,
@@ -39,8 +39,13 @@ def lshape_body(axis_cells=100):
     return BodyApprox.from_polytope(poly, axis_cells=axis_cells)
 
 
+def convex_body(points):
+    """The convex hull of points, as the one Polytope a convex body is."""
+    return BodyApprox.from_polytope(quickhull(np.asarray(points, dtype=float)))
+
+
 def square_body():
-    return BodyApprox.convex_hull_of(bundled.payload("unit_square")["vertices"])
+    return convex_body(bundled.payload("unit_square")["vertices"])
 
 
 def bundled_lshape() -> Scenario:
@@ -55,15 +60,19 @@ def bundled_lshape() -> Scenario:
 def test_sum_square_with_itself_doubles():
     s2 = minkowski_sum(square_body(), square_body())
     assert s2.volume() == pytest.approx(4.0, abs=1e-12)
-    assert sorted(map(tuple, s2.vertices.tolist())) == [
+    assert sorted(map(tuple, s2.hull_points().tolist())) == [
         (0.0, 0.0), (0.0, 2.0), (2.0, 0.0), (2.0, 2.0)]
 
 
 def test_sum_of_orthogonal_segments_is_square():
-    a = BodyApprox.convex_hull_of([[0.0, 0.0], [1.0, 0.0]])
-    b = BodyApprox.convex_hull_of([[0.0, 0.0], [0.0, 1.0]])
+    # the segments thickened to width d: [0,1]x[0,d] + [0,d]x[0,1] = [0,1+d]^2
+    d = 0.25
+    a = convex_body([[0.0, 0.0], [1.0, 0.0], [1.0, d], [0.0, d]])
+    b = convex_body([[0.0, 0.0], [d, 0.0], [d, 1.0], [0.0, 1.0]])
     sq = minkowski_sum(a, b)
-    assert sq.volume() == pytest.approx(1.0, abs=1e-12)
+    assert sq.volume() == pytest.approx((1.0 + d) ** 2, abs=1e-12)
+    assert sorted(map(tuple, sq.hull_points().tolist())) == [
+        (0.0, 0.0), (0.0, 1.0 + d), (1.0 + d, 0.0), (1.0 + d, 1.0 + d)]
 
 
 def test_convex_sum_keeps_its_hull(monkeypatch):
@@ -76,21 +85,21 @@ def test_convex_sum_keeps_its_hull(monkeypatch):
 
 
 def test_sum_dimension_mismatch():
-    a = BodyApprox.convex_hull_of([[0.0, 0.0], [1.0, 0.0]])
-    b = BodyApprox.convex_hull_of([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    a = square_body()
+    b = convex_body(bundled.payload("unit_cube")["vertices"])
     with pytest.raises(DimensionMismatch):
         minkowski_sum(a, b)
 
 
 def test_sum_commutative_and_associative_volumes():
-    tri = BodyApprox.convex_hull_of([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    tri = convex_body([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     sq = square_body()
-    seg = BodyApprox.convex_hull_of([[0.0, 0.0], [0.5, 0.25]])
+    thin = convex_body([[0.0, 0.0], [0.5, 0.25], [0.25, 0.5]])
     ab = minkowski_sum(tri, sq).volume()
     ba = minkowski_sum(sq, tri).volume()
     assert ab == pytest.approx(ba, rel=1e-12)
-    abc1 = minkowski_sum(minkowski_sum(tri, sq), seg).volume()
-    abc2 = minkowski_sum(tri, minkowski_sum(sq, seg)).volume()
+    abc1 = minkowski_sum(minkowski_sum(tri, sq), thin).volume()
+    abc2 = minkowski_sum(tri, minkowski_sum(sq, thin)).volume()
     assert abc1 == pytest.approx(abc2, rel=1e-12)
 
 
@@ -107,7 +116,7 @@ def test_sum_commutative_on_grid_path():
 
 
 def test_forward_brunn_minkowski_on_convex_bodies():
-    tri = BodyApprox.convex_hull_of([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    tri = convex_body([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     sq = square_body()
     n = 2
     lhs = minkowski_sum(tri, sq).volume() ** (1 / n)
@@ -436,7 +445,7 @@ def test_revbm_unit_square_exact():
 
 def test_revbm_ball_ratio_two():
     ang = 2 * np.pi * np.arange(256) / 256
-    ball = BodyApprox.convex_hull_of(np.stack([np.cos(ang), np.sin(ang)], axis=1))
+    ball = convex_body(np.stack([np.cos(ang), np.sin(ang)], axis=1))
     rep = reverse_bm_sweep(ball, ball, [1.0], [1.0], [1])[0]
     # ball + ball = 2 ball and beta = 1, so the constant is 2^(n-1) = 2
     assert rep.empirical_C1 == pytest.approx(2.0, rel=0.01)
@@ -463,7 +472,7 @@ def test_revbm_algebraic_identity_convex_equal_bodies(s, m):
 
 
 def test_revbm_rejects_degenerate_and_bad_params():
-    seg = BodyApprox.convex_hull_of([[0.0, 0.0], [1.0, 0.0]])
+    seg = BodyApprox.from_points([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(DegenerateInput):
         reverse_bm_sweep(seg, seg, [1.0], [1.0], [1])
     sq = square_body()
@@ -491,8 +500,21 @@ def test_revbm_sweep_sums_match_one_minkowski_sum_per_pair():
         assert [r.lhs_vol for r in sweep] == want
 
 
+@pytest.mark.parametrize("a, b, s, t, m, lhs_vol, c1", [
+    ("lshape", "unit_square", 0.5, 2.0, 2, "0x1.16154c985f070p+3", "0x1.916c073ef9350p-1"),
+    ("unit_square", "lshape", 2.0, 0.5, 1, "0x1.16154c985f070p+3", "0x1.621107e949684p+0"),
+])
+def test_revbm_of_a_convex_and_a_solid_body_keeps_its_bits(a, b, s, t, m, lhs_vol, c1):
+    # the one path that rasterizes a scaled convex body, which no bundled
+    # record reaches: the sum of a convex and a solid body
+    A, B = (BodyApprox.from_polytope(load_body(bundled.payload(sid))) for sid in (a, b))
+    assert sorted((A.kind, B.kind)) == ["convex", "solid"]
+    rep = reverse_bm_sweep(A, B, [s], [t], [m])[0]
+    assert (rep.lhs_vol.hex(), rep.empirical_C1.hex()) == (lhs_vol, c1)
+
+
 def test_revbm_sweep_raises_where_the_first_bad_case_is():
-    seg = BodyApprox.convex_hull_of([[0.0, 0.0], [1.0, 0.0]])
+    seg = BodyApprox.from_points([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ParamOutOfRange):
         reverse_bm_sweep(seg, seg, [1.0], [1.0], [0, 1])
     with pytest.raises(DegenerateInput):
