@@ -21,6 +21,9 @@ from . import sampling
 
 EXACT_CAP = 5
 GREEDY_CAP = 4096
+# width of every dense distance or product block: at most TILE rows (or
+# columns) of a pairwise or Gaussian product are held at once
+TILE = 512
 # diameters this close count as tied when gamma_greedy picks the widest cell
 TIE_TOL = 1e-15
 
@@ -279,9 +282,8 @@ def _cell_diam(pts: np.ndarray, cell: np.ndarray):
         return (0.0, 0, 0)
     sub = pts[cell]
     best = (0.0, 0, 0)
-    chunk = 512
-    for start in range(0, k, chunk):
-        d = cdist(sub[start : start + chunk], sub)
+    for start in range(0, k, TILE):
+        d = cdist(sub[start : start + TILE], sub)
         flat = int(np.argmax(d))
         i, j = divmod(flat, k)
         val = float(d[i, j])
@@ -331,28 +333,38 @@ def gaussian_sup_mc(cloud, trials: int, seed: int) -> SupEstimate:
     """Monte Carlo estimate of E sup over the cloud of the canonical Gaussian process.
 
     Per-trial Gaussians come from fixed-size seed-derived chunks, so the
-    estimate is independent of any execution partitioning. Every chunk's
-    product ``g @ pts.T`` is written into one buffer allocated for the first
-    chunk, instead of a fresh array whose pages are faulted in anew. The
-    product keeps its full per-chunk shape: BLAS may compute a block of
-    fewer rows with another kernel (gemv for a single row) and round some
-    entries differently, which would change the last bits of the estimate.
+    estimate is independent of any execution partitioning. Each chunk's
+    product ``g @ pts.T`` is taken in slices of TILE points, all written into
+    one buffer allocated for the first chunk, and the slices' row maxima are
+    folded with ``np.maximum``. A cloud of at most TILE points is one slice,
+    the whole product. A larger cloud gets the estimate of the tiled
+    product: BLAS may round the edge columns of a ragged last slice
+    differently from an untiled product. The rows keep their full per-chunk
+    count, since BLAS may compute a block of fewer rows with another kernel
+    (gemv for a single row) and round some entries differently.
     """
     pts = _points_of(cloud)
     if trials < 1:
         raise ParamOutOfRange("trials must be >= 1")
-    n = pts.shape[1]
+    n, d = pts.shape
     ss = np.random.SeedSequence(int(seed))
     n_chunks = (trials + MC_CHUNK - 1) // MC_CHUNK
     children = ss.spawn(n_chunks)
     sups = np.empty(trials)
-    prod = np.empty((min(MC_CHUNK, trials), len(pts)))
+    buf = np.empty(min(MC_CHUNK, trials) * min(TILE, n))
     done = 0
     for child in children:
         take = min(MC_CHUNK, trials - done)
-        g = np.random.default_rng(child).standard_normal((take, n))
-        np.matmul(g, pts.T, out=prod[:take])
-        prod[:take].max(axis=1, out=sups[done : done + take])
+        g = np.random.default_rng(child).standard_normal((take, d))
+        out = sups[done : done + take]
+        for start in range(0, n, TILE):
+            cols = pts[start : start + TILE]
+            prod = buf[: take * len(cols)].reshape(take, len(cols))
+            np.matmul(g, cols.T, out=prod)
+            if start == 0:
+                prod.max(axis=1, out=out)
+            else:
+                np.maximum(out, prod.max(axis=1), out=out)
         done += take
     mean = float(sups.mean())
     std_error = float(sups.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -441,10 +453,27 @@ def certify_hull_gamma(T, alpha: float, axis_cells: int = 24) -> GammaRatioRepor
 
 
 def _diameter_and_gap(pts: np.ndarray) -> tuple[float, float]:
-    """Diameter and smallest positive interpoint distance; the gap is 0.0 when there is none."""
-    d = pdist(pts)
-    positive = d[d > 0]
-    return float(d.max(initial=0.0)), float(positive.min()) if len(positive) else 0.0
+    """Diameter and smallest positive interpoint distance; the gap is 0.0 when there is none.
+
+    Up to TILE points take one pdist vector; more take the upper triangle
+    in cdist blocks of TILE rows, which hold the same distances bit for bit.
+    A diameter that overflows float64 raises ParamOutOfRange.
+    """
+    n = len(pts)
+    if n <= TILE:
+        parts = [_extremes(pdist(pts))]
+    else:
+        parts = [_extremes(cdist(pts[start : start + TILE], pts[start:]))
+                 for start in range(0, n, TILE)]
+    diam, gap = max(p[0] for p in parts), min(p[1] for p in parts)
+    if not math.isfinite(diam):
+        raise ParamOutOfRange("distances between the points overflow float64")
+    return diam, gap if gap < math.inf else 0.0
+
+
+def _extremes(d: np.ndarray) -> tuple[float, float]:
+    """Largest distance (0.0 if none) and smallest positive one (inf if none)."""
+    return float(d.max(initial=0.0)), float(d.min(initial=math.inf, where=d > 0))
 
 
 @dataclass(frozen=True)
@@ -463,13 +492,18 @@ def certify_mm_two_sided(cloud, trials: int, seed: int) -> TwoSidedReport:
     functional and the Gaussian supremum: max(gamma2/Esup, Esup/gamma2).
 
     Singleton clouds are degenerate (both sides vanish) and are flagged
-    rather than scored.
+    rather than scored. A chaining functional or a supremum that overflows
+    float64 raises ParamOutOfRange.
     """
     pts = _points_of(cloud)
     if len(pts) < 2 or float(np.linalg.norm(pts - pts[0], axis=1).max()) == 0.0:
         return TwoSidedReport(0.0, 0.0, 0.0, float("nan"), trials, int(seed), degenerate=True)
     gamma = gamma_greedy(pts, 2.0).value
+    if not math.isfinite(gamma):
+        raise ParamOutOfRange("distances between the points overflow float64")
     sup = gaussian_sup_mc(pts, trials, seed)
+    if not (math.isfinite(sup.mean) and math.isfinite(sup.std_error)):
+        raise ParamOutOfRange("the Gaussian supremum over the points overflows float64")
     if sup.mean <= 0 or gamma <= 0:
         l_hat = float("inf")
     else:

@@ -96,7 +96,14 @@ def _in_simplex(p, verts) -> bool:
 
 
 def _distance(p, q) -> float:
-    return math.sqrt(sum((float(a) - float(b)) ** 2 for a, b in zip(p, q)))
+    """sqrt of the left-to-right sum of the squared coordinate differences;
+    each square is a product, which is correctly rounded where ``** 2`` (the
+    C library's pow) can be off by an ulp."""
+    total = 0.0
+    for a, b in zip(p, q):
+        t = float(a) - float(b)
+        total += t * t
+    return math.sqrt(total)
 
 
 def farthest_pair(points) -> tuple[float, int, int]:
@@ -622,16 +629,20 @@ def quickhull_reference(points):
     return vertices, np.array(sorted(simplices.tolist()), dtype=int)
 
 
-def gaussian_sup_reference(points, trials, seed, chunk=4096):
+def gaussian_sup_reference(points, trials, seed, chunk=4096, cols=None):
     """(mean, std_error) of max over the points of <g, p>, over ``trials``
     standard Gaussian vectors g. The k-th chunk of ``chunk`` trials (fewer in
     the last) draws its g from the k-th child of ``SeedSequence(seed)`` and
-    forms the whole chunk's ``(g @ pts.T).max(axis=1)``."""
+    forms the whole chunk's ``(g @ pts.T).max(axis=1)``; with ``cols``, the
+    maximum over the row maxima of ``g @ pts[s : s + cols].T`` for s = 0,
+    cols, 2 cols, ..."""
     pts = np.asarray(points, dtype=float)
+    cols = cols or len(pts)
     children = np.random.SeedSequence(int(seed)).spawn(-(-trials // chunk))
     sups = []
     for k, child in enumerate(children):
         g = np.random.default_rng(child).standard_normal((min(chunk, trials - k * chunk), pts.shape[1]))
-        sups.append((g @ pts.T).max(axis=1))
+        slices = [(g @ pts[s : s + cols].T).max(axis=1) for s in range(0, len(pts), cols)]
+        sups.append(np.max(slices, axis=0))
     sups = np.concatenate(sups)
     return float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(trials))

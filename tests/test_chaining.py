@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,42 @@ def test_cell_diam_first_maximum_across_chunks():
     assert _cell_diam(pts, np.arange(len(pts))) == farthest_pair(pts)
 
 
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([2, 511, 512, 513, 1025]), st.integers(1, 10), st.booleans(),
+       st.booleans(), st.sampled_from("CF"), st.integers(0, 2**31 - 1))
+def test_diameter_and_gap_tiles_match_bruteforce_bit_for_bit(n, dim, lattice, dups, order, seed):
+    # above one tile the pairs come from cdist row blocks of the upper
+    # triangle; max and min are exact, so tiles keep the single-vector values
+    rng = np.random.default_rng(seed)
+    if lattice:
+        pts = rng.integers(-3, 4, (n, dim)) * 0.5
+    else:
+        pts = rng.standard_normal((n, dim)) * rng.uniform(0.01, 100.0)
+    if dups:
+        pts[rng.integers(0, n, n // 3)] = pts[rng.integers(0, n, n // 3)]
+    pts = np.asarray(pts, order=order)
+    diam, gap = _diameter_and_gap(pts)
+    assert diam.hex() == farthest_pair(pts)[0].hex()
+    assert gap.hex() == smallest_positive_gap(pts).hex()
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that tracemalloc traces while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_diameter_and_gap_holds_one_row_tile_of_distances():
+    # all 6000 * 5999 / 2 distances at once would take 144 MB; one
+    # 512 x 6000 tile takes 24.6 MB
+    pts = np.random.default_rng(5).standard_normal((6000, 3))
+    assert _traced_peak(_diameter_and_gap, pts) < 40e6
+
+
 # ---------------------------------------------------------------------------
 # entropy integral
 # ---------------------------------------------------------------------------
@@ -367,6 +404,13 @@ def test_entropy_integral_counts_only_radii_above_a_grid_epsilon():
     assert repr(entropy_integral(pts, 2.0).value) == repr(entropy_integral_reference(pts, 2.0))
 
 
+def test_entropy_integral_refuses_distances_that_overflow():
+    # every distance is inf: the integral came out inf instead of failing
+    pts = np.arange(16.0)[:, None] * 1e184
+    with pytest.raises(ParamOutOfRange, match="overflow float64"):
+        entropy_integral(pts, 2.0)
+
+
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
 def test_entropy_integral_rejects_nonfinite_or_nonpositive_alpha(alpha):
     with pytest.raises(ParamOutOfRange):
@@ -416,6 +460,25 @@ def test_sup_replays_the_full_chunk_product_bit_for_bit(trials, n, d, order, see
     est = gaussian_sup_mc(pts, trials, seed)
     mean, std_error = gaussian_sup_reference(pts, trials, seed)
     assert (est.mean.hex(), est.std_error.hex()) == (mean.hex(), std_error.hex())
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([2, 4096, 4097]), st.sampled_from([511, 512, 513, 1025, 3725]),
+       st.sampled_from([1, 2, 8, 16]), st.sampled_from("CF"), st.integers(0, 2**31 - 1))
+def test_sup_replays_the_tiled_product_bit_for_bit(trials, n, d, order, seed):
+    # a cloud over one tile is multiplied in slices of TILE points, a ragged
+    # one last; the estimate is that of the slices' row maxima
+    pts = np.asarray(np.random.default_rng(seed).standard_normal((n, d)), order=order)
+    est = gaussian_sup_mc(pts, trials, seed)
+    mean, std_error = gaussian_sup_reference(pts, trials, seed, cols=chaining.TILE)
+    assert (est.mean.hex(), est.std_error.hex()) == (mean.hex(), std_error.hex())
+
+
+def test_sup_holds_one_tile_of_the_product():
+    # the whole 4096 x 2000 chunk product would take 65.5 MB; one 4096 x 512
+    # tile takes 16.8 MB
+    pts = np.random.default_rng(8).standard_normal((2000, 8))
+    assert _traced_peak(gaussian_sup_mc, pts, 8192, 3) < 24e6
 
 
 def test_sup_changes_with_seed():

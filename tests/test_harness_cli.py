@@ -322,6 +322,28 @@ def test_gamma_hull_of_a_cloud_in_r5_is_a_too_large_record(count_calls):
                                          "diagonal overflows float64"}
 
 
+@pytest.mark.parametrize("points", [[[1e308, 1e308], [-1e308, -1e308], [1e308, -1e308]],
+                                    (np.random.default_rng(3).standard_normal((3, 2)) * 1e200),
+                                    (np.random.default_rng(3).standard_normal((3, 2)) * 1e160)])
+def test_mm_two_sided_on_distances_that_overflow_is_a_named_failed_record(points):
+    # gamma2 and esup came out inf, L_hat nan, and the record named no error
+    doc = {"id": "huge", "kind": "cloud", "payload": {"dim": 2, "points": np.asarray(points).tolist()},
+           "checks": ["mm_two_sided"]}
+    with np.errstate(over="ignore", invalid="ignore"):
+        (record,), _ = run_scenario(doc, 1)
+    assert not record.holds
+    assert record.constants == {"error": "ParamOutOfRange: distances between the points "
+                                         "overflow float64"}
+
+
+def test_cli_entropy_on_distances_that_overflow_is_a_usage_error(tmp_path, capsys):
+    cloud = tmp_path / "c.json"
+    cloud.write_text(json.dumps({"dim": 1, "points": (np.arange(16.0)[:, None] * 1e184).tolist()}))
+    assert main(["gamma", "--cloud", str(cloud), "--method", "entropy"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: distances between the points overflow float64\n"
+
+
 def _wide_cloud():
     # cover_ratio samples the hull at eps/4: at the default epsilons a grid
     # of about 1e9 cells over this cloud's hull
