@@ -277,19 +277,32 @@ def _widest_cell(cells: list, diams: list) -> int:
 
 def _cell_diam(pts: np.ndarray, cell: np.ndarray):
     """(diameter, argmax_i, argmax_j) within a cell; row-major first maximum."""
-    k = len(cell)
-    if k < 2:
+    if len(cell) < 2:
         return (0.0, 0, 0)
-    sub = pts[cell]
-    best = (0.0, 0, 0)
-    for start in range(0, k, TILE):
-        d = cdist(sub[start : start + TILE], sub)
-        flat = int(np.argmax(d))
-        i, j = divmod(flat, k)
-        val = float(d[i, j])
-        if val > best[0]:
-            best = (val, start + i, j)
-    return best
+    # max keeps the first of equal tiles; a cell of coincident points gives (0.0, 0, 0)
+    return max(_distance_tiles(pts[cell], _first_max), key=lambda tile: tile[0])
+
+
+def _distance_tiles(pts: np.ndarray, reduce) -> list:
+    """reduce(start, cdist(pts[start : start + TILE], pts[start:])) for start
+    = 0, TILE, 2 TILE, ...: the upper triangle of the distance matrix,
+    diagonal included, TILE rows at a time, each block freed before the
+    next. The distances are symmetric bit for bit, so the row-major first
+    maximum of the whole matrix lies in this triangle.
+    """
+    return [reduce(start, cdist(pts[start : start + TILE], pts[start:]))
+            for start in range(0, len(pts), TILE)]
+
+
+def _first_max(start: int, d: np.ndarray) -> tuple[float, int, int]:
+    """(value, i, j) of the row-major first maximum of the tile at row start."""
+    i, j = divmod(int(np.argmax(d)), d.shape[1])
+    return float(d[i, j]), start + i, start + j
+
+
+def _extremes(start: int, d: np.ndarray) -> tuple[float, float]:
+    """Largest distance and smallest positive one (inf if none) of a tile."""
+    return float(d.max()), float(d.min(initial=math.inf, where=d > 0))
 
 
 def entropy_integral(cloud, alpha: float) -> GammaEstimate:
@@ -455,25 +468,16 @@ def certify_hull_gamma(T, alpha: float, axis_cells: int = 24) -> GammaRatioRepor
 def _diameter_and_gap(pts: np.ndarray) -> tuple[float, float]:
     """Diameter and smallest positive interpoint distance; the gap is 0.0 when there is none.
 
-    Up to TILE points take one pdist vector; more take the upper triangle
-    in cdist blocks of TILE rows, which hold the same distances bit for bit.
-    A diameter that overflows float64 raises ParamOutOfRange.
+    Both come from the _distance_tiles blocks, so at most TILE rows of
+    distances are held at once; max and min are exact. A diameter that
+    overflows float64 raises ParamOutOfRange.
     """
-    n = len(pts)
-    if n <= TILE:
-        parts = [_extremes(pdist(pts))]
-    else:
-        parts = [_extremes(cdist(pts[start : start + TILE], pts[start:]))
-                 for start in range(0, n, TILE)]
-    diam, gap = max(p[0] for p in parts), min(p[1] for p in parts)
+    tiles = _distance_tiles(pts, _extremes)
+    diam = max((t[0] for t in tiles), default=0.0)
+    gap = min((t[1] for t in tiles), default=math.inf)
     if not math.isfinite(diam):
         raise ParamOutOfRange("distances between the points overflow float64")
     return diam, gap if gap < math.inf else 0.0
-
-
-def _extremes(d: np.ndarray) -> tuple[float, float]:
-    """Largest distance (0.0 if none) and smallest positive one (inf if none)."""
-    return float(d.max(initial=0.0)), float(d.min(initial=math.inf, where=d > 0))
 
 
 @dataclass(frozen=True)

@@ -312,12 +312,21 @@ def test_cell_diam_first_maximum_across_chunks():
     assert _cell_diam(pts, np.arange(len(pts))) == farthest_pair(pts)
 
 
+def test_cell_diam_farthest_pair_inside_a_later_tile():
+    # both ends of the farthest pair lie past the first 512 rows: the pair
+    # comes from the second tile, whose columns start at row 512 too
+    pts = np.random.default_rng(12).standard_normal((600, 2))
+    pts[[550, 580]] = [[50.0, 0.0], [-50.0, 0.0]]
+    assert _cell_diam(pts, np.arange(600)) == farthest_pair(pts) == (100.0, 550, 580)
+
+
 @settings(max_examples=8, deadline=None)
 @given(st.sampled_from([2, 511, 512, 513, 1025]), st.integers(1, 10), st.booleans(),
        st.booleans(), st.sampled_from("CF"), st.integers(0, 2**31 - 1))
-def test_diameter_and_gap_tiles_match_bruteforce_bit_for_bit(n, dim, lattice, dups, order, seed):
-    # above one tile the pairs come from cdist row blocks of the upper
-    # triangle; max and min are exact, so tiles keep the single-vector values
+def test_distance_tiles_match_bruteforce_bit_for_bit(n, dim, lattice, dups, order, seed):
+    # the pairs come from cdist row blocks of the upper triangle; max and min
+    # are exact and the distances symmetric, so the tiles keep the whole
+    # matrix's extremes and its row-major first farthest pair
     rng = np.random.default_rng(seed)
     if lattice:
         pts = rng.integers(-3, 4, (n, dim)) * 0.5
@@ -327,8 +336,10 @@ def test_diameter_and_gap_tiles_match_bruteforce_bit_for_bit(n, dim, lattice, du
         pts[rng.integers(0, n, n // 3)] = pts[rng.integers(0, n, n // 3)]
     pts = np.asarray(pts, order=order)
     diam, gap = _diameter_and_gap(pts)
-    assert diam.hex() == farthest_pair(pts)[0].hex()
+    want = farthest_pair(pts)
+    assert diam.hex() == want[0].hex()
     assert gap.hex() == smallest_positive_gap(pts).hex()
+    assert _cell_diam(pts, np.arange(n)) == want
 
 
 def _traced_peak(fn, *args):
