@@ -564,69 +564,71 @@ def _circumball(points: np.ndarray, support: list[int]) -> tuple[np.ndarray, flo
     return center, math.sqrt(np.vecdot(diff, diff).max())
 
 
-def _welzl(points: np.ndarray, order: list[int], tau: float) -> tuple[np.ndarray, float, list[int]]:
-    """Welzl's recursion over ``points`` taken in ``order``; (center, radius, support).
+def _welzl(points: np.ndarray, tau: float) -> tuple[np.ndarray, float, list[int]]:
+    """Gärtner's pivoting loop over Welzl's move-to-front recursion; (center, radius, support).
 
-    A point is outside the current ball when its distance to the centre, the
-    norm of one vector, exceeds r + tau. A scan takes the distances of all
-    its remaining points in one ``np.vecdot`` call, whose float64 loop on
-    contiguous rows is the one-vector dot product's, and moves to the first
-    point outside; so the recursion makes the decisions, in the order, of a
-    point-by-point scan.
+    The support is a list of at most d + 1 row indices of ``points``. Each
+    step takes the point k farthest from the centre, in one ``np.vecdot``
+    pass over all points, and stops once k lies within r + tau. Otherwise
+    the next ball is the move-to-front ball of the support with k on its
+    sphere, which has at most d + 2 points to visit; the loop stops too when
+    that ball is no larger, which only rounding brings about. A point is
+    outside a ball when its distance to the centre exceeds r + tau.
     """
     dim = points.shape[1]
-    ordered = points[order]
 
-    # the active points of every call are a prefix ordered[:m] of the order
-    def solve(m: int, boundary: list[int]):
-        pos = 0 if boundary else 1  # with no boundary yet, the first point starts the ball
-        sup = boundary or [0]
-        c, r = _circumball(ordered, sup)
+    def dist(p, c):
+        diff = p - c
+        return np.sqrt(np.vecdot(diff, diff))
+
+    # the ball of order[:m] with ``boundary`` on its sphere; a point that
+    # joins the support moves to the front, so the support is boundary + order[:size]
+    def move_to_front(order: list[int], m: int, boundary: list[int]):
+        c, r = _circumball(points, boundary)
+        size = 0
         if len(boundary) == dim + 1:
-            return c, r, sup
-        while pos < m:
-            diff = ordered[pos:m] - c
-            outside = np.sqrt(np.vecdot(diff, diff)) > r + tau
-            j = int(outside.argmax())
-            if not outside[j]:
-                break
-            pos += j
-            c, r, sup = solve(pos, boundary + [pos])
-            pos += 1
-        return c, r, sup
+            return c, r, size
+        for i in range(m):
+            if dist(points[order[i]], c) > r + tau:
+                c, r, size = move_to_front(order, i, boundary + [order[i]])
+                order.insert(0, order.pop(i))
+                size += 1
+        return c, r, size
 
-    center, radius, sup = solve(len(ordered), [])
-    return center, radius, [order[k] for k in sup]
+    center, radius, support, last = points[0].copy(), 0.0, [0], -1.0
+    while radius > last:
+        far = dist(points, center)
+        k = int(far.argmax())
+        if not far[k] > radius + tau:
+            break
+        last = radius
+        center, radius, size = move_to_front(support, len(support), [k])
+        support = [k] + support[:size]
+    return center, radius, support
 
 
 def min_enclosing_ball(cloud: PointCloud | np.ndarray) -> Ball:
     """Smallest ball containing all points, in dimension at most 10.
 
-    Exact Welzl recursion over the distinct points in a fixed seeded order.
-    Each scan for a point outside the current ball takes the distances of
-    its remaining points in one exact batched call (see :func:`_welzl`), so
-    the support and its order are those of a point-by-point scan. The
-    reported radius covers every point. The points are taken in C order, so
-    the result does not depend on the input's memory layout. Raises
-    :class:`Unsupported` above dimension 10, and :class:`DegenerateInput`
-    when the squared distances overflow and the radius is not finite.
+    Welzl's move-to-front recursion under Gärtner's pivoting (see
+    :func:`_welzl`): the recursion only ever visits the current support and
+    the farthest point, so a repeated point needs no dedupe and the points
+    need no shuffle. The reported radius covers every point. The points are
+    taken in C order, so the result does not depend on the input's memory
+    layout. Raises :class:`Unsupported` above dimension 10, and
+    :class:`DegenerateInput` when the squared distances overflow and the
+    radius is not finite.
     """
     pts = np.ascontiguousarray(_points_of(cloud))
     if pts.shape[1] > _WELZL_DIM_CAP:
         raise Unsupported(f"enclosing ball capped at dimension {_WELZL_DIM_CAP}")
     tau = TAU_GEOM * _scale_of(pts)
-    _, first_idx = np.unique(pts, axis=0, return_index=True)
-    uniq = pts[np.sort(first_idx)]
-    if len(uniq) == 1:
-        return Ball(uniq[0], 0.0, support=uniq[:1])
-    rng = np.random.default_rng(0x5EED)
-    order = list(rng.permutation(len(uniq)))
-    center, radius, sup = _welzl(uniq, order, tau)
+    center, radius, sup = _welzl(pts, tau)
     # report the radius that certifiably covers everything
     radius = max(radius, float(np.max(np.linalg.norm(pts - center, axis=1))))
     if not math.isfinite(radius):
         raise DegenerateInput("squared distances overflow float64: the enclosing ball has no finite radius")
-    return Ball(center, radius, support=uniq[sup])
+    return Ball(center, radius, support=pts[sup])
 
 
 # ---------------------------------------------------------------------------

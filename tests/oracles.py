@@ -369,56 +369,28 @@ def packing_reference(points, epsilon) -> int:
     return kept
 
 
-def welzl_reference(points):
-    """(center, radius, support) of the smallest enclosing ball, for dimension <= 10.
+def meb_bruteforce(points):
+    """(center, radius) of the smallest enclosing ball, for at most 10 distinct points.
 
-    The distinct points, first occurrences in input order, are visited in
-    the order of ``np.random.default_rng(0x5EED).permutation``. Welzl's
-    recursion scans them one by one; a point is outside the current ball
-    when ``np.linalg.norm(p - c) > r + tau``, with tau = 1e-9 times the
-    bounding-box diagonal (at least 1). A ball through boundary points comes
-    from the 2 Q Q^T linear system of their differences to the first one,
-    its radius the largest norm distance to them. The reported radius also
-    covers every input point.
+    Every subset of at most d + 1 distinct points proposes its circumcentre
+    in its affine hull, from the least-squares solution of the 2 Q Q^T
+    system of its differences to its first point. The answer is the
+    proposed centre whose farthest point is nearest. Each proposal's radius
+    covers every point, so none is below the true one; the ball's own
+    support proposes the true centre.
     """
-    pts = np.asarray(points, dtype=float)
-    tau = 1e-9 * float(max(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)), 1.0))
-    _, first = np.unique(pts, axis=0, return_index=True)
-    uniq = pts[np.sort(first)]
-    if len(uniq) == 1:
-        return uniq[0], 0.0, uniq[:1]
-    dim = pts.shape[1]
-
-    def ball(support):
-        p0 = support[0]
-        if len(support) == 1:
-            return p0.copy(), 0.0
-        q = np.array([p - p0 for p in support[1:]])
-        gram = 2.0 * q @ q.T
-        rhs = np.einsum("ij,ij->i", q, q)
-        try:
-            lam = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            lam = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-        center = p0 + lam @ q
-        return center, float(max(np.linalg.norm(p - center) for p in support))
-
-    def solve(active, boundary):
-        if len(boundary) == dim + 1 or not active:
-            if not boundary:
-                return None, -1.0, []
-            c, r = ball([uniq[i] for i in boundary])
-            return c, r, list(boundary)
-        c, r, sup = solve([], boundary)
-        for pos, idx in enumerate(active):
-            if c is None or np.linalg.norm(uniq[idx] - c) > r + tau:
-                c, r, sup = solve(active[:pos], boundary + [idx])
-        return c, r, sup
-
-    order = list(np.random.default_rng(0x5EED).permutation(len(uniq)))
-    center, radius, sup = solve(order, [])
-    radius = max(radius, float(np.max(np.linalg.norm(pts - center, axis=1))))
-    return center, radius, uniq[sup]
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    assert len(pts) <= 10, "brute force over supports is meant for at most 10 points"
+    best = (None, math.inf)
+    for size in range(1, min(len(pts), pts.shape[1] + 1) + 1):
+        for support in combinations(range(len(pts)), size):
+            p0, q = pts[support[0]], pts[list(support[1:])] - pts[support[0]]
+            lam = np.linalg.lstsq(2.0 * q @ q.T, (q * q).sum(axis=1), rcond=None)[0]
+            center = p0 + lam @ q
+            radius = float(np.linalg.norm(pts - center, axis=1).max())
+            if radius < best[1]:
+                best = (center, radius)
+    return best
 
 
 def entropy_integral_reference(points, alpha) -> float:

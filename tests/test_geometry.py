@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from hullmetry import geometry
 from hullmetry.errors import DegenerateInput, NonOrientable, Unsupported
 from hullmetry.geometry import (
     TAU_GEOM,
@@ -27,7 +28,7 @@ from hullmetry.minkowski import BodyApprox, body_beta
 from hullmetry.sampling import membership
 
 import bundled
-from oracles import _reference_plane, extreme_points, quickhull_reference, shoelace, welzl_reference
+from oracles import _reference_plane, extreme_points, meb_bruteforce, quickhull_reference, shoelace
 
 L_DOC, SQ_DOC = bundled.payload("lshape"), bundled.payload("unit_square")
 L_VERTS, L_FACETS = np.array(L_DOC["vertices"]), L_DOC["facets"]
@@ -482,53 +483,80 @@ def test_meb_covers_every_point_with_support_on_sphere(seed, dim, lattice):
     st.integers(min_value=0, max_value=2**32 - 1),
     st.sampled_from([1, 2, 3, 6, 8, 10]),
     st.sampled_from(["gauss", "repeats", "lattice"]),
-    st.booleans(),
 )
-# a cloud whose radius differs in the last bit between C and Fortran row sums
-@example(233, 8, "gauss", True)
-def test_meb_replays_the_point_by_point_welzl_scan(seed, dim, kind, fortran):
+def test_meb_matches_bruteforce_in_either_memory_layout(seed, dim, kind):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 45))
+    n = int(rng.integers(1, 11))
     if kind == "lattice":
         pts = rng.integers(-3, 4, (n, dim)) * 0.25
     else:
         pts = rng.standard_normal((n, dim))
         if kind == "repeats":
             pts = pts[rng.integers(0, max(n // 3, 1), n)]
-    if fortran:
-        pts = np.asfortranarray(pts)
-    # min_enclosing_ball scans the C-order copy, whatever the input's layout
-    center, radius, support = welzl_reference(np.ascontiguousarray(pts))
     ball = min_enclosing_ball(pts)
-    assert ball.center.tobytes() == center.tobytes()
-    assert repr(ball.radius) == repr(radius)
-    assert ball.support.tobytes() == support.tobytes()
-    other = min_enclosing_ball(np.ascontiguousarray(pts) if fortran else np.asfortranarray(pts))
+    _, radius = meb_bruteforce(pts)
+    assert abs(ball.radius - radius) <= 1e-12 * radius
+    # min_enclosing_ball works on the C-order copy, whatever the input's layout
+    other = min_enclosing_ball(np.asfortranarray(pts))
     assert other.center.tobytes() == ball.center.tobytes()
     assert repr(other.radius) == repr(ball.radius)
     assert other.support.tobytes() == ball.support.tobytes()
 
 
-def _point_on_the_scan_threshold(d: int, above: bool) -> np.ndarray:
-    """Rows [p, e1, -e1]: the scan visits p last, against the ball of centre
-    0 and radius 1 through the other two. The one-vector norm of p is
-    exactly 1 + tau (``above``: the float after it), and the row-wise einsum
-    norm rounds to the other side of the test."""
+MEB_CLOUDS = {
+    # the meb_gauss6 shape of the benchmark, and a cloud at the dimension cap
+    "gauss800_r6": lambda: np.random.default_rng(20240501).standard_normal((800, 6)),
+    "gauss200_r10": lambda: np.random.default_rng(105).standard_normal((200, 10)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEB_CLOUDS))
+def test_meb_is_certified_optimal(name):
+    # the KKT certificate: every point inside, every support point on the
+    # sphere, and the centre a convex combination of the support points
+    pts = MEB_CLOUDS[name]()
+    ball = min_enclosing_ball(pts)
+    assert (np.linalg.norm(pts - ball.center, axis=1) <= ball.radius).all()
+    sup_dist = np.linalg.norm(ball.support - ball.center, axis=1)
+    assert (np.abs(sup_dist - ball.radius) <= 1e-12 * ball.radius).all()
+    system = np.vstack([ball.support.T, np.ones(len(ball.support))])
+    weights = np.linalg.lstsq(system, np.append(ball.center, 1.0), rcond=None)[0]
+    assert np.abs(system @ weights - np.append(ball.center, 1.0)).max() <= 1e-12
+    assert (weights >= 0).all()
+
+
+@pytest.mark.parametrize("name, limit", [("gauss800_r6", 200), ("gauss200_r10", 1000)])
+def test_meb_work_is_bounded(count_calls, name, limit):
+    # each pivot recurses over at most d + 2 points, so the solves follow the
+    # pivots, not the point count; the limit fails the test instead of hanging it
+    count_calls(geometry, "_circumball", limit=limit)
+    min_enclosing_ball(MEB_CLOUDS[name]())
+
+
+def _point_on_the_threshold(d: int, above: bool) -> np.ndarray:
+    """Rows [e1, -e1, p]: the ball from e1 first grows to -e1, the farthest
+    point, then has centre 0 and radius 1. The distance of p to that centre
+    is exactly 1 + tau (``above``: the float after it), and the row-wise
+    einsum norm rounds to the other side of the test."""
     def edge(pts):  # r + tau, as min_enclosing_ball sums it
         return 1.0 + TAU_GEOM * float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+
+    def dist(pts, c):  # the distance that min_enclosing_ball compares with r + tau
+        return np.sqrt(np.vecdot(pts - c, pts - c))
 
     rng = np.random.default_rng(d)
     for _ in range(20_000):
         u = rng.standard_normal(d)
         pts = np.zeros((3, d))
-        pts[0], pts[1, 0], pts[2, 0] = u / np.linalg.norm(u), 1.0, -1.0
+        pts[0, 0], pts[1, 0], pts[2] = 1.0, -1.0, u / np.linalg.norm(u)
         target = edge(pts)
         if above:
             target = float(np.nextafter(target, math.inf))
-        pts[0] *= target
-        p = pts[0]
+        pts[2] *= target
+        p = pts[2]
         other = math.sqrt(np.einsum("ij,ij->i", p[None], p[None])[0])
-        if (math.sqrt(p @ p) == target and edge(pts) == (np.nextafter(target, 0.0) if above else target)
+        if (dist(pts, 0.0)[2] == target and dist(pts, pts[0]).argmax() == 1
+                and edge(pts) == (np.nextafter(target, 0.0) if above else target)
                 and (other < target if above else other > target)):
             return pts
     raise AssertionError("no threshold point found")
@@ -536,37 +564,30 @@ def _point_on_the_scan_threshold(d: int, above: bool) -> np.ndarray:
 
 @pytest.mark.parametrize("d", [2, 3, 6, 10])
 @pytest.mark.parametrize("above", [False, True])
-def test_welzl_scan_decides_a_point_at_r_plus_tau_exactly(d, above):
-    # the scan visits the rows in the seeded order [1, 2, 0]
-    assert np.random.default_rng(0x5EED).permutation(3).tolist() == [1, 2, 0]
-    pts = _point_on_the_scan_threshold(d, above)
+def test_meb_decides_a_point_at_r_plus_tau_exactly(d, above):
+    pts = _point_on_the_threshold(d, above)
     ball = min_enclosing_ball(pts)
-    center, radius, support = welzl_reference(pts)
-    assert ball.center.tobytes() == center.tobytes()
-    assert repr(ball.radius) == repr(radius)
-    assert ball.support.tobytes() == support.tobytes()
     # at exactly r + tau the point is not outside; one float above, it is
-    assert (ball.support == pts[0]).all(axis=1).any() == above
+    assert (ball.support == pts[2]).all(axis=1).any() == above
+    if not above:
+        assert (ball.center == 0.0).all()
+        assert sorted(ball.support[:, 0].tolist()) == [-1.0, 1.0]
+    assert (np.linalg.norm(pts - ball.center, axis=1) <= ball.radius).all()
 
 
 # sha256 of center.tobytes() + radius.hex() + support.tobytes(), recorded with
-# the Welzl scan that screened its squared distances with einsum and
-# confirmed the flagged points one norm at a time. The first is the
-# meb_gauss6 shape, the second a cloud at the dimension cap; both recurse
-# deep, so a changed scan decision, support order or radius shows up here.
+# the pivoting move-to-front loop. Both clouds take 5 to 7 pivots, each a
+# recursion over the support, so a changed outside decision, support order
+# or radius shows up here.
 PINNED_MEB_DIGESTS = {
-    "gauss800_r6": "1c69e7f07078fe85523b19efc4e596f0fb8026baf6dcb1dd3e39f881a9561046",
-    "gauss200_r10": "9d9b264b5c244e69614597d9d2b127867cf03650a1c8828b5b086e3b4bf5c185",
+    "gauss800_r6": "65c1f8743f31ebfd9533eb71a2ef3b0059b29dddebbdd80b8f0ea2dff5d42f15",
+    "gauss200_r10": "e00f98156577ec3f378add4472848c27a1a339ce8356bd5a49060c8186d12478",
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_MEB_DIGESTS))
 def test_meb_output_is_bit_identical_to_pinned(name):
-    pts = {
-        "gauss800_r6": np.random.default_rng(20240501).standard_normal((800, 6)),
-        "gauss200_r10": np.random.default_rng(105).standard_normal((200, 10)),
-    }[name]
-    ball = min_enclosing_ball(pts)
+    ball = min_enclosing_ball(MEB_CLOUDS[name]())
     digest = hashlib.sha256(ball.center.tobytes() + ball.radius.hex().encode() + ball.support.tobytes())
     assert digest.hexdigest() == PINNED_MEB_DIGESTS[name]
 
