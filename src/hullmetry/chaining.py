@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
 from .errors import ParamOutOfRange, TooLarge
 from .geometry import _points_of
@@ -78,10 +78,6 @@ def _check_alpha(alpha: float) -> None:
         raise ParamOutOfRange("alpha must be positive and finite")
 
 
-def _diam(pts: np.ndarray, idx) -> float:
-    return float(pdist(pts[list(idx)]).max(initial=0.0))
-
-
 def _set_partitions(items: list):
     """All partitions of items, each a list of tuples; deterministic order."""
     if not items:
@@ -137,7 +133,7 @@ def gamma_exact_small(cloud, alpha: float) -> GammaEstimate:
             total = 0.0
             for m, part in enumerate(chain):
                 cell = next(c for c in part if t in c)
-                total += 2 ** (m / alpha) * _diam(pts, cell)
+                total += 2 ** (m / alpha) * _cell_diam(pts, np.array(cell))[0]
             worst = max(worst, total)
         return worst
 
@@ -426,11 +422,13 @@ def certify_hull_gamma(T, alpha: float, axis_cells: int = 24) -> GammaRatioRepor
     T is coerced by as_body: a body is sampled at axis_cells, a finite point
     set is used as-is. Both sides are discretized at one resolution: the
     body's sampling grid, or the point set's nearest-neighbor spacing. R is
-    hull_ratio of the coerced body. The hull is sampled at doubling spacings
-    until the sample fits GREEDY_CAP, and TooLarge is raised when no spacing
-    makes it fit: at once when the hull's affine rank exceeds
-    sampling.MAX_GRID_RANK, where the sample ignores the spacing. A hull
-    whose bounding-box diagonal overflows float64 raises ParamOutOfRange.
+    hull_ratio of the coerced body. A point set of more than GREEDY_CAP
+    points raises TooLarge before its pairwise distances are taken. The
+    hull is sampled at doubling spacings until the sample fits GREEDY_CAP,
+    and TooLarge is raised when no spacing makes it fit: at once when the
+    hull's affine rank exceeds sampling.MAX_GRID_RANK, where the sample
+    ignores the spacing. A hull whose bounding-box diagonal overflows
+    float64 raises ParamOutOfRange.
     """
     _check_alpha(alpha)
     A = as_body(T)
@@ -443,6 +441,9 @@ def certify_hull_gamma(T, alpha: float, axis_cells: int = 24) -> GammaRatioRepor
     R = hull_ratio(A)
     if A.kind == "points":
         pts_T = A.points
+        if len(pts_T) > GREEDY_CAP:
+            raise TooLarge(f"point set of {len(pts_T)} points exceeds the greedy gamma cap "
+                           f"of {GREEDY_CAP}")
         h = _diameter_and_gap(pts_T)[1] or 1.0  # the cloud's own resolution
     else:
         pts_T, h = sampling.sample_polytope(A.polytope(), axis_cells=axis_cells)

@@ -87,10 +87,9 @@ def cmd_revbm(args) -> int:
 def cmd_cover(args) -> int:
     cloud = load_cloud(args.cloud)
     rep = greedy_cover(cloud, args.epsilon)
-    doc = rep.to_json_dict()
-    if args.exact:
-        doc["n_exact"] = exact_cover_small(cloud, args.epsilon)
-    _emit(doc)
+    n_exact = exact_cover_small(cloud, args.epsilon) if args.exact else None
+    _emit({"epsilon": rep.epsilon, "n_greedy": rep.n_greedy, "n_packing": rep.n_packing,
+           "n_exact": n_exact})
     return 0
 
 

@@ -25,35 +25,7 @@ class CoveringReport:
     epsilon: float
     n_greedy: int
     n_packing: int
-    n_exact: int | None = None
-    vol_lower: float | None = None
-    vol_upper: float | None = None
-    centers: np.ndarray | None = field(default=None, repr=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "n_greedy": self.n_greedy,
-            "n_packing": self.n_packing,
-            "n_exact": self.n_exact,
-            "vol_lower": self.vol_lower,
-            "vol_upper": self.vol_upper,
-        }
-
-    @staticmethod
-    def csv_header() -> str:
-        return "epsilon,n_greedy,n_packing,n_exact,vol_lower,vol_upper"
-
-    def to_csv_row(self) -> str:
-        cells = [
-            repr(self.epsilon),
-            str(self.n_greedy),
-            str(self.n_packing),
-            "" if self.n_exact is None else str(self.n_exact),
-            "" if self.vol_lower is None else repr(self.vol_lower),
-            "" if self.vol_upper is None else repr(self.vol_upper),
-        ]
-        return ",".join(cells)
+    centers: np.ndarray = field(repr=False)
 
 
 def _check_epsilon(epsilon: float) -> None:

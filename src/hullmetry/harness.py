@@ -1,11 +1,12 @@
 """Scenario-driven certification harness.
 
 Runs every scenario x check of a suite, collects CertificationRecords, and
-writes results.json / results.csv plus plot-ready CSV data. results.json is
-byte-deterministic for a fixed suite and master seed; wall-clock timings go
-to results.csv only. Each scenario's payload is loaded once, and its checks
-share the one T and BodyApprox cached on the Scenario; the hull ratio R is
-cached on the Polytope itself.
+writes results.json and results.csv plus the files the checks return:
+convexify_<id>.csv, cover_<id>.csv and verdict_<id>.json. Every file but
+results.csv is byte-deterministic for a fixed suite and master seed;
+wall-clock timings go to results.csv only. Each scenario's payload is
+loaded once, and its checks share the one T and BodyApprox cached on the
+Scenario; the hull ratio R is cached on the Polytope itself.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .errors import INPUT_ERRORS, HullmetryError, ParamOutOfRange
 from .geometry import TAU_VOL, load_body, load_cloud, quickhull, volume_det, volume_projected
 from .minkowski import BodyApprox, convexification_gap, hull_ratio, reverse_bm_sweep
 from .sampling import membership
-from .covering import CoveringReport, check_hull_cover_ratio, packing_number, volume_cover_bounds
+from .covering import check_hull_cover_ratio, packing_number, volume_cover_bounds
 from .chaining import certify_hull_gamma, certify_mm_two_sided, gamma_ratio_report
 from .profiles import EntropyProfile, l_existence_report
 
@@ -36,6 +37,10 @@ VALID_CHECKS = {
     "profile": {"l_existence"},
 }
 
+# the params keys the checks read; any other key is a suite error, so that
+# a misspelt one fails the suite instead of leaving a check on its default
+PARAM_NAMES = {"alpha", "axis_cells", "c1_cap", "epsilons", "expect_l_exists", "gamma_cells",
+               "k_max", "l_hat_cap", "m_values", "s_values", "t_values", "trials"}
 
 PARAM_RULES = {  # rule: (what a value must be, its test)
     "cells": ("a positive integer", lambda v: type(v) is int and v > 0),
@@ -123,6 +128,9 @@ class Scenario:
         twice = sorted({c for c in scen.checks if scen.checks.count(c) > 1})
         if twice:
             raise SuiteError(f"scenario {scen.id}: checks {twice} named more than once")
+        unknown = sorted(set(scen.params) - PARAM_NAMES)
+        if unknown:
+            raise SuiteError(f"scenario {scen.id}: params {unknown} are read by no check")
         expect = scen.params.get("expect_l_exists")
         if "l_existence" in scen.checks and not isinstance(expect, bool):
             raise SuiteError(f"scenario {scen.id}: l_existence needs a boolean expect_l_exists")
@@ -221,35 +229,28 @@ def _check_convexify(scen: Scenario, seed: int):
                  "monotone": bool(monotone)}
     rows = ["k,vol,gap,bound"]
     rows += [f"{t.k},{t.vol_Ak!r},{t.hausdorff_to_hull!r},{t.bound_value!r}" for t in traces]
-    twocol = ["k,gap"] + [f"{t.k},{t.hausdorff_to_hull!r}" for t in traces]
-    return gaps[-1], gaps[0], slack, constants, {
-        f"convexify_{scen.id}.csv": "\n".join(rows) + "\n",
-        f"plot_gap_vs_k_{scen.id}.csv": "\n".join(twocol) + "\n",
-    }
+    return gaps[-1], gaps[0], slack, constants, {f"convexify_{scen.id}.csv": "\n".join(rows) + "\n"}
 
 
 def _check_cover_ratio(scen: Scenario, seed: int):
     epsilons = [float(e) for e in scen.param("epsilons", [0.2, 0.4, 0.8], "list")]
     worst_slack = math.inf
     worst = None
-    report_rows = [CoveringReport.csv_header()]
-    plot_rows = ["epsilon,n_greedy"]
+    rows = ["epsilon,n_greedy,n_packing,vol_lower,vol_upper"]
     for eps in epsilons:
         cert = check_hull_cover_ratio(scen.approx, eps)
         if cert.slack < worst_slack:
             worst_slack = cert.slack
             worst = cert
-        rep = CoveringReport(eps, cert.n_body, packing_number(cert.body_sample, eps))
-        if scen.approx.kind == "convex":
-            rep.vol_lower, rep.vol_upper = volume_cover_bounds(scen.target, eps)
-        report_rows.append(rep.to_csv_row())
-        plot_rows.append(f"{eps!r},{rep.n_greedy}")
+        # the volume sandwich holds for a convex body only
+        bounds = (volume_cover_bounds(scen.target, eps) if scen.approx.kind == "convex"
+                  else (None, None))
+        cells = [repr(eps), str(cert.n_body), str(packing_number(cert.body_sample, eps))]
+        rows.append(",".join(cells + ["" if b is None else repr(b) for b in bounds]))
     constants = {"R": worst.ratio_R, "dim": worst.dim, "epsilon_worst": worst.epsilon,
                  "epsilons": len(epsilons)}
     return float(worst.n_hull), worst.bound, worst.slack, constants, {
-        f"cover_{scen.id}.csv": "\n".join(report_rows) + "\n",
-        f"plot_n_vs_eps_{scen.id}.csv": "\n".join(plot_rows) + "\n",
-    }
+        f"cover_{scen.id}.csv": "\n".join(rows) + "\n"}
 
 
 def _check_gamma_hull(scen: Scenario, seed: int):
@@ -399,33 +400,6 @@ def run_suite(suite_file, out_dir, seed: int | None = None, jobs: int = 1) -> in
             f"{r.runtime_ms:.3f}"
         )
     (out / "results.csv").write_text("\n".join(csv_lines) + "\n")
-
-    # the summary and plot files read check-specific constants, which failed checks lack
-    computed = [r for r in all_records if "error" not in r.constants]
-    gamma_rows = ["scenario,alpha,gamma_T,gamma_Th,L_bound,esup,L_hat"]
-    esups = {r.scenario: r.constants for r in computed if r.check == "mm_two_sided"}
-    size_rows = ["size,gamma"]
-    for r in computed:
-        if r.check == "gamma_hull":
-            extra = esups.get(r.scenario, {})
-            gamma_rows.append(
-                ",".join(
-                    [
-                        r.scenario,
-                        repr(r.constants["alpha"]),
-                        repr(r.constants["gamma_T"]),
-                        repr(r.constants["gamma_Th"]),
-                        repr(r.constants["L_poly"]),
-                        repr(extra["esup"]) if "esup" in extra else "",
-                        repr(extra["L_hat"]) if "L_hat" in extra else "",
-                    ]
-                )
-            )
-    for r in computed:
-        if r.check == "mm_two_sided" and "size" in r.constants:
-            size_rows.append(f"{r.constants['size']},{r.constants['gamma2']!r}")
-    (out / "gamma_summary.csv").write_text("\n".join(gamma_rows) + "\n")
-    (out / "plot_gamma_vs_size.csv").write_text("\n".join(size_rows) + "\n")
 
     for name in sorted(artifacts):
         (out / name).write_text(artifacts[name])

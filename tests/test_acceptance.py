@@ -303,9 +303,12 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
     ok &= [(r["scenario"], r["check"]) for r in got] == [(r["scenario"], r["check"]) for r in want]
     for rec_got, rec_want in zip(got, want):
         _assert_matches_golden(rec_got, rec_want, f"{rec_want['scenario']}/{rec_want['check']}")
-    # every other artifact is deterministic too; results.csv alone carries run times
-    produced = sorted(p.name for p in (tmp_path / "a").iterdir()
-                      if p.name not in ("results.json", "results.csv"))
+    # every other artifact is deterministic too, the same bytes in both modes;
+    # results.csv alone carries run times
+    files = [{p.name: p.read_bytes() for p in (tmp_path / tag).iterdir() if p.name != "results.csv"}
+             for tag in ("a", "b")]
+    assert files[0] == files[1]
+    produced = sorted(name for name in files[0] if name != "results.json")
     ok &= produced == sorted(p.name for p in GOLDEN_ARTIFACTS.iterdir())
     for name in produced:
         _assert_matches_golden(_parse_artifact(tmp_path / "a" / name),

@@ -562,14 +562,24 @@ def test_certify_small_cloud_uses_exact_identity():
 
 def test_certify_stops_when_no_spacing_brings_the_hull_sample_under_the_cap(
         monkeypatch, count_calls):
-    # the square's four vertices exceed a cap of 3 at every spacing: the
-    # spacing doubles from the cloud's gap 1 past twice the diagonal sqrt(2), then stops
+    # the unit square's four vertices exceed a cap of 3 at every spacing: the
+    # spacing doubles from the body's grid step 1/24 past twice the diagonal
+    # sqrt(2), then stops
     monkeypatch.setattr(chaining, "GREEDY_CAP", 3)
     calls = count_calls(sampling, "sample_hull", limit=64)
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    doc = bundled.payload("unit_square")
+    square = polytope_from_facets(np.array(doc["vertices"]), doc["facets"])
     with pytest.raises(TooLarge, match="hull sample of 4 points .* at every spacing"):
         certify_hull_gamma(square, 2.0)
-    assert [h for _, h in calls] == [1.0, 2.0, 4.0]
+    assert [h for _, h in calls] == [2.0**j / 24 for j in range(8)]
+
+
+def test_certify_refuses_a_point_set_over_the_cap_before_the_pairwise_pass(count_calls):
+    pts = np.random.default_rng(0).standard_normal((chaining.GREEDY_CAP + 1, 2))
+    calls = count_calls(chaining, "_diameter_and_gap")
+    with pytest.raises(TooLarge, match="point set of 4097 points exceeds the greedy gamma cap"):
+        certify_hull_gamma(pts, 2.0)
+    assert calls == []
 
 
 def test_certify_doubles_until_the_grid_centre_leaves_the_hull(monkeypatch, count_calls):

@@ -161,6 +161,16 @@ def test_l_existence_needs_an_expectation(tmp_path):
         load_suite(path)
 
 
+def test_a_params_key_no_check_reads_is_a_suite_error(tmp_path):
+    # "epsilon" misspells "epsilons": the check would run on its default epsilons
+    doc = small_suite()
+    doc["scenarios"][0].update(checks=["cover_ratio"], params={"epsilon": [5.0]})
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SuiteError, match=r"scenario sq: params \['epsilon'\] are read by no check"):
+        load_suite(path)
+
+
 def test_failing_checks_give_failed_records(tmp_path):
     profile, square = bundled.payload("profile_case1"), bundled.payload("unit_square")
     nan_profile = dict(profile, chi="nan")
@@ -262,9 +272,6 @@ def test_failing_checks_give_failed_records(tmp_path):
     assert records[("sq", "volume_xcheck")]["holds"] and records[("sq", "ratio_poly")]["holds"]
     csv_lines = (tmp_path / "ser" / "results.csv").read_text().splitlines()
     assert len(csv_lines) == 1 + len(records)
-    assert (tmp_path / "ser" / "gamma_summary.csv").read_text() == (
-        "scenario,alpha,gamma_T,gamma_Th,L_bound,esup,L_hat\n"
-    )
 
 
 def test_bad_profile_inputs_give_failed_records():
