@@ -21,8 +21,8 @@ from . import sampling
 
 EXACT_CAP = 5
 GREEDY_CAP = 4096
-# width of every dense distance or product block: at most TILE rows (or
-# columns) of a pairwise or Gaussian product are held at once
+# size of every dense block: a pairwise-distance block holds at most TILE²
+# entries and a Gaussian product block at most 2 TILE², TILE columns wide
 TILE = 512
 # diameters this close count as tied when gamma_greedy picks the widest cell
 TIE_TOL = 1e-15
@@ -280,14 +280,18 @@ def _cell_diam(pts: np.ndarray, cell: np.ndarray):
 
 
 def _distance_tiles(pts: np.ndarray, reduce) -> list:
-    """reduce(start, cdist(pts[start : start + TILE], pts[start:])) for start
-    = 0, TILE, 2 TILE, ...: the upper triangle of the distance matrix,
-    diagonal included, TILE rows at a time, each block freed before the
-    next. The distances are symmetric bit for bit, so the row-major first
-    maximum of the whole matrix lies in this triangle.
+    """reduce(start, cdist(pts[start:stop], pts[start:])) over consecutive row
+    blocks [start, stop): the upper triangle of the distance matrix, diagonal
+    included, each block as many rows as fit in TILE² distances (at least
+    one) and freed before the next. The distances are symmetric bit for bit,
+    so the row-major first maximum of the whole matrix lies in this triangle.
     """
-    return [reduce(start, cdist(pts[start : start + TILE], pts[start:]))
-            for start in range(0, len(pts), TILE)]
+    tiles, start = [], 0
+    while start < len(pts):
+        stop = start + max(TILE * TILE // (len(pts) - start), 1)
+        tiles.append(reduce(start, cdist(pts[start:stop], pts[start:])))
+        start = stop
+    return tiles
 
 
 def _first_max(start: int, d: np.ndarray) -> tuple[float, int, int]:
@@ -343,14 +347,16 @@ def gaussian_sup_mc(cloud, trials: int, seed: int) -> SupEstimate:
 
     Per-trial Gaussians come from fixed-size seed-derived chunks, so the
     estimate is independent of any execution partitioning. Each chunk's
-    product ``g @ pts.T`` is taken in slices of TILE points, all written into
-    one buffer allocated for the first chunk, and the slices' row maxima are
-    folded with ``np.maximum``. A cloud of at most TILE points is one slice,
-    the whole product. A larger cloud gets the estimate of the tiled
-    product: BLAS may round the edge columns of a ragged last slice
-    differently from an untiled product. The rows keep their full per-chunk
-    count, since BLAS may compute a block of fewer rows with another kernel
-    (gemv for a single row) and round some entries differently.
+    product ``g @ pts.T`` is taken in slices of TILE points and in even row
+    blocks of at most 2 TILE² products, all written into one buffer
+    allocated for the first chunk, and the slices' row maxima are folded
+    with ``np.maximum``. A cloud of at most TILE points is one slice, and
+    one of at most 2 TILE² / MC_CHUNK = 128 points one block: the whole
+    product. A larger cloud gets the estimate of the tiled product: BLAS may
+    round the edge columns of a ragged last slice differently from an
+    untiled product. A block of rows rounds like the whole chunk, except a
+    single row, which BLAS takes with gemv; an even split leaves no block
+    of one row unless the chunk has one.
     """
     pts = _points_of(cloud)
     if trials < 1:
@@ -360,20 +366,26 @@ def gaussian_sup_mc(cloud, trials: int, seed: int) -> SupEstimate:
     n_chunks = (trials + MC_CHUNK - 1) // MC_CHUNK
     children = ss.spawn(n_chunks)
     sups = np.empty(trials)
-    buf = np.empty(min(MC_CHUNK, trials) * min(TILE, n))
+    width = min(TILE, n)
+    max_rows = 2 * TILE * TILE // width  # at least 2 TILE: a split chunk has no one-row block
+    buf = np.empty(min(MC_CHUNK, trials, max_rows) * width)
     done = 0
     for child in children:
         take = min(MC_CHUNK, trials - done)
         g = np.random.default_rng(child).standard_normal((take, d))
-        out = sups[done : done + take]
-        for start in range(0, n, TILE):
-            cols = pts[start : start + TILE]
-            prod = buf[: take * len(cols)].reshape(take, len(cols))
-            np.matmul(g, cols.T, out=prod)
-            if start == 0:
-                prod.max(axis=1, out=out)
-            else:
-                np.maximum(out, prod.max(axis=1), out=out)
+        blocks = -(-take // max_rows)
+        rows = -(-take // blocks)
+        for top in range(0, take, rows):
+            block = g[top : top + rows]
+            out = sups[done + top : done + top + len(block)]
+            for start in range(0, n, TILE):
+                cols = pts[start : start + TILE]
+                prod = buf[: len(block) * len(cols)].reshape(len(block), len(cols))
+                np.matmul(block, cols.T, out=prod)
+                if start == 0:
+                    prod.max(axis=1, out=out)
+                else:
+                    np.maximum(out, prod.max(axis=1), out=out)
         done += take
     mean = float(sups.mean())
     std_error = float(sups.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -469,9 +481,9 @@ def certify_hull_gamma(T, alpha: float, axis_cells: int = 24) -> GammaRatioRepor
 def _diameter_and_gap(pts: np.ndarray) -> tuple[float, float]:
     """Diameter and smallest positive interpoint distance; the gap is 0.0 when there is none.
 
-    Both come from the _distance_tiles blocks, so at most TILE rows of
-    distances are held at once; max and min are exact. A diameter that
-    overflows float64 raises ParamOutOfRange.
+    Both come from the _distance_tiles blocks, so at most TILE² distances
+    (or one row, if longer) are held at once; max and min are exact. A
+    diameter that overflows float64 raises ParamOutOfRange.
     """
     tiles = _distance_tiles(pts, _extremes)
     diam = max((t[0] for t in tiles), default=0.0)

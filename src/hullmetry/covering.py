@@ -33,7 +33,8 @@ def _check_epsilon(epsilon: float) -> None:
         raise ParamOutOfRange("epsilon must be positive and finite")
 
 
-def _gonzalez(pts: np.ndarray, stop: float) -> tuple[np.ndarray, np.ndarray]:
+def _gonzalez(pts: np.ndarray, stop: float, tree: cKDTree | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Farthest-point traversal (Gonzalez 1985) down to insertion radius ``stop``.
 
     Returns the pick order and each pick's insertion radius, its distance to
@@ -42,11 +43,12 @@ def _gonzalez(pts: np.ndarray, stop: float) -> tuple[np.ndarray, np.ndarray]:
     eps >= stop is the prefix of picks with radius > eps. Distances are numpy
     row norms of C-contiguous rows. After the first pick every distance to
     the picks is at most the new pick's radius, so only the points within
-    that radius of it, found by a cKDTree, can move closer. A distance that
-    overflows float64 raises ParamOutOfRange.
+    that radius of it, found by a cKDTree (``tree``, when the caller has
+    one of these points), can move closer. A distance that overflows float64
+    raises ParamOutOfRange.
     """
     pts = np.ascontiguousarray(pts)
-    tree = cKDTree(pts)
+    tree = cKDTree(pts) if tree is None else tree
     mind = np.full(len(pts), np.inf)
     order: list[int] = []
     radii: list[float] = []
@@ -75,14 +77,18 @@ def _greedy_centers(pts: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def greedy_cover(cloud, epsilon: float) -> CoveringReport:
-    """Farthest-point greedy cover; an upper bound on the covering number."""
+    """Farthest-point greedy cover; an upper bound on the covering number.
+
+    The cover and the packing count share one cKDTree of the points.
+    """
     _check_epsilon(epsilon)
-    pts = _points_of(cloud)
-    centers = _greedy_centers(pts, epsilon)
+    pts = np.ascontiguousarray(_points_of(cloud))
+    tree = cKDTree(pts)
+    centers = _gonzalez(pts, epsilon, tree)[0]
     return CoveringReport(
         epsilon=float(epsilon),
         n_greedy=len(centers),
-        n_packing=packing_number(pts, epsilon),
+        n_packing=packing_number(pts, epsilon, tree),
         centers=pts[centers],
     )
 
@@ -131,17 +137,18 @@ def exact_cover_small(cloud, epsilon: float) -> int:
     return best
 
 
-def packing_number(cloud, epsilon: float) -> int:
+def packing_number(cloud, epsilon: float, tree: cKDTree | None = None) -> int:
     """Size of the greedy maximal epsilon-separated subset (pairwise distance > eps).
 
     Points are taken in index order; a point is kept unless an earlier kept
     point lies within eps. The points a kept one blocks come from a cKDTree
     ball of radius eps (1 + 1e-12), filtered by the numpy row norm ``<= eps``,
-    so a distance of exactly eps is settled by the norm alone.
+    so a distance of exactly eps is settled by the norm alone. ``tree``, if
+    given, is a cKDTree of the same points.
     """
     _check_epsilon(epsilon)
     pts = np.ascontiguousarray(_points_of(cloud))
-    tree = cKDTree(pts)
+    tree = cKDTree(pts) if tree is None else tree
     blocked = np.zeros(len(pts), dtype=bool)
     count = 0
     for i in range(len(pts)):

@@ -10,6 +10,7 @@ Scenario; the hull ratio R is cached on the Polytope itself.
 """
 from __future__ import annotations
 
+import gc
 import json
 import math
 import time
@@ -369,7 +370,9 @@ def run_suite(suite_file, out_dir, seed: int | None = None, jobs: int = 1) -> in
     """Execute a suite and write reports; exit status 0 iff every check holds.
 
     The pool has at most one worker per scenario: the fork start method
-    starts every worker at once.
+    starts every worker at once. The objects alive before the scenarios run
+    are frozen out of the garbage collector's scans until they end, so no
+    collection walks them and no forked worker copies their pages to do so.
     """
     if jobs < 1:
         raise ParamOutOfRange(f"jobs must be >= 1, got {jobs!r}")
@@ -382,11 +385,15 @@ def run_suite(suite_file, out_dir, seed: int | None = None, jobs: int = 1) -> in
     all_records: list[CertificationRecord] = []
     artifacts: dict[str, str] = {}
     workers = min(jobs, len(docs))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        outcomes = (pool.map if pool else map)(run_scenario, docs, repeat(master))
-        for records, files in outcomes:
-            all_records.extend(records)
-            artifacts.update(files)
+    gc.freeze()
+    try:
+        with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+            outcomes = (pool.map if pool else map)(run_scenario, docs, repeat(master))
+            for records, files in outcomes:
+                all_records.extend(records)
+                artifacts.update(files)
+    finally:
+        gc.unfreeze()
 
     all_records.sort(key=lambda r: (r.scenario, r.check))
 

@@ -127,7 +127,7 @@ def _rasterize(body: BodyApprox, h: float) -> GridBody:
     poly = body.polytope()
     lo = poly.vertices.min(axis=0)
     hi = poly.vertices.max(axis=0)
-    centers, shape = sampling.grid_points(lo, hi, h)
+    centers, shape = sampling.grid_points(lo, hi, h, cap=sampling.SAMPLE_POINT_CAP)
     occ = sampling.membership(poly, centers).reshape(shape)
     return GridBody(lo, h, occ)
 

@@ -306,15 +306,16 @@ def test_distances_match_bruteforce(seed, dim, n, lattice):
 
 
 def test_cell_diam_first_maximum_across_chunks():
-    # 530 rows span two 512-row chunks; many points repeat, so the farthest
-    # pair recurs in the second chunk and the first occurrence must win
+    # 530 rows span two row blocks (494 rows fill the first's 512² distances);
+    # many points repeat, so the farthest pair recurs in the second block and
+    # the first occurrence must win
     pts = np.random.default_rng(11).integers(-3, 4, (530, 3)) * 0.5
     assert _cell_diam(pts, np.arange(len(pts))) == farthest_pair(pts)
 
 
 def test_cell_diam_farthest_pair_inside_a_later_tile():
-    # both ends of the farthest pair lie past the first 512 rows: the pair
-    # comes from the second tile, whose columns start at row 512 too
+    # both ends of the farthest pair lie past the first tile's 436 rows: the
+    # pair comes from the second tile, whose columns start at row 436 too
     pts = np.random.default_rng(12).standard_normal((600, 2))
     pts[[550, 580]] = [[50.0, 0.0], [-50.0, 0.0]]
     assert _cell_diam(pts, np.arange(600)) == farthest_pair(pts) == (100.0, 550, 580)
@@ -353,10 +354,16 @@ def _traced_peak(fn, *args):
 
 
 def test_diameter_and_gap_holds_one_row_tile_of_distances():
-    # all 6000 * 5999 / 2 distances at once would take 144 MB; one
-    # 512 x 6000 tile takes 24.6 MB
+    # all 6000 * 5999 / 2 distances at once would take 144 MB, and 512 rows
+    # of 6000 distances 24.6 MB; a tile holds at most 512² distances, 2.1 MB
     pts = np.random.default_rng(5).standard_normal((6000, 3))
-    assert _traced_peak(_diameter_and_gap, pts) < 40e6
+    assert _traced_peak(_diameter_and_gap, pts) < 6e6
+
+
+def test_gamma_greedy_holds_one_tile_of_distances():
+    # the root cell's diameter came from 512 rows of 4096 distances, 16.8 MB
+    pts = np.random.default_rng(9).standard_normal((4096, 2))
+    assert _traced_peak(gamma_greedy, pts, 2.0) < 6e6
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +469,12 @@ def test_sup_deterministic_bit_for_bit():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([2, 4095, 4096, 4097, 8449]), st.sampled_from([1, 2, 137, 2000]),
+@given(st.sampled_from([2, 1025, 4095, 4096, 4097, 5121, 8449]), st.sampled_from([1, 2, 137, 2000]),
        st.sampled_from([1, 2, 8, 16]), st.sampled_from("CF"), st.integers(0, 2**31 - 1))
 def test_sup_replays_the_full_chunk_product_bit_for_bit(trials, n, d, order, seed):
-    # the buffered product keeps each chunk's (take, n) shape, around the
-    # chunk boundary and for a last chunk of any size
+    # the buffered product's row blocks round like the whole chunk's
+    # (take, n) product, around the chunk boundary, for a last chunk of any
+    # size, and for a chunk split into uneven blocks
     pts = np.asarray(np.random.default_rng(seed).standard_normal((n, d)), order=order)
     est = gaussian_sup_mc(pts, trials, seed)
     mean, std_error = gaussian_sup_reference(pts, trials, seed)
@@ -474,7 +482,7 @@ def test_sup_replays_the_full_chunk_product_bit_for_bit(trials, n, d, order, see
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.sampled_from([2, 4096, 4097]), st.sampled_from([511, 512, 513, 1025, 3725]),
+@given(st.sampled_from([2, 1025, 4096, 4097, 5121]), st.sampled_from([511, 512, 513, 1025, 3725]),
        st.sampled_from([1, 2, 8, 16]), st.sampled_from("CF"), st.integers(0, 2**31 - 1))
 def test_sup_replays_the_tiled_product_bit_for_bit(trials, n, d, order, seed):
     # a cloud over one tile is multiplied in slices of TILE points, a ragged
@@ -486,10 +494,10 @@ def test_sup_replays_the_tiled_product_bit_for_bit(trials, n, d, order, seed):
 
 
 def test_sup_holds_one_tile_of_the_product():
-    # the whole 4096 x 2000 chunk product would take 65.5 MB; one 4096 x 512
-    # tile takes 16.8 MB
+    # the whole 4096 x 2000 chunk product would take 65.5 MB, and 4096 rows of
+    # a 512-point slice 16.8 MB; a 1024 x 512 block takes 4.2 MB
     pts = np.random.default_rng(8).standard_normal((2000, 8))
-    assert _traced_peak(gaussian_sup_mc, pts, 8192, 3) < 24e6
+    assert _traced_peak(gaussian_sup_mc, pts, 8192, 3) < 8e6
 
 
 def test_sup_changes_with_seed():

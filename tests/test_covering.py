@@ -203,6 +203,14 @@ def test_packing_is_computed_only_on_request(monkeypatch):
         greedy_cover(pts, 0.3)
 
 
+def test_greedy_cover_builds_one_kd_tree(count_calls):
+    # the traversal and the packing count share one tree of the points
+    trees = count_calls(covering, "cKDTree")
+    rep = greedy_cover(np.random.default_rng(31).uniform(0, 1, (60, 2)), 0.3)
+    assert (rep.n_greedy, rep.n_packing) == (9, 8)
+    assert len(trees) == 1
+
+
 def test_packing_sandwich_11_point_grid():
     grid = np.array([[i / 10] for i in range(11)])
     eps = 0.35

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import subprocess
@@ -152,6 +153,27 @@ def test_run_suite_parallel_matches_serial(tmp_path):
     ).read_bytes()
 
 
+_run_scenario = harness.run_scenario
+
+
+def _run_scenario_noting_the_freeze(doc, master):
+    """run_scenario, plus a file with the freeze count the scenario ran under."""
+    records, files = _run_scenario(doc, master)
+    return records, {**files, f"freeze_{doc['id']}.txt": str(gc.get_freeze_count())}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scenarios_run_on_a_frozen_heap(tmp_path, monkeypatch, jobs):
+    # forked workers inherit the freeze; the caller's heap is unfrozen after
+    suite_path = tmp_path / "suite.json"
+    suite_path.write_text(json.dumps(small_suite()))
+    monkeypatch.setattr(harness, "run_scenario", _run_scenario_noting_the_freeze)
+    run_suite(suite_path, tmp_path / "out", seed=5, jobs=jobs)
+    counts = [int((tmp_path / "out" / f"freeze_{sid}.txt").read_text()) for sid in ("sq", "p3")]
+    assert min(counts) > 0
+    assert gc.get_freeze_count() == 0
+
+
 def test_l_existence_needs_an_expectation(tmp_path):
     doc = small_suite()
     del doc["scenarios"][1]["params"]["expect_l_exists"]
@@ -303,6 +325,17 @@ def test_l_existence_record_one_float_from_the_singular_point_does_not_hold(delt
     assert "error" not in record.constants
     assert record.constants["L_exists"] is not expect
     assert not record.holds
+
+
+def test_revbm_past_the_sample_cap_is_a_named_record():
+    # lshape is not convex, so the sweep rasterizes it: 100000 cells a side
+    # make a grid of 1e10 cells, which asked for 74.5 GiB and raised MemoryError
+    doc = {"id": "fine_lshape", "kind": "body", "payload": bundled.payload("lshape"),
+           "checks": ["revbm"], "params": {"axis_cells": 100000}}
+    (record,), _ = run_scenario(doc, 1)
+    assert not record.holds
+    assert record.constants == {
+        "error": "DegenerateInput: sample cap exceeded; coarsen the resolution"}
 
 
 def test_gamma_hull_of_a_cloud_in_r5_is_a_too_large_record(count_calls):
