@@ -78,81 +78,45 @@ def _check_alpha(alpha: float) -> None:
         raise ParamOutOfRange("alpha must be positive and finite")
 
 
-def _set_partitions(items: list):
-    """All partitions of items, each a list of tuples; deterministic order."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [(first,) + part[i]] + part[i + 1 :]
-        yield [(first,)] + part
-
-
-def _refinements(partition: list, max_cells: int):
-    """Strict refinements of a partition with at most max_cells cells."""
-    per_cell = [list(_set_partitions(list(cell))) for cell in partition]
-
-    def rec(i, acc):
-        if len(acc) > max_cells:
-            return
-        if i == len(per_cell):
-            if len(acc) > len(partition):
-                yield [tuple(sorted(c)) for c in acc]
-            return
-        for opt in per_cell[i]:
-            yield from rec(i + 1, acc + opt)
-
-    yield from rec(0, [])
+def _power(base: float, exponent: float, alpha: float) -> float:
+    """base ** exponent; ParamOutOfRange naming alpha when it overflows float64."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise ParamOutOfRange(f"{base!r}^{exponent!r} overflows at alpha={alpha!r}") from None
 
 
 def gamma_exact_small(cloud, alpha: float) -> GammaEstimate:
-    """Exact infimum over admissible sequences, by exhaustion; capped at 5 points.
+    """Exact chaining functional of at most EXACT_CAP = 5 points, in closed form.
 
-    Only chains of strict refinements are enumerated: keeping a partition
-    unchanged for one level is always dominated by refining it, so the
-    restriction loses nothing.
+    Level 0 is T and costs diam T at every point. Level 2 may be all
+    singletons, since N_2 = 16 >= n, and so may level 1 when n <= N_1 = 4:
+    then gamma = diam T. Five points in at most four cells put two together,
+    so level 1 costs at least 2^(1/alpha) d_min at one of them, which the
+    closest pair plus singletons attains: gamma = diam T + 2^(1/alpha) d_min.
+    The witness is (T; singletons), or (T; closest pair plus singletons;
+    singletons). Distances, or a functional, that overflow float64 raise
+    ParamOutOfRange.
     """
     pts = _points_of(cloud)
     n = len(pts)
     if n > EXACT_CAP:
-        raise TooLarge(f"exact search capped at {EXACT_CAP} points, got {n}")
+        raise TooLarge(f"exact functional capped at {EXACT_CAP} points, got {n}")
     _check_alpha(alpha)
-    if n == 1:
-        seq = AdmissibleSequence((((0,),),))
-        return GammaEstimate(alpha, 0.0, "exact", seq)
-
-    root = [tuple(range(n))]
-    best_value = math.inf
-    best_chain = None
-
-    def chain_value(chain) -> float:
-        worst = 0.0
-        for t in range(n):
-            total = 0.0
-            for m, part in enumerate(chain):
-                cell = next(c for c in part if t in c)
-                total += 2 ** (m / alpha) * _cell_diam(pts, np.array(cell))[0]
-            worst = max(worst, total)
-        return worst
-
-    def extend(chain):
-        nonlocal best_value, best_chain
-        last = chain[-1]
-        if all(len(c) == 1 for c in last):
-            value = chain_value(chain)
-            if value < best_value:
-                best_value = value
-                best_chain = chain
-            return
-        m = len(chain)
-        for ref in _refinements(last, cardinality_limit(m)):
-            extend(chain + [ref])
-
-    extend([root])
-    witness = AdmissibleSequence(tuple(tuple(p) for p in best_chain))
-    return GammaEstimate(alpha, best_value, "exact", witness)
+    d = cdist(pts, pts)
+    diam = float(d.max())
+    if not math.isfinite(diam):
+        raise ParamOutOfRange("distances between the points overflow float64")
+    top, singletons = (tuple(range(n)),), tuple((k,) for k in range(n))
+    if n < EXACT_CAP:
+        return GammaEstimate(alpha, diam, "exact", AdmissibleSequence((top, singletons)))
+    np.fill_diagonal(d, math.inf)
+    i, j = divmod(int(np.argmin(d)), n)  # row-major first, so i < j
+    value = diam + _power(2, 1 / alpha, alpha) * float(d[i, j])
+    if not math.isfinite(value):
+        raise ParamOutOfRange(f"the chaining functional overflows float64 at alpha={alpha!r}")
+    pair = tuple(sorted([(i, j)] + [(k,) for k in range(n) if k not in (i, j)]))
+    return GammaEstimate(alpha, value, "exact", AdmissibleSequence((top, pair, singletons)))
 
 
 def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
@@ -173,6 +137,7 @@ def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
     diameter unless their squared differences underflow; so that level is
     built in closed form (_equal_point_classes) and is the last. Where
     underflow is possible the level splits widest-first like any other.
+    Distances, or a functional, that overflow float64 raise ParamOutOfRange.
     """
     pts = _points_of(cloud)
     n = len(pts)
@@ -183,15 +148,18 @@ def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
     # cells stay ascending index arrays, so a cell's min index is cell[0]
     cells = [np.arange(n)]
     diams = [_cell_diam(pts, cells[0])]
+    if not math.isfinite(diams[0][0]):
+        raise ParamOutOfRange("distances between the points overflow float64")
     totals = np.zeros(n)
     partitions = [tuple((tuple(cells[0].tolist()),))]
     m = 0
     while True:
-        for ci, cell in enumerate(cells):
-            if diams[ci][0] > 0:
-                totals[cell] += 2 ** (m / alpha) * diams[ci][0]
-        if all(d[0] <= 0.0 for d in diams):
+        wide = [(cell, d[0]) for cell, d in zip(cells, diams) if d[0] > 0]
+        if not wide:
             break
+        weight = _power(2, m / alpha, alpha)
+        for cell, diam in wide:
+            totals[cell] += weight * diam
         m += 1
         budget = cardinality_limit(m)
         if budget >= n:
@@ -212,8 +180,10 @@ def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
         diams = [diams[ci] for ci in order]
         partitions.append(tuple(tuple(c.tolist()) for c in cells))
 
-    witness = AdmissibleSequence(tuple(partitions))
-    return GammaEstimate(alpha, float(totals.max()), "greedy", witness)
+    value = float(totals.max())
+    if not math.isfinite(value):
+        raise ParamOutOfRange(f"the chaining functional overflows float64 at alpha={alpha!r}")
+    return GammaEstimate(alpha, value, "greedy", AdmissibleSequence(tuple(partitions)))
 
 
 # a coordinate gap of at least this squares to a normal double, so two
@@ -312,7 +282,8 @@ def entropy_integral(cloud, alpha: float) -> GammaEstimate:
     gap; natural logarithms; the constant tail below the smallest gap is
     added in closed form. N = 1 contributes nothing. One farthest-point
     traversal down to the smallest grid eps gives every N(eps) as the
-    number of insertion radii above eps.
+    number of insertion radii above eps. Distances, or an integral, that
+    overflow float64 raise ParamOutOfRange.
     """
     pts = np.unique(_points_of(cloud), axis=0)
     _check_alpha(alpha)
@@ -333,9 +304,11 @@ def entropy_integral(cloud, alpha: float) -> GammaEstimate:
 
     total = 0.0
     for hi, lo, cover in zip(grid, grid[1:], covers[1:].tolist()):
-        total += (hi - lo) * (math.log(cover) ** (1.0 / alpha) if cover > 1 else 0.0)
+        total += (hi - lo) * (_power(math.log(cover), 1.0 / alpha, alpha) if cover > 1 else 0.0)
     # below the smallest gap every point needs its own ball
-    total += grid[-1] * math.log(len(pts)) ** (1.0 / alpha)
+    total += grid[-1] * _power(math.log(len(pts)), 1.0 / alpha, alpha)
+    if not math.isfinite(total):
+        raise ParamOutOfRange(f"the entropy integral overflows float64 at alpha={alpha!r}")
     return GammaEstimate(alpha, total, "entropy_integral")
 
 
@@ -393,10 +366,11 @@ def gaussian_sup_mc(cloud, trials: int, seed: int) -> SupEstimate:
 
 
 def l_constant(R: float, n: int, alpha: float) -> float:
-    """(log(R 3^n)/log 2 + 1)^(1/alpha), both logarithms natural."""
+    """(log(R 3^n)/log 2 + 1)^(1/alpha), both logarithms natural; ParamOutOfRange
+    when it overflows float64."""
     if not (R >= 1.0 and n >= 1 and 0 < alpha < math.inf):
         raise ParamOutOfRange("need R >= 1, n >= 1, alpha > 0")
-    return (math.log(R * 3.0**n) / math.log(2.0) + 1.0) ** (1.0 / alpha)
+    return _power(math.log(R * 3.0**n) / math.log(2.0) + 1.0, 1.0 / alpha, alpha)
 
 
 @dataclass(frozen=True)
@@ -404,7 +378,6 @@ class GammaRatioReport:
     gamma_T: float
     gamma_Th: float
     L_bound: float
-    alpha: float
     R: float
     dim: int
     slack: float
@@ -421,7 +394,6 @@ def gamma_ratio_report(gamma_T: float, gamma_Th: float, dim: int, alpha: float,
         gamma_T=gamma_T,
         gamma_Th=gamma_Th,
         L_bound=L,
-        alpha=alpha,
         R=R,
         dim=dim,
         slack=float(slack),
@@ -499,8 +471,6 @@ class TwoSidedReport:
     esup: float
     esup_std_error: float
     l_hat: float
-    trials: int
-    seed: int
     degenerate: bool = False
 
 
@@ -514,10 +484,8 @@ def certify_mm_two_sided(cloud, trials: int, seed: int) -> TwoSidedReport:
     """
     pts = _points_of(cloud)
     if len(pts) < 2 or float(np.linalg.norm(pts - pts[0], axis=1).max()) == 0.0:
-        return TwoSidedReport(0.0, 0.0, 0.0, float("nan"), trials, int(seed), degenerate=True)
+        return TwoSidedReport(0.0, 0.0, 0.0, float("nan"), degenerate=True)
     gamma = gamma_greedy(pts, 2.0).value
-    if not math.isfinite(gamma):
-        raise ParamOutOfRange("distances between the points overflow float64")
     sup = gaussian_sup_mc(pts, trials, seed)
     if not (math.isfinite(sup.mean) and math.isfinite(sup.std_error)):
         raise ParamOutOfRange("the Gaussian supremum over the points overflows float64")
@@ -525,4 +493,4 @@ def certify_mm_two_sided(cloud, trials: int, seed: int) -> TwoSidedReport:
         l_hat = float("inf")
     else:
         l_hat = max(gamma / sup.mean, sup.mean / gamma)
-    return TwoSidedReport(gamma, sup.mean, sup.std_error, float(l_hat), trials, int(seed))
+    return TwoSidedReport(gamma, sup.mean, sup.std_error, float(l_hat))

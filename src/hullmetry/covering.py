@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .errors import ParamOutOfRange, TooLarge, Unsupported
+from .errors import HullmetryError, ParamOutOfRange, TooLarge, Unsupported
 from .geometry import Polytope, unit_ball_volume, volume_det, _points_of
 from .minkowski import as_body, hull_ratio
 from . import sampling
@@ -96,45 +96,22 @@ def greedy_cover(cloud, epsilon: float) -> CoveringReport:
 def exact_cover_small(cloud, epsilon: float) -> int:
     """Minimum number of closed epsilon-balls centered at cloud points covering it.
 
-    Exhaustive branch-and-bound set cover; capped at 24 points.
+    The 0/1 program min sum(x) subject to W x >= 1, W = (cdist <= epsilon), solved
+    by scipy's milp; capped at EXACT_COVER_CAP points. HullmetryError unless the
+    solve ends optimal with a cover.
     """
     _check_epsilon(epsilon)
     pts = _points_of(cloud)
     n = len(pts)
     if n > EXACT_COVER_CAP:
         raise TooLarge(f"exact cover capped at {EXACT_COVER_CAP} points, got {n}")
+    from scipy.optimize import milp  # loads scipy.fft: only the calls pay for it
+
     within = cdist(pts, pts) <= epsilon
-    masks = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in within]
-    full = (1 << n) - 1
-
-    # drop dominated candidate balls (strict subsets of another ball)
-    order = sorted(range(n), key=lambda i: (-bin(masks[i]).count("1"), i))
-    kept = []
-    for i in order:
-        if not any(masks[i] | masks[j] == masks[j] and masks[i] != masks[j] for j in kept):
-            if masks[i] not in (masks[j] for j in kept):
-                kept.append(i)
-    cand = [masks[i] for i in kept]
-
-    best = len(_greedy_centers(pts, epsilon))
-    max_size = max(bin(m).count("1") for m in cand)
-
-    def dfs(covered: int, used: int):
-        nonlocal best
-        if covered == full:
-            best = min(best, used)
-            return
-        remaining = bin(full & ~covered).count("1")
-        if used + math.ceil(remaining / max_size) >= best:
-            return
-        # branch on the lowest uncovered point
-        low = (full & ~covered) & -(full & ~covered)
-        for m in cand:
-            if m & low:
-                dfs(covered | m, used + 1)
-
-    dfs(0, 0)
-    return best
+    res = milp(np.ones(n), constraints=(within, 1, np.inf), integrality=np.ones(n), bounds=(0, 1))
+    if res.status != 0 or not within[:, np.round(res.x) == 1].any(axis=1).all():
+        raise HullmetryError(f"exact cover: milp ended without an optimal cover ({res.message})")
+    return int(np.round(res.x).sum())
 
 
 def packing_number(cloud, epsilon: float, tree: cKDTree | None = None) -> int:

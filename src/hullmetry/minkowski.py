@@ -2,7 +2,8 @@
 
 Bodies come in three flavors: polytopes, summed exactly when both are convex
 and rasterized to occupancy grids otherwise, the grids themselves, and finite
-point sets handled by direct enumeration. All paths are deterministic.
+point sets, summed with each other by direct enumeration. All paths are
+deterministic.
 """
 from __future__ import annotations
 
@@ -11,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, NonpositiveScale, ParamOutOfRange, TooLarge
+from .errors import (
+    DegenerateInput, DimensionMismatch, NonpositiveScale, ParamOutOfRange, TooLarge, Unsupported,
+)
 from .geometry import (
     Polytope,
     SimplicialBoundary,
@@ -117,27 +120,18 @@ class BodyApprox:
 
 
 def _rasterize(body: BodyApprox, h: float) -> GridBody:
-    if body.kind == "grid":
-        if abs(body.grid.h - h) <= 1e-12 * h:
-            return body.grid
-        pts = body.grid.cell_centers()
-        return _grid_from_points(pts, h, body.dim)
-    if body.kind == "points":
-        return _grid_from_points(body.points, h, body.dim)
-    poly = body.polytope()
-    lo = poly.vertices.min(axis=0)
-    hi = poly.vertices.max(axis=0)
+    """The occupancy grid of a convex or solid body at spacing h; a grid body is
+    its own grid, at its own spacing only. A finite point set, or a grid at
+    another spacing, raises Unsupported."""
+    if body.kind == "grid" and abs(body.grid.h - h) <= 1e-12 * h:
+        return body.grid
+    if body.poly is None:
+        raise Unsupported(f"cannot rasterize a {body.kind} body at spacing {h!r}: only a "
+                          f"polytope rasterizes, and a grid only at its own spacing")
+    lo = body.poly.vertices.min(axis=0)
+    hi = body.poly.vertices.max(axis=0)
     centers, shape = sampling.grid_points(lo, hi, h, cap=sampling.SAMPLE_POINT_CAP)
-    occ = sampling.membership(poly, centers).reshape(shape)
-    return GridBody(lo, h, occ)
-
-
-def _grid_from_points(pts: np.ndarray, h: float, dim: int) -> GridBody:
-    lo = pts.min(axis=0)
-    idx = np.floor((pts - lo) / h + 1e-12).astype(int)
-    shape = tuple(idx.max(axis=0) + 1)
-    occ = np.zeros(shape, dtype=bool)
-    occ[tuple(idx.T)] = True
+    occ = sampling.membership(body.poly, centers).reshape(shape)
     return GridBody(lo, h, occ)
 
 
@@ -232,8 +226,8 @@ def _union_pair_runs(a: np.ndarray, b: np.ndarray, cells: np.ndarray) -> None:
 
 
 def minkowski_sum(A: BodyApprox, B: BodyApprox) -> BodyApprox:
-    """A plus B pointwise. Convex pairs stay exact, the hull of the vertex sums;
-    otherwise grid dilation."""
+    """A plus B pointwise. Convex pairs stay exact, the hull of the vertex sums,
+    point-set pairs enumerate the sums, and the rest are dilated grids (see _rasterize)."""
     if A.dim != B.dim:
         raise DimensionMismatch(f"dimensions {A.dim} and {B.dim} differ")
     if A.kind == "convex" and B.kind == "convex":

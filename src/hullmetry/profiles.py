@@ -164,7 +164,6 @@ def integral_exists(f: RatioFunction, delta: float) -> IntegrabilityVerdict:
 
 @dataclass(frozen=True)
 class LExistenceReport:
-    profile: EntropyProfile
     hull: EntropyProfile
     ratio: RatioFunction
     verdict: IntegrabilityVerdict
@@ -179,4 +178,4 @@ def l_existence_report(p: EntropyProfile, delta: float, C: float = 1.0) -> LExis
     if C != 1.0:
         ratio = RatioFunction(ratio.kind, C * ratio.constant, ratio.constant_label)
     verdict = integral_exists(ratio, delta)
-    return LExistenceReport(p, hull, ratio, verdict, verdict.converges)
+    return LExistenceReport(hull, ratio, verdict, verdict.converges)

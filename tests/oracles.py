@@ -134,15 +134,15 @@ def exhaustive_set_cover(points, epsilon) -> int:
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
-    covers = []
-    for i in range(n):
-        covers.append({j for j in range(n) if np.linalg.norm(pts[i] - pts[j]) <= epsilon})
-    everything = set(range(n))
+    # ball i as a bit mask of the points it covers
+    covers = [sum(1 << j for j in range(n) if np.linalg.norm(pts[i] - pts[j]) <= epsilon)
+              for i in range(n)]
+    everything = (1 << n) - 1
     for size in range(1, n + 1):
-        for combo in combinations(range(n), size):
-            union = set()
-            for i in combo:
-                union |= covers[i]
+        for combo in combinations(covers, size):
+            union = 0
+            for mask in combo:
+                union |= mask
             if union == everything:
                 return size
     return n
@@ -172,12 +172,13 @@ def gamma_by_enumeration(points, alpha) -> float:
     n = len(pts)
     assert n <= 5
 
+    dist = {(a, b): float(np.linalg.norm(pts[a] - pts[b]))
+            for a in range(n) for b in range(a + 1, n)}
+
     def diam(cell):
         if len(cell) < 2:
             return 0.0
-        return max(
-            float(np.linalg.norm(pts[a] - pts[b])) for a in cell for b in cell if a < b
-        )
+        return max(dist[a, b] for a in cell for b in cell if a < b)
 
     def refinements(partition):
         options = [list(all_partitions(list(cell))) for cell in partition]

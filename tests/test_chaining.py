@@ -63,24 +63,54 @@ def test_exact_two_points_is_distance():
         assert est.witness.validate(2)
 
 
-@pytest.mark.parametrize("n_points", [2, 3, 4])
+def exact_cases(n_points, count, seed):
+    """(points, alpha): n_points in R^1 to R^4, Gaussian or on a small integer
+    lattice (ties and duplicate points), scaled by 1e-150 to 1e150, with
+    alpha from 0.01 to 1000."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        d = int(rng.integers(1, 5))
+        pts = (rng.standard_normal((n_points, d)) if k % 2
+               else rng.integers(-2, 3, (n_points, d)).astype(float))
+        yield pts * 10.0 ** rng.uniform(-150, 150), float(10.0 ** rng.uniform(-2, 3))
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 3, 4])
 def test_exact_small_clouds_equal_diameter(n_points):
     rng = np.random.default_rng(n_points)
     pts = rng.standard_normal((n_points, 3))
     d = max(
-        np.linalg.norm(pts[i] - pts[j]) for i in range(n_points) for j in range(i + 1, n_points)
+        (np.linalg.norm(pts[i] - pts[j]) for i in range(n_points) for j in range(i + 1, n_points)),
+        default=0.0,
     )
     est = gamma_exact_small(pts, 2.0)
     assert est.value == pytest.approx(d, abs=1e-12)
+    for pts, alpha in exact_cases(n_points, 700, n_points):
+        est = gamma_exact_small(pts, alpha)
+        assert est.value == farthest_pair(pts)[0]
+        assert est.witness.validate(n_points)
 
 
 def test_exact_matches_independent_enumeration_on_five_points():
     rng = np.random.default_rng(55)
-    for _ in range(3):
-        pts = rng.uniform(0, 1, (5, 2))
-        ours = gamma_exact_small(pts, 2.0).value
-        oracle = gamma_by_enumeration(pts, 2.0)
-        assert ours == pytest.approx(oracle, abs=1e-12)
+    cases = [(rng.uniform(0, 1, (5, 2)), 2.0) for _ in range(3)]
+    for pts, alpha in cases + list(exact_cases(5, 300, 5)):
+        est = gamma_exact_small(pts, alpha)
+        assert est.value == pytest.approx(gamma_by_enumeration(pts, alpha), rel=1e-12, abs=0.0)
+        assert est.witness.validate(5)
+
+
+def test_exact_refuses_an_alpha_or_distances_that_overflow():
+    # the exhaustive search raised OverflowError for a level weight past
+    # float64, and TypeError when every chain came out inf
+    pts = np.random.default_rng(2).standard_normal((5, 2))
+    assert math.isfinite(gamma_exact_small(pts, 0.001).value)  # 2^1000 d_min
+    with pytest.raises(ParamOutOfRange, match=r"^2\^2000\.0 overflows at alpha=0\.0005"):
+        gamma_exact_small(pts, 0.0005)
+    with pytest.raises(ParamOutOfRange, match="overflows float64 at alpha=0.0011"):
+        gamma_exact_small(pts * 1e150, 0.0011)
+    with pytest.raises(ParamOutOfRange, match="distances between the points overflow"):
+        gamma_exact_small(pts * 1e200, 2.0)
 
 
 def test_exact_cap():

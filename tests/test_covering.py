@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hullmetry import covering, geometry
 from hullmetry.chaining import entropy_integral
-from hullmetry.errors import ParamOutOfRange, TooLarge, Unsupported
+from hullmetry.errors import HullmetryError, ParamOutOfRange, TooLarge, Unsupported
 from hullmetry.covering import (
     _gonzalez,
     _greedy_centers,
@@ -170,6 +170,25 @@ def test_exact_matches_bruteforce_oracle():
         pts = rng.uniform(0, 1, (9, 2))
         eps = float(rng.uniform(0.15, 0.6))
         assert exact_cover_small(pts, eps) == exhaustive_set_cover(pts, eps)
+    # 1 to 24 points in R^1 to R^3, uniform or on a quarter lattice, where
+    # many distances equal epsilon exactly; epsilon grows as sqrt(d), which
+    # keeps the covers small enough (1 to 14 balls) for subset enumeration
+    for trial in range(300):
+        n, d = int(rng.integers(1, 25)), int(rng.integers(1, 4))
+        pts = rng.uniform(0, 1, (n, d)) if trial % 2 else rng.integers(0, 5, (n, d)) / 4.0
+        eps = float(rng.choice([0.2, 0.25, 0.3, 0.35, 0.4, 0.5, 0.7])) * d**0.5
+        assert exact_cover_small(pts, eps) == exhaustive_set_cover(pts, eps)
+
+
+def test_exact_cover_refuses_a_solve_that_is_not_an_optimal_cover(monkeypatch):
+    import scipy.optimize
+
+    tri = np.array([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]])
+    for status, x in ((1, None), (0, np.array([1.0, 0.0, 0.0]))):
+        result = scipy.optimize.OptimizeResult(status=status, x=x, message="stub")
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kw: result)
+        with pytest.raises(HullmetryError, match="without an optimal cover"):
+            exact_cover_small(tri, 0.9)
 
 
 def test_exact_cap_enforced():

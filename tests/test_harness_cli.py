@@ -215,6 +215,7 @@ def test_failing_checks_give_failed_records(tmp_path):
         "fractional_m": ("revbm", {"m_values": [1, 1.5]}),
         "nan_alpha": ("gamma_hull", {"alpha": float("nan")}),
         "one_trial": ("mm_two_sided", {"trials": 1}),
+        "tiny_alpha": ("gamma_hull", {"alpha": 0.001}),
     }
     doc = {"suite": "broken", "seed": 3, "scenarios": [
         {"id": "chi_nan", "kind": "profile", "payload": nan_profile,
@@ -238,6 +239,10 @@ def test_failing_checks_give_failed_records(tmp_path):
         {"id": "flat_in_3d", "kind": "body", "payload": flat_in_3d,
          "checks": ["volume_xcheck"]},
         small_suite()["scenarios"][0],
+        # the gammas need only the level-1 weight 2^1000, but L overflows;
+        # mm_two_sided still gives its record
+        {"id": "tiny_alpha_cloud", "kind": "cloud", "payload": bundled.payload("pm_e1"),
+         "checks": ["gamma_hull", "mm_two_sided"], "params": {"alpha": 0.001}},
     ] + [
         {"id": sid, "kind": "cloud" if check == "mm_two_sided" else "body",
          "payload": bundled.payload("twopoint" if check == "mm_two_sided" else "unit_square"),
@@ -290,8 +295,13 @@ def test_failing_checks_give_failed_records(tmp_path):
             "ParamOutOfRange: m_values must be a list of positive integers, got [1, 1.5]",
         ("nan_alpha", "gamma_hull"): "ParamOutOfRange: alpha must be finite and positive, got nan",
         ("one_trial", "mm_two_sided"): "ParamOutOfRange: trials must be an integer >= 2, got 1",
+        # the weight of level 2, and L = (log(9)/log(2) + 1)^(1/alpha)
+        ("tiny_alpha", "gamma_hull"): "ParamOutOfRange: 2^2000.0 overflows at alpha=0.001",
+        ("tiny_alpha_cloud", "gamma_hull"):
+            "ParamOutOfRange: 4.169925001442312^1000.0 overflows at alpha=0.001",
     }
     assert records[("sq", "volume_xcheck")]["holds"] and records[("sq", "ratio_poly")]["holds"]
+    assert records[("tiny_alpha_cloud", "mm_two_sided")]["holds"]
     csv_lines = (tmp_path / "ser" / "results.csv").read_text().splitlines()
     assert len(csv_lines) == 1 + len(records)
 
@@ -592,6 +602,19 @@ def test_cli_volume(tmp_path, capsys):
     assert main(["volume", "--body", str(body)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["volume_det"] == pytest.approx(3.0, abs=1e-12)
+    # the hull of the same file: the pentagon that cuts off the L's notch
+    assert main(["hull", "--body", str(body)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["dim"], doc["n_vertices"], doc["n_facets"], doc["volume"]) == (2, 5, 5, 3.5)
+    assert doc["vertices"] == [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 2.0], [0.0, 2.0]]
+    # the cube's corners and its centre, as a cloud: the centre is no vertex
+    cloud = tmp_path / "c.json"
+    corners = bundled.payload("unit_cube")["vertices"]
+    cloud.write_text(json.dumps({"dim": 3, "points": corners + [[0.5, 0.5, 0.5]]}))
+    assert main(["hull", "--cloud", str(cloud)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["dim"], doc["n_vertices"], doc["n_facets"], doc["volume"]) == (3, 8, 12, 1.0)
+    assert sorted(doc["vertices"]) == sorted(corners)
 
 
 def test_cli_gamma_exact(tmp_path, capsys):
@@ -600,6 +623,11 @@ def test_cli_gamma_exact(tmp_path, capsys):
     assert main(["gamma", "--cloud", str(cloud), "--alpha", "2", "--method", "exact"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["value"] == 1.0
+    # five points: diam 10 plus 2^(1/alpha) times the closest pair's 1, and
+    # only level 1 has a weight, so alpha = 0.001 needs just 2^1000
+    cloud.write_text(json.dumps({"dim": 1, "points": [[0], [1], [3], [6], [10]]}))
+    assert main(["gamma", "--cloud", str(cloud), "--alpha", "0.001", "--method", "exact"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 10.0 + 2.0**1000
 
 
 def test_cli_profile_case3(capsys):
@@ -655,6 +683,20 @@ MALFORMED_INPUTS = {  # argv with IN for the input path and OUT for an output di
                           '{"dim": 3, "vertices": [[0, 0], [1, 0], [0, 1]]}', {}, "declared dim"),
     "seed_env_not_int": (["run", "IN", "--out", "OUT"], json.dumps(small_suite()),
                          {"HULLMETRY_SEED": "abc"}, "HULLMETRY_SEED must be an integer"),
+    "alpha_weight_overflows": (
+        ["gamma", "--cloud", "IN", "--method", "exact", "--alpha", "0.0005"],
+        '{"dim": 1, "points": [[0], [1], [3], [6], [10]]}', {},
+        "2^2000.0 overflows at alpha=0.0005"),  # the weight of level 1
+    # a finite weight times a long distance: the greedy value was printed as Infinity
+    "greedy_functional_overflows": (
+        ["gamma", "--cloud", "IN", "--method", "greedy", "--alpha", "0.001"],
+        '{"dim": 1, "points": [[0], [1e10], [3e10], [6e10], [1e11]]}', {},
+        "the chaining functional overflows float64 at alpha=0.001"),
+    # (log N)^1000 raised OverflowError, a traceback
+    "entropy_power_overflows": (
+        ["gamma", "--cloud", "IN", "--method", "entropy", "--alpha", "0.001"],
+        json.dumps({"dim": 1, "points": [[float(i)] for i in range(16)]}), {},
+        "overflows at alpha=0.001"),
 }
 
 

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from hullmetry import geometry, minkowski, sampling
 from hullmetry.chaining import certify_hull_gamma
-from hullmetry.errors import DegenerateInput, DimensionMismatch, NonpositiveScale, ParamOutOfRange
+from hullmetry.errors import (
+    DegenerateInput, DimensionMismatch, NonpositiveScale, ParamOutOfRange, Unsupported,
+)
 from hullmetry.geometry import PointCloud, load_body, polytope_from_facets, quickhull
 from hullmetry.harness import Scenario
 from hullmetry.minkowski import (
@@ -113,6 +115,19 @@ def test_sum_commutative_on_grid_path():
 
     res = max(ab.grid.h, ba.grid.h)
     assert hausdorff_distance(ab.grid.cell_centers(), ba.grid.cell_centers()) <= res
+
+
+def test_sum_of_a_point_set_with_a_body_or_of_grids_at_two_spacings_is_unsupported():
+    # these sums rasterized the point set or re-gridded the finer grid's cell
+    # centres, a path that no check, CLI command or average reached
+    lb = lshape_body(axis_cells=60)
+    two = BodyApprox.from_points(bundled.payload("twopoint")["points"])
+    fine = BodyApprox.from_grid(minkowski._rasterize(lb, lb.natural_spacing()))
+    coarse = BodyApprox.from_grid(minkowski._rasterize(lb, 2 * lb.natural_spacing()))
+    for a, b, kind in ((two, lb, "points"), (lb, two, "points"), (fine, coarse, "grid")):
+        with pytest.raises(Unsupported, match=f"cannot rasterize a {kind} body"):
+            minkowski_sum(a, b)
+    assert minkowski_sum(fine, fine).volume() > 0
 
 
 def test_forward_brunn_minkowski_on_convex_bodies():
