@@ -56,8 +56,8 @@ class PointCloud:
 
 
 def _points_of(cloud) -> np.ndarray:
-    """Coordinates of a PointCloud, or of a validated array-like of points."""
-    return cloud.points if isinstance(cloud, PointCloud) else _as_points(cloud)
+    """Coordinates of a PointCloud, or of an array-like of points validated as one."""
+    return (cloud if isinstance(cloud, PointCloud) else PointCloud(cloud)).points
 
 
 @dataclass(frozen=True)

@@ -32,22 +32,52 @@ POINTS_CAP = 250_000
 
 @dataclass(frozen=True)
 class GridBody:
-    """Occupancy-grid body: cell (i,...) has center origin + (i + 1/2) h."""
+    """Occupancy-grid body: cell (i,...) has center origin + (i + 1/2) h.
+
+    The set cells are held as runs along the last axis. ``edges`` are flat
+    indices into the shape widened by one cell on the last axis (_wide): a
+    run of cells [s, e) of a line starts at s and stops at e, the widening
+    cell if the run ends the line. Starts and stops alternate in increasing
+    order, a start first. The occupancy array is built only where cells are
+    read.
+    """
 
     origin: np.ndarray
     h: float
-    occ: np.ndarray
+    shape: tuple
+    edges: np.ndarray
+
+    @staticmethod
+    def from_occ(origin, h: float, occ: np.ndarray) -> "GridBody":
+        """The grid of the 0/1 array occ."""
+        # where occ padded with an empty cell at each end of a line changes value
+        changes = np.empty(_wide(occ.shape), dtype=bool)
+        changes[..., 0], changes[..., -1] = occ[..., 0], occ[..., -1]
+        np.not_equal(occ[..., 1:], occ[..., :-1], out=changes[..., 1:-1])
+        return GridBody(origin, h, occ.shape, np.flatnonzero(changes))
 
     @property
     def dim(self) -> int:
-        return self.occ.ndim
+        return len(self.shape)
+
+    @property
+    def occ(self) -> np.ndarray:
+        """The 0/1 occupancy array, a byte a cell: set from each start to its stop."""
+        flips = np.zeros(math.prod(_wide(self.shape)), dtype=bool)
+        flips[self.edges] = True
+        return np.logical_xor.accumulate(flips, out=flips).reshape(_wide(self.shape))[..., :-1]
 
     def cell_centers(self) -> np.ndarray:
         idx = np.argwhere(self.occ)
         return self.origin + (idx + 0.5) * self.h
 
     def volume(self) -> float:
-        return float(self.occ.sum()) * self.h**self.dim
+        return float((self.edges[1::2] - self.edges[0::2]).sum()) * self.h**self.dim
+
+
+def _wide(shape: tuple) -> tuple:
+    """shape widened by one cell on the last axis, where a run that ends a line stops."""
+    return shape[:-1] + (shape[-1] + 1,)
 
 
 @dataclass(frozen=True)
@@ -131,86 +161,72 @@ def _rasterize(body: BodyApprox, h: float) -> GridBody:
     lo = body.poly.vertices.min(axis=0)
     hi = body.poly.vertices.max(axis=0)
     centers, shape = sampling.grid_points(lo, hi, h, cap=sampling.SAMPLE_POINT_CAP)
-    occ = sampling.membership(body.poly, centers).reshape(shape)
-    return GridBody(lo, h, occ)
+    return GridBody.from_occ(lo, h, sampling.membership(body.poly, centers).reshape(shape))
 
 
 def _dilate(a: GridBody, b: GridBody) -> GridBody:
     """The grid of a + b: cell i + j is occupied when cell i of a and cell j of b are."""
     if abs(a.h - b.h) > 1e-12 * max(a.h, b.h):
         raise ValueError("grid dilation requires equal spacings")
-    origin = a.origin + b.origin + a.h / 2.0
-    return GridBody(origin, a.h, _dilate_runs(a.occ, b.occ))
+    shape = tuple(m + n - 1 for m, n in zip(a.shape, b.shape))
+    # each edge keeps its multi-index, in the output's widened layout
+    a_edges, b_edges = (
+        np.ravel_multi_index(np.unravel_index(g.edges, _wide(g.shape)), _wide(shape)) for g in (a, b)
+    )
+    return GridBody(a.origin + b.origin + a.h / 2.0, a.h, shape, _dilate_runs(a_edges, b_edges))
 
 
-def _run_edges(occ: np.ndarray, wide: tuple) -> np.ndarray:
-    """Where the runs of set cells along occ's last axis start and stop.
-
-    The positions are flat indices into the shape ``wide``, which is at least
-    occ's shape widened by one cell on the last axis, where a run that ends
-    the line has its stop. Starts and stops alternate in increasing order, a
-    start first.
-    """
-    # where occ padded with an empty cell at each end of a line changes value
-    changes = np.empty(occ.shape[:-1] + (occ.shape[-1] + 1,), dtype=bool)
-    changes[..., 0], changes[..., -1] = occ[..., 0], occ[..., -1]
-    np.not_equal(occ[..., 1:], occ[..., :-1], out=changes[..., 1:-1])
-    return np.ravel_multi_index(np.unravel_index(np.flatnonzero(changes), changes.shape), wide)
-
-
-# _union_pair_runs forms at most this many pairs of runs at once, a block of
-# a's runs against all of b's, so its index buffers stay bounded.
+# _dilate_runs forms at most this many pairs of runs at once, a block of a's
+# runs against all of b's, so its index buffers stay bounded.
 _PAIR_BLOCK = 1 << 20
 
 
-def _dilate_runs(a_occ: np.ndarray, b_occ: np.ndarray) -> np.ndarray:
-    """The dilation of the 0/1 grid a_occ by b_occ, in integers.
+def _dilate_runs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The run edges of the dilation of the grid with run edges a by that with b.
 
     A run of set cells of a along its last axis, cells [sa, ea) of one line,
     and a run of b, cells [sb, eb) of another, sum to cells
     [sa + sb, ea + eb - 1) of the line whose multi-index is the sum of
-    theirs. In the output shape widened by one cell on the last axis a flat
-    index is linear in the multi-index, so a pair run starts at the sum of
-    its two starts and stops at the sum of its two stops less one, never
-    past the widening cell that ends its line. The dilation is the union of
-    the R_a * R_b pair runs, returned as a view of the widened grid without
-    its widening cells, so the output is not copied.
-    """
-    shape = tuple(m + n - 1 for m, n in zip(a_occ.shape, b_occ.shape))
-    wide = shape[:-1] + (shape[-1] + 1,)
-    a, b = _run_edges(a_occ, wide), _run_edges(b_occ, wide)
-    cells = np.zeros(math.prod(wide), dtype=bool)
-    if len(a) and len(b):
-        _union_pair_runs(a, b, cells)
-    return cells.reshape(wide)[..., :-1]
+    theirs. With a and b given in the output shape widened by one cell on
+    the last axis, a flat index is linear in the multi-index, so a pair run
+    starts at the sum of its two starts and stops at the sum of its two
+    stops less one, never past the widening cell that ends its line. The
+    dilation is the union of the R_a * R_b pair runs, and its edges, in the
+    same layout, are where the count of open pair runs turns positive or
+    back to zero.
 
-
-def _union_pair_runs(a: np.ndarray, b: np.ndarray, cells: np.ndarray) -> None:
-    """Sets the flat cells of the union of the pair runs of the run edges a and b.
-
-    A cell is covered where more pair runs have started than stopped at or
-    before it. The runs of a are counted in blocks, in order: a run and
-    those after it that start within b's span of it (b's first start to its
-    last stop), at most _PAIR_BLOCK pairs. No later pair starts before the
-    next block's first pair, so the cells before that are final once the
-    block is counted in: a running sum of the counts, carried over block to
-    block. The counts live in a window that slides along the output, at most
-    two spans of b and one run of a wide. The time is
-    O(R_a R_b + N + blocks * span_b) for N output cells, and the memory
-    besides the output is proportional to b's span, not to N or to the
+    The runs of a are counted in blocks, in order: a run and those after it
+    that start within b's span of it (b's first start to its last stop), at
+    most _PAIR_BLOCK pairs. No later pair starts before the next block's
+    first pair, so the counts of the cells before that are final once the
+    block is counted in: a running sum, carried over block to block. The
+    counts live in a window that slides along the output, at most two spans
+    of b and one run of a wide. The pairs open at a cell x are as many as
+    the set cells y of b with x - y a set cell of a, so a count never
+    exceeds b's cells, which fit in the window: int32 holds it. The time is
+    O(R_a R_b + N + blocks * span_b) for N output cells, and the memory is
+    proportional to b's span and the output's runs, not to N or to the
     pairs.
     """
+    if not (len(a) and len(b)):
+        return np.empty(0, dtype=np.intp)
     a_starts, a_stops = a[0::2], a[1::2]
     b_starts, b_stops = b[0::2], b[1::2] - 1
     reach = b[-1] - b[0]
     rows = max(1, _PAIR_BLOCK // len(b_starts))
-    depth = np.zeros(2 * reach + (a_stops - a_starts).max(), dtype=np.int64)
+    depth = np.zeros(2 * reach + (a_stops - a_starts).max(), dtype=np.int32)
+    # covered[1 + c]: cell c of the window is in the dilation; covered[0]:
+    # the cell before the window is
+    covered = np.zeros(len(depth) + 1, dtype=bool)
+    # an untyped 1 would send int32 ufunc.at down a casting loop
+    one = np.int32(1)
+    edges = []
     done, carry, i = a_starts[0] + b_starts[0], 0, 0
     while i < len(a_starts):
         j = min(i + rows, np.searchsorted(a_starts, a_starts[i] + reach, "right"))
         # ufunc.at adds in place; np.bincount would build a span of counts
-        np.add.at(depth, (a_starts[i:j, None] + (b_starts - done)).ravel(), 1)
-        np.subtract.at(depth, (a_stops[i:j, None] + (b_stops - done)).ravel(), 1)
+        np.add.at(depth, (a_starts[i:j, None] + (b_starts - done)).ravel(), one)
+        np.subtract.at(depth, (a_stops[i:j, None] + (b_stops - done)).ravel(), one)
         span = a_stops[j - 1] + b_stops[-1] + 1 - done
         # past this block's last stop when a gap between a's runs is wider
         # than b's span: no pair covers the cells in between
@@ -218,11 +234,13 @@ def _union_pair_runs(a: np.ndarray, b: np.ndarray, cells: np.ndarray) -> None:
         m = min(nxt - done, span)
         depth[0] += carry
         np.cumsum(depth[:m], out=depth[:m])
-        np.greater(depth[:m], 0, out=cells[done:done + m])
-        carry = depth[m - 1]
+        np.greater(depth[:m], 0, out=covered[1:m + 1])
+        edges.append(done + np.flatnonzero(covered[1:m + 1] != covered[:m]))
+        carry, covered[0] = depth[m - 1], covered[m]
         depth[:span - m] = depth[m:span]
         depth[span - m:span] = 0
         done, i = nxt, j
+    return np.concatenate(edges)
 
 
 def minkowski_sum(A: BodyApprox, B: BodyApprox) -> BodyApprox:
@@ -250,7 +268,7 @@ def scale_body(A: BodyApprox, s: float) -> BodyApprox:
         return BodyApprox.from_points(A.points * s)
     if A.kind == "grid":
         g = A.grid
-        return BodyApprox.from_grid(GridBody(g.origin * s, g.h * s, g.occ))
+        return BodyApprox.from_grid(GridBody(g.origin * s, g.h * s, g.shape, g.edges))
     scaled = Polytope(SimplicialBoundary(A.poly.vertices * s, A.poly.boundary.simplices))
     return BodyApprox(A.kind, poly=scaled, axis_cells=A.axis_cells)
 
@@ -357,9 +375,9 @@ def _decimate(grid: GridBody, h: float) -> np.ndarray:
     is OR-reduced over each run of equal coarse indices. The fine centre list
     is never built.
     """
-    occ = grid.occ
-    if not occ.any():
+    if not len(grid.edges):
         raise DegenerateInput("cannot decimate an empty grid")
+    occ = grid.occ
     lo = np.empty(grid.dim)
     for j in range(grid.dim):
         hit = np.flatnonzero(occ.any(axis=tuple(a for a in range(grid.dim) if a != j)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hullmetry import geometry
+from hullmetry import chaining, covering, geometry
 from hullmetry.errors import DegenerateInput, NonOrientable, Unsupported
 from hullmetry.geometry import (
     TAU_GEOM,
@@ -688,3 +688,21 @@ def test_load_cloud_checks_dim(tmp_path):
     path.write_text(json.dumps({"dim": 3, "points": [[0.0, 1.0]]}))
     with pytest.raises(ValueError):
         load_cloud(path)
+
+
+EMPTY_CLOUD_CALLS = {
+    "gamma_exact_small": lambda pts: chaining.gamma_exact_small(pts, 2.0),
+    "gamma_greedy": lambda pts: chaining.gamma_greedy(pts, 2.0),
+    "entropy_integral": lambda pts: chaining.entropy_integral(pts, 2.0),
+    "gaussian_sup_mc": lambda pts: chaining.gaussian_sup_mc(pts, 10, 0),
+    "exact_cover_small": lambda pts: covering.exact_cover_small(pts, 0.5),
+    "greedy_cover": lambda pts: covering.greedy_cover(pts, 0.5),
+    "packing_number": lambda pts: covering.packing_number(pts, 0.5),
+    "min_enclosing_ball": geometry.min_enclosing_ball,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_CLOUD_CALLS))
+def test_an_empty_point_array_is_refused_as_an_empty_cloud(name):
+    with pytest.raises(ValueError, match="^point cloud must be non-empty$"):
+        EMPTY_CLOUD_CALLS[name](np.zeros((0, 2)))

@@ -293,9 +293,9 @@ def test_convexification_gap_builds_no_fine_cell_centres(count_calls):
 
 @st.composite
 def decimation_cases(draw):
-    """(grid, h): a random occupancy in d = 1..3 padded with empty border
-    slabs, an origin of either sign, and a fine spacing h/k (k = 2..9) or h/r
-    for a non-integer r in (1, 4]."""
+    """(grid, occ, h): a random occupancy occ in d = 1..3 padded with empty
+    border slabs, its grid at an origin of either sign and a fine spacing
+    h/k (k = 2..9) or h/r for a non-integer r in (1, 4]."""
     dim = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     core = rng.random(tuple(draw(st.integers(1, 9)) for _ in range(dim))) < draw(
@@ -307,7 +307,7 @@ def decimation_cases(draw):
     origin = np.array([draw(st.floats(-5.0, 5.0)) for _ in range(dim)])
     h = draw(st.floats(0.01, 2.0))
     ratio = draw(st.one_of(st.integers(2, 9), st.floats(1.0, 4.0, exclude_min=True)))
-    return GridBody(origin, h / ratio, occ), h
+    return GridBody.from_occ(origin, h / ratio, occ), occ, h
 
 
 def _lex_sorted(pts):
@@ -317,11 +317,23 @@ def _lex_sorted(pts):
 @settings(max_examples=300, deadline=None)
 @given(decimation_cases())
 def test_decimate_matches_first_occurrence_oracle(case):
-    grid, h = case
+    grid, occ, h = case
     got = minkowski._decimate(grid, h)
-    want = decimate_first_occurrence(grid.origin, grid.h, grid.occ, h)
+    want = decimate_first_occurrence(grid.origin, grid.h, occ, h)
     assert got.shape == want.shape
     assert _lex_sorted(got).tobytes() == _lex_sorted(want).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(decimation_cases())
+def test_grid_volume_and_centres_from_runs_equal_the_dense_ones(case):
+    # the grids have empty lines (the border slabs) and, at densities near
+    # 1, full ones
+    grid, occ, _ = case
+    assert grid.shape == occ.shape and grid.occ.tobytes() == occ.tobytes()
+    assert grid.volume() == float(occ.sum()) * grid.h**occ.ndim
+    centres = grid.origin + (np.argwhere(occ) + 0.5) * grid.h
+    assert grid.cell_centers().tobytes() == centres.tobytes()
 
 
 def rasterized_polygon(draw, rng, dim: int, extents) -> np.ndarray:
@@ -344,9 +356,10 @@ def rasterized_polygon(draw, rng, dim: int, extents) -> np.ndarray:
 
 @st.composite
 def dilation_pairs(draw):
-    """Two grids of one dimension d = 1..3 and one spacing: random, full,
-    single-cell, empty or rasterized-polygon occupancies, sometimes with one
-    empty slab, on extents that include 7, 11 and 13 (7 in 3-D)."""
+    """Two (grid, occupancy) pairs of one dimension d = 1..3 and one spacing:
+    random, full, single-cell, empty or rasterized-polygon occupancies,
+    sometimes with one empty slab, on extents that include 7, 11 and 13 (7
+    in 3-D)."""
     dim = draw(st.integers(1, 3))
     h = draw(st.floats(0.01, 2.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -370,18 +383,27 @@ def dilation_pairs(draw):
             axis = draw(st.integers(0, dim - 1))
             occ[(slice(None),) * axis + (draw(st.integers(0, shape[axis] - 1)),)] = False
         origin = np.array([draw(st.floats(-5.0, 5.0)) for _ in range(dim)])
-        grids.append(GridBody(origin, h, occ))
+        grids.append((GridBody.from_occ(origin, h, occ), occ))
     return grids
+
+
+def run_edges(occ, shape):
+    """The run edges of occ padded with empty cells to shape, in shape's
+    widened layout."""
+    padded = np.zeros(shape, dtype=bool)
+    padded[tuple(slice(0, n) for n in occ.shape)] = occ
+    return GridBody.from_occ(np.zeros(len(shape)), 1.0, padded).edges
 
 
 @settings(max_examples=200, deadline=None)
 @given(dilation_pairs())
 def test_dilate_matches_shift_or_oracle(pair):
-    a, b = pair
+    (a, a_occ), (b, b_occ) = pair
     got = minkowski._dilate(a, b)
-    want = dilation_reference(a.occ, b.occ)
-    assert got.occ.dtype == want.dtype and got.occ.shape == want.shape
-    assert got.occ.tobytes() == want.tobytes()
+    want = dilation_reference(a_occ, b_occ)
+    assert got.shape == want.shape
+    assert got.edges.tobytes() == run_edges(want, want.shape).tobytes()
+    assert got.occ.dtype == want.dtype and got.occ.tobytes() == want.tobytes()
     # every pairwise sum of cell centres is the centre of an occupied cell
     sums = (a.cell_centers()[:, None, :] + b.cell_centers()[None, :, :]).reshape(-1, a.dim)
     idx = (sums - got.origin) / got.h - 0.5
@@ -395,54 +417,66 @@ def test_dilate_matches_shift_or_oracle(pair):
 def test_dilate_in_7_pair_blocks_matches_shift_or_oracle(pair):
     # at 7 pairs a block is one run of a whenever b has 4 runs or more, so
     # most of these sums are counted over several blocks
-    a, b = pair
+    (_, a_occ), (_, b_occ) = pair
+    want = dilation_reference(a_occ, b_occ)
     with mock.patch.object(minkowski, "_PAIR_BLOCK", 7):
-        got = minkowski._dilate_runs(a.occ, b.occ)
-    want = dilation_reference(a.occ, b.occ)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+        got = minkowski._dilate_runs(run_edges(a_occ, want.shape), run_edges(b_occ, want.shape))
+    assert got.dtype == np.intp
+    assert got.tobytes() == run_edges(want, want.shape).tobytes()
 
 
 def test_bundled_lshape_trace_dilates_by_runs():
     # one run of a per block slides the count window over every run of the
     # trace's sums, up to 834 runs against 120; the grids must not change
     A = bundled_lshape().approx
-    trace = [Ak.grid.occ for k, Ak in minkowski._average_sequence(A, 8) if k > 1]
+    trace = [Ak.grid for k, Ak in minkowski._average_sequence(A, 8) if k > 1]
     with mock.patch.object(minkowski, "_PAIR_BLOCK", 1):
-        by_run = [Ak.grid.occ for k, Ak in minkowski._average_sequence(A, 8) if k > 1]
+        by_run = [Ak.grid for k, Ak in minkowski._average_sequence(A, 8) if k > 1]
     assert len(trace) == 7
-    assert all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(trace, by_run))
+    assert all(x.shape == y.shape and x.edges.tobytes() == y.edges.tobytes()
+               for x, y in zip(trace, by_run))
+    # each sum is the last one dilated by the rasterized body
+    a_occ = minkowski._rasterize(A, A.natural_spacing()).occ
+    acc_occ = a_occ
+    for grid in trace[:2]:
+        acc_occ = dilation_reference(acc_occ, a_occ)
+        assert grid.shape == acc_occ.shape and grid.occ.tobytes() == acc_occ.tobytes()
 
 
 def test_solid_3d_prism_sum_dilates_by_counting():
     # 300 runs a side: 90 000 pairs against 39^3 = 59 319 output cells
     occ = np.ones((20, 20, 20), dtype=bool)
     occ[10:, 10:, :] = False
-    prism = BodyApprox.from_grid(GridBody(np.zeros(3), 0.05, occ))
+    prism = BodyApprox.from_grid(GridBody.from_occ(np.zeros(3), 0.05, occ))
     twice = minkowski_average(prism, 2)
-    assert twice.grid.occ.tobytes() == dilation_reference(occ, occ).tobytes()
+    want = dilation_reference(occ, occ)
+    assert twice.grid.edges.tobytes() == run_edges(want, want.shape).tobytes()
+    assert twice.grid.occ.tobytes() == want.tobytes()
 
 
 def test_dilate_counts_in_a_window_of_b_not_of_the_output():
     # a 2000-cell square by a 10-cell one: 4 million output cells, 20 000
-    # pair runs. Besides the output (a byte a cell, returned as a view
-    # without the widening cells) the counts take a window of about
-    # 2 * 18 100 cells.
-    a = np.ones((2000, 2000), dtype=bool)
-    b = np.ones((10, 10), dtype=bool)
+    # pair runs. No cell grid is built: the counts take an int32 window of
+    # 2 * 18 099 + 2000 cells, a byte a cell marks which of them are
+    # covered, and the output is the edges of its 2009 runs (32 kB).
+    shape = (2009, 2009)
+    a = run_edges(np.ones((2000, 2000), dtype=bool), shape)
+    b = run_edges(np.ones((10, 10), dtype=bool), shape)
+    window = 4 * (2 * (b[-1] - b[0]) + 2000)
     tracemalloc.start()
     try:
         got = minkowski._dilate_runs(a, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got.shape == (2009, 2009) and got.all()
-    assert peak < 1.5 * got.size
+    lines = np.arange(2009) * 2010
+    assert got.tobytes() == np.column_stack([lines, lines + 2009]).ravel().tobytes()
+    assert peak < 2 * (window + got.nbytes)
 
 
 def test_decimate_rejects_an_empty_grid():
     with pytest.raises(DegenerateInput):
-        minkowski._decimate(GridBody(np.zeros(2), 0.1, np.zeros((3, 4), bool)), 0.3)
+        minkowski._decimate(GridBody.from_occ(np.zeros(2), 0.1, np.zeros((3, 4), bool)), 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +637,21 @@ def test_general_ratio_lshape():
     assert hull_ratio(A, "general") >= ratio
 
 
+def test_general_ratio_of_the_lshape_holds_no_cell_grid_of_a_sum():
+    # at the default spacing the k = 8 sum adds a 200^2-cell grid to a
+    # 1394^2-cell one: that grid and the 1593^2-cell output alone would take
+    # 4.5 MB as cell grids
+    lpoly = polytope_from_facets(L_VERTS, L_DOC["facets"])
+    tracemalloc.start()
+    try:
+        ratio = hull_ratio(lpoly, "general")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ratio == 1.7960958752552558
+    assert peak < 6e6
+
+
 def test_general_ratio_rasterizes_a_solid_body_once(count_calls):
     A = bundled_lshape().approx
     assert A.kind == "solid"
@@ -641,7 +690,7 @@ def test_body_beta_matches_geometry():
 
 
 def test_grid_body_has_general_but_no_polyhedral_ratio():
-    grid = BodyApprox.from_grid(GridBody(np.zeros(2), 0.2, np.ones((5, 5), bool)))
+    grid = BodyApprox.from_grid(GridBody.from_occ(np.zeros(2), 0.2, np.ones((5, 5), bool)))
     assert hull_ratio(grid, "general") == 2.285978726592224
     for call in (
         lambda: hull_ratio(grid, "poly"),
