@@ -27,9 +27,14 @@ MAX_HULL_DIM = 8
 
 
 def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
+    pts = np.asarray(points)
     if pts.ndim != 2:
         raise ValueError("expected a 2-d array of point coordinates")
+    # numpy reads True as 1 beside numbers, so a list's entries are read too
+    if pts.dtype.kind not in "iuf" or (
+            isinstance(points, list) and any(type(x) is bool for row in points for x in row)):
+        raise ValueError("point coordinates must be numbers")
+    pts = pts.astype(float, copy=False)
     if not np.all(np.isfinite(pts)):
         raise ValueError("point coordinates must be finite")
     return pts
@@ -642,6 +647,9 @@ def load_body(source) -> Polytope:
     vertices = _declared_points(doc, "vertices")
     facets = doc.get("facets")
     if facets:
+        bad = [i for facet in facets for i in facet if type(i) is not int]
+        if bad:
+            raise ValueError(f"facet indices must be integers, got {bad[0]!r}")
         return polytope_from_facets(vertices, facets)
     return quickhull(vertices)
 
@@ -658,7 +666,9 @@ def load_cloud(source) -> PointCloud:
 
 def _declared_points(doc: dict, key: str) -> np.ndarray:
     pts = _as_points(doc[key])
-    if pts.shape[1] != int(doc["dim"]):
+    if type(doc["dim"]) is not int:
+        raise ValueError(f"dim must be an integer, got {doc['dim']!r}")
+    if pts.shape[1] != doc["dim"]:
         raise ValueError("declared dim disagrees with point coordinates")
     return pts
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import sys
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -43,13 +44,20 @@ VALID_CHECKS = {
 PARAM_NAMES = {"alpha", "axis_cells", "c1_cap", "epsilons", "expect_l_exists", "gamma_cells",
                "k_max", "l_hat_cap", "m_values", "s_values", "t_values", "trials"}
 
+
+def _is_number(v) -> bool:
+    """v is a JSON number that a float holds: a float, or an int no larger in
+    magnitude than the largest float; never a bool or a string."""
+    return type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
+
+
 PARAM_RULES = {  # rule: (what a value must be, its test)
     "cells": ("a positive integer", lambda v: type(v) is int and v > 0),
     "at_least_2": ("an integer >= 2", lambda v: type(v) is int and v >= 2),
-    "positive": ("finite and positive", lambda v: math.isfinite(float(v)) and float(v) > 0),
+    "positive": ("finite and positive", lambda v: _is_number(v) and math.isfinite(v) and v > 0),
     "list": ("a non-empty list", lambda v: isinstance(v, list) and len(v) > 0),
-    "counts": ("a list of positive integers",
-               lambda v: isinstance(v, list) and all(type(m) is int and m > 0 for m in v)),
+    "numbers": ("a list of numbers", lambda v: all(_is_number(x) for x in v)),
+    "counts": ("a list of positive integers", lambda v: all(type(m) is int and m > 0 for m in v)),
 }
 
 
@@ -120,6 +128,10 @@ class Scenario:
             )
         except KeyError as exc:
             raise SuiteError(f"scenario {sid}: missing key {exc}") from exc
+        # the id names the check files and is a results.csv cell
+        if not scen.id or any(c in scen.id for c in "/\\\0,\r\n"):
+            raise SuiteError(f"scenario id {scen.id!r} is empty or holds a path separator, "
+                             f"a NUL, a comma or a line break")
         if scen.kind not in VALID_CHECKS:
             raise SuiteError(f"scenario {scen.id}: unknown kind {scen.kind!r}")
         valid = VALID_CHECKS[scen.kind]
@@ -137,14 +149,16 @@ class Scenario:
             raise SuiteError(f"scenario {scen.id}: l_existence needs a boolean expect_l_exists")
         return scen
 
-    def param(self, key: str, default, rule: str):
+    def param(self, key: str, default, *rules: str):
         """params[key], or default when the key is absent. A given value
-        that breaks the rule raises ParamOutOfRange naming the key."""
+        that breaks one of the rules, tested in order, raises
+        ParamOutOfRange naming the key and the first rule it breaks."""
         if key not in self.params:
             return default
-        want, ok = PARAM_RULES[rule]
-        if not ok(self.params[key]):
-            raise ParamOutOfRange(f"{key} must be {want}, got {self.params[key]!r}")
+        for rule in rules:
+            want, ok = PARAM_RULES[rule]
+            if not ok(self.params[key]):
+                raise ParamOutOfRange(f"{key} must be {want}, got {self.params[key]!r}")
         return self.params[key]
 
     # a cached_property caches no exception, so a payload that fails to load
@@ -198,10 +212,11 @@ def _check_ratio_poly(scen: Scenario, seed: int):
 
 def _check_revbm(scen: Scenario, seed: int):
     cap = float(scen.param("c1_cap", 10.0, "positive"))
-    s_values, t_values, m_values = (
-        scen.param(key, [1], "list") for key in ("s_values", "t_values", "m_values")
+    s_values, t_values = (
+        scen.param(key, [1], "list", "numbers") for key in ("s_values", "t_values")
     )
-    scen.param("m_values", [1], "counts")  # each m is used as given, never rounded
+    # each m is used as given, never rounded
+    m_values = scen.param("m_values", [1], "list", "counts")
     reports = reverse_bm_sweep(
         scen.approx, scen.approx,
         [float(s) for s in s_values], [float(t) for t in t_values], m_values,
@@ -234,7 +249,7 @@ def _check_convexify(scen: Scenario, seed: int):
 
 
 def _check_cover_ratio(scen: Scenario, seed: int):
-    epsilons = [float(e) for e in scen.param("epsilons", [0.2, 0.4, 0.8], "list")]
+    epsilons = [float(e) for e in scen.param("epsilons", [0.2, 0.4, 0.8], "list", "numbers")]
     worst_slack = math.inf
     worst = None
     rows = ["epsilon,n_greedy,n_packing,vol_lower,vol_upper"]
@@ -283,10 +298,9 @@ def _check_mm_two_sided(scen: Scenario, seed: int):
 
 
 def _check_l_existence(scen: Scenario, seed: int):
-    doc = scen.payload
-    profile = EntropyProfile(float(doc["chi"]), float(doc["psi"]))
-    delta = float(doc.get("delta", 1.0))
-    C = float(doc.get("C", 1.0))
+    doc = {"delta": 1.0, "C": 1.0, **scen.payload}
+    chi, psi, delta, C = (_number(key, doc[key]) for key in ("chi", "psi", "delta", "C"))
+    profile = EntropyProfile(chi, psi)
     rep = l_existence_report(profile, delta, C)
     expect = scen.params["expect_l_exists"]
     verdict = rep.verdict
@@ -307,6 +321,13 @@ def _check_l_existence(scen: Scenario, seed: int):
     lhs, rhs = (1.0 if rep.L_exists else 0.0), (1.0 if expect else 0.0)
     slack = 0.0 if expect == rep.L_exists else -1.0
     return lhs, rhs, slack, constants, {f"verdict_{scen.id}.json": text}
+
+
+def _number(key: str, value) -> float:
+    """value as a float; one that is not a JSON number raises ParamOutOfRange naming key."""
+    if not _is_number(value):
+        raise ParamOutOfRange(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 CHECK_RUNNERS = {

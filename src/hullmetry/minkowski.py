@@ -160,7 +160,7 @@ def _rasterize(body: BodyApprox, h: float) -> GridBody:
                           f"polytope rasterizes, and a grid only at its own spacing")
     lo = body.poly.vertices.min(axis=0)
     hi = body.poly.vertices.max(axis=0)
-    centers, shape = sampling.grid_points(lo, hi, h, cap=sampling.SAMPLE_POINT_CAP)
+    centers, shape = sampling.grid_points(lo, hi, h)
     return GridBody.from_occ(lo, h, sampling.membership(body.poly, centers).reshape(shape))
 
 
@@ -370,29 +370,36 @@ def _decimate(grid: GridBody, h: float) -> np.ndarray:
     """Centres of the h-cells that the grid's cell centres fall in, in lexicographic order.
 
     A cell centre floors to coarse index floor((c - lo) / h), with lo the
-    lowest occupied centre. Coordinate j of a centre depends on index j alone,
-    so each axis maps its fine indices to coarse ones once, and the occupancy
-    is OR-reduced over each run of equal coarse indices. The fine centre list
-    is never built.
+    lowest occupied centre. Each axis maps its fine indices to coarse ones
+    once. The map is monotone, so a run marks the coarse range of its first
+    and last cell, less the last-axis coarse cells no fine index maps to (a
+    spacing ratio below 1, or within rounding of 1, skips some). Neither
+    the fine occupancy nor its centres are built.
     """
     if not len(grid.edges):
         raise DegenerateInput("cannot decimate an empty grid")
-    occ = grid.occ
+    # the multi-index of each run's first and last cell
+    firsts, lasts = (np.unravel_index(e, _wide(grid.shape))
+                     for e in (grid.edges[0::2], grid.edges[1::2] - 1))
     lo = np.empty(grid.dim)
+    starts, shape = [], []
     for j in range(grid.dim):
-        hit = np.flatnonzero(occ.any(axis=tuple(a for a in range(grid.dim) if a != j)))
-        first, last = hit[0], hit[-1]
-        centres = grid.origin[j] + (np.arange(first, last + 1) + 0.5) * grid.h
+        base = int(firsts[j].min())
+        centres = grid.origin[j] + (np.arange(base, int(lasts[j].max()) + 1) + 0.5) * grid.h
         lo[j] = centres[0]
         coarse = np.floor((centres - lo[j]) / h).astype(int)
-        starts = np.flatnonzero(np.diff(coarse, prepend=-1))
-        before = (slice(None),) * j
-        blocks = np.logical_or.reduceat(occ[before + (slice(first, last + 1),)], starts, axis=j)
-        shape = list(occ.shape)
-        shape[j] = coarse[-1] + 1
-        occ = np.zeros(shape, dtype=bool)
-        occ[before + (coarse[starts],)] = blocks
-    return lo + (np.argwhere(occ) + 0.5) * h
+        starts.append(coarse[firsts[j] - base])
+        shape.append(int(coarse[-1]) + 1)
+    hit = np.zeros(shape[-1], dtype=bool)
+    hit[coarse] = True
+    # count the open ranges along each coarse line, widened like the run edges
+    wide = _wide(tuple(shape))
+    depth = np.zeros(math.prod(wide), dtype=np.int32)
+    np.add.at(depth, np.ravel_multi_index(starts, wide), np.int32(1))
+    stops = starts[:-1] + [coarse[lasts[-1] - base] + 1]
+    np.subtract.at(depth, np.ravel_multi_index(stops, wide), np.int32(1))
+    occ = np.cumsum(depth, out=depth).reshape(wide)[..., :-1] > 0
+    return lo + (np.argwhere(occ & hit) + 0.5) * h
 
 
 def measured_c2(vols: list[float], ball_vol: float) -> float:

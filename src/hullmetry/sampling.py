@@ -1,6 +1,7 @@
 """Deterministic sampling of solid bodies and hulls, membership tests, Hausdorff distance."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -25,16 +26,16 @@ def grid_spacing(lo: np.ndarray, hi: np.ndarray, axis_cells: int | None = None) 
     return float(extent.max() / cells)
 
 
-def grid_points(lo: np.ndarray, hi: np.ndarray, h: float, cap: int | None = None):
+def grid_points(lo: np.ndarray, hi: np.ndarray, h: float):
     """Cell centers of the uniform grid with spacing h covering [lo, hi].
 
     Returns (centers, shape), the centers in row-major order of the cell
     shape. An extent within 1e-9 cells of a whole number of cells gets no
-    extra slab of cells. A grid of more than cap cells raises DegenerateInput
-    before any array is built.
+    extra slab of cells. A grid of more than SAMPLE_POINT_CAP cells raises
+    DegenerateInput before any array is built.
     """
     shape = tuple(max(int(math.ceil((b - a) / h - 1e-9)), 1) for a, b in zip(lo, hi))
-    if cap is not None and math.prod(shape) > cap:
+    if math.prod(shape) > SAMPLE_POINT_CAP:
         raise DegenerateInput("sample cap exceeded; coarsen the resolution")
     axes = [a + (np.arange(m) + 0.5) * h for a, m in zip(lo, shape)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -174,7 +175,7 @@ def _shadow_box(V: np.ndarray, A: np.ndarray, Ainv: np.ndarray, tau: float, span
 
 
 def sample_polytope(poly: Polytope, h: float | None = None, axis_cells: int | None = None):
-    """Interior grid + boundary sample + vertices at spacing h.
+    """Interior grid + vertices + boundary sample at spacing h.
 
     Returns (points, h). Deterministic for fixed inputs.
     """
@@ -182,20 +183,10 @@ def sample_polytope(poly: Polytope, h: float | None = None, axis_cells: int | No
     hi = poly.vertices.max(axis=0)
     if h is None:
         h = grid_spacing(lo, hi, axis_cells)
-    grid, _ = grid_points(lo, hi, h, cap=SAMPLE_POINT_CAP)
+    grid, _ = grid_points(lo, hi, h)
     inside = membership(poly, grid)
-    parts = [grid[inside], poly.vertices]
-    parts.append(_sample_boundary(poly, h))
-    pts = np.vstack(parts)
-    return _dedupe(pts), h
-
-
-def _sample_boundary(poly: Polytope, h: float) -> np.ndarray:
-    out = []
-    for simp in poly.boundary.simplices:
-        verts = poly.vertices[simp]
-        out.append(_sample_simplex(verts, h))
-    return np.vstack(out) if out else np.zeros((0, poly.dim))
+    boundary = [_sample_simplex(poly.vertices[simp], h) for simp in poly.boundary.simplices]
+    return _dedupe(np.vstack([grid[inside], poly.vertices, *boundary])), h
 
 
 def _sample_simplex(verts: np.ndarray, h: float) -> np.ndarray:
@@ -203,18 +194,11 @@ def _sample_simplex(verts: np.ndarray, h: float) -> np.ndarray:
     k = len(verts)
     edge = max(np.linalg.norm(verts[i] - verts[j]) for i in range(k) for j in range(i + 1, k))
     m = max(int(math.ceil(edge / h)), 1)
-    pts = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            pts.append(prefix + [remaining])
-            return
-        for i in range(remaining + 1):
-            rec(prefix + [i], remaining - i, slots - 1)
-
-    rec([], m, k)
-    bary = np.array(pts, dtype=float) / m
-    return bary @ verts
+    # the compositions of m into k parts in lexicographic order, by stars and
+    # bars: the gaps between k - 1 bars among m + k - 1 slots
+    bars = np.array(list(itertools.combinations(range(m + k - 1), k - 1)), dtype=int)
+    parts = np.diff(bars, axis=1, prepend=-1, append=m + k - 1) - 1
+    return (parts / m) @ verts
 
 
 def _dedupe(pts: np.ndarray) -> np.ndarray:
@@ -272,7 +256,7 @@ def kd_tree(points: np.ndarray) -> cKDTree:
     return cKDTree(np.atleast_2d(points), balanced_tree=False, compact_nodes=False)
 
 
-# every HAUSDORFF_STRIDE-th point of each sample is probed for the lower bound L
+# every HAUSDORFF_STRIDE-th point of the second sample is probed for the lower bound L
 HAUSDORFF_STRIDE = 64
 
 
@@ -282,16 +266,16 @@ def hausdorff_distance(a, b) -> float:
     Each sample is a point array or its kd_tree, so a sample compared many
     times is indexed once. Both directions feed one maximum, so each culls
     against a lower bound on it (Taha and Hanbury 2015). An exact query of
-    every HAUSDORFF_STRIDE-th point of both samples gives the first bound L,
-    the nearest distance of a real point. The first direction culls at L and
-    returns max(L, its exact result); the second culls at that. A point
-    closer than the bound cannot change the maximum, so the result is that
-    of querying every point (see _directed_hausdorff).
+    every HAUSDORFF_STRIDE-th point of b gives the first bound L, the
+    nearest distance of a real point. The direction from b culls at L and
+    returns max(L, its exact result); the direction from a culls at that.
+    A point closer than the bound cannot change the maximum, so the result
+    is that of querying every point (see _directed_hausdorff) whichever
+    sample is b; convexification_gap passes its hull sample.
     """
     ta, tb = (x if isinstance(x, cKDTree) else kd_tree(x) for x in (a, b))
-    L = max(float(y.query(x.data[::HAUSDORFF_STRIDE], k=1)[0].max())
-            for x, y in ((ta, tb), (tb, ta)))
-    return _directed_hausdorff(tb, ta, _directed_hausdorff(ta, tb, L))
+    L = float(ta.query(tb.data[::HAUSDORFF_STRIDE], k=1)[0].max())
+    return _directed_hausdorff(ta, tb, _directed_hausdorff(tb, ta, L))
 
 
 def _directed_hausdorff(source: cKDTree, tree: cKDTree, L: float) -> float:

@@ -437,6 +437,31 @@ def hausdorff_reference(a, b, chunk=256) -> float:
     return max(directed(a, b), directed(b, a))
 
 
+def simplex_lattice_reference(verts, h):
+    """Barycentric lattice on a (k-1)-simplex with edge step about h.
+
+    m is the longest edge over h, rounded up and at least 1. The weights
+    are the k-tuples of non-negative integers summing to m, enumerated
+    recursively with each entry running upward, divided by m and mapped
+    through the vertices.
+    """
+    verts = np.asarray(verts, dtype=float)
+    k = len(verts)
+    edge = max(np.linalg.norm(verts[i] - verts[j]) for i in range(k) for j in range(i + 1, k))
+    m = max(int(math.ceil(edge / h)), 1)
+    pts = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            pts.append(prefix + [remaining])
+            return
+        for i in range(remaining + 1):
+            rec(prefix + [i], remaining - i, slots - 1)
+
+    rec([], m, k)
+    return (np.array(pts, dtype=float) / m) @ verts
+
+
 def ray_crossings_reference(pts, direction, coords, tau):
     """(inside, bad) of a ray cast from every point along ``direction``
     against every boundary simplex in ``coords`` (F, n, n), solving for

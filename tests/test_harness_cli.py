@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -78,6 +79,20 @@ def test_suite_rejects_a_check_named_twice(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SuiteError, match=r"scenario sq: checks \['volume_xcheck'\] named more"):
         load_suite(path)
+
+
+@pytest.mark.parametrize("sid", ["", "a/b", "a\\b", "a\0b", "a,b", "a\nb", "a\rb"])
+def test_suite_refuses_an_id_that_cannot_name_a_file_or_a_csv_cell(tmp_path, sid):
+    # the id names the file convexify_<id>.csv and is a cell of results.csv
+    doc = small_suite()
+    doc["scenarios"][0].update(id=sid, checks=["volume_xcheck", "convexify"])
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    with pytest.raises(SuiteError, match=re.escape(f"scenario id {sid!r}")):
+        run_suite(path, out)
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_suite_parse_error(tmp_path):
@@ -195,7 +210,7 @@ def test_a_params_key_no_check_reads_is_a_suite_error(tmp_path):
 
 def test_failing_checks_give_failed_records(tmp_path):
     profile, square = bundled.payload("profile_case1"), bundled.payload("unit_square")
-    nan_profile = dict(profile, chi="nan")
+    nan_profile = dict(profile, chi=float("nan"))
     collinear = {"dim": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
                  "facets": [[0, 1], [1, 2], [2, 0]]}
     nan_vertex = dict(square, vertices=[[0.0, 0.0], [1.0, 0.0], [1.0, float("nan")], [0.0, 1.0]])
@@ -271,11 +286,8 @@ def test_failing_checks_give_failed_records(tmp_path):
         ("no_vertices", "volume_xcheck"): "KeyError: 'vertices'",
         ("flat_points", "gamma_hull"): "ValueError: expected a 2-d array of point coordinates",
         ("no_points", "mm_two_sided"): "ValueError: expected a 2-d array of point coordinates",
-        ("null_dim", "volume_xcheck"):
-            "TypeError: int() argument must be a string, a bytes-like object or a real number, "
-            "not 'NoneType'",
-        ("null_chi", "l_existence"):
-            "TypeError: float() argument must be a string or a real number, not 'NoneType'",
+        ("null_dim", "volume_xcheck"): "ValueError: dim must be an integer, got None",
+        ("null_chi", "l_existence"): "ParamOutOfRange: chi must be a number, got None",
         ("flat_in_3d", "volume_xcheck"):
             "ValueError: declared dim disagrees with point coordinates",
         ("no_epsilons", "cover_ratio"):
@@ -304,6 +316,59 @@ def test_failing_checks_give_failed_records(tmp_path):
     assert records[("tiny_alpha_cloud", "mm_two_sided")]["holds"]
     csv_lines = (tmp_path / "ser" / "results.csv").read_text().splitlines()
     assert len(csv_lines) == 1 + len(records)
+
+
+def _lshape_with_string_facets():
+    payload = bundled.payload("lshape")
+    return dict(payload, facets=[[str(i) for i in facet] for facet in payload["facets"]])
+
+
+NOT_NUMBERS = {  # id: (kind, check, payload, params, the error the record names)
+    "alpha_true": ("body", "gamma_hull", bundled.payload("unit_square"), {"alpha": True},
+                   "ParamOutOfRange: alpha must be finite and positive, got True"),
+    # an int past the largest float, which float() cannot convert
+    "alpha_past_float": ("body", "gamma_hull", bundled.payload("unit_square"), {"alpha": 10**400},
+                         f"ParamOutOfRange: alpha must be finite and positive, got {10**400}"),
+    "c1_cap_string": ("body", "revbm", bundled.payload("unit_square"), {"c1_cap": "10"},
+                      "ParamOutOfRange: c1_cap must be finite and positive, got '10'"),
+    "l_hat_cap_true": ("cloud", "mm_two_sided", bundled.payload("twopoint"), {"l_hat_cap": True},
+                       "ParamOutOfRange: l_hat_cap must be finite and positive, got True"),
+    "s_values": ("body", "revbm", bundled.payload("unit_square"), {"s_values": [True, "2"]},
+                 "ParamOutOfRange: s_values must be a list of numbers, got [True, '2']"),
+    "t_values": ("body", "revbm", bundled.payload("unit_square"), {"t_values": [1, False]},
+                 "ParamOutOfRange: t_values must be a list of numbers, got [1, False]"),
+    "epsilons": ("body", "cover_ratio", bundled.payload("unit_square"), {"epsilons": [0.5, "1"]},
+                 "ParamOutOfRange: epsilons must be a list of numbers, got [0.5, '1']"),
+    "cloud_bools": ("cloud", "cover_ratio", {"dim": 2, "points": [[False, False], [True, "0"]]},
+                    {}, "ValueError: point coordinates must be numbers"),
+    # numpy reads these as the floats [[1.0, 0.5], [0.0, 1.0]]
+    "cloud_bool_beside_floats": ("cloud", "cover_ratio",
+                                 {"dim": 2, "points": [[True, 0.5], [0.0, 1.0]]}, {},
+                                 "ValueError: point coordinates must be numbers"),
+    "chi_string": ("profile", "l_existence", {"chi": "3", "psi": 0.0, "delta": True},
+                   {"expect_l_exists": True}, "ParamOutOfRange: chi must be a number, got '3'"),
+    "psi_past_float": ("profile", "l_existence", {"chi": 3.0, "psi": -10**400},
+                       {"expect_l_exists": True},
+                       f"ParamOutOfRange: psi must be a number, got {-10**400}"),
+    "delta_true": ("profile", "l_existence", {"chi": 3.0, "psi": 0.0, "delta": True},
+                   {"expect_l_exists": True}, "ParamOutOfRange: delta must be a number, got True"),
+    "C_string": ("profile", "l_existence", {"chi": 3.0, "psi": 0.0, "C": "1"},
+                 {"expect_l_exists": True}, "ParamOutOfRange: C must be a number, got '1'"),
+    "dim_string": ("body", "volume_xcheck", dict(bundled.payload("unit_square"), dim="2"), {},
+                   "ValueError: dim must be an integer, got '2'"),
+    "dim_true": ("cloud", "cover_ratio", {"dim": True, "points": [[0.0], [1.0]]}, {},
+                 "ValueError: dim must be an integer, got True"),
+    "facets_strings": ("body", "ratio_poly", _lshape_with_string_facets(), {},
+                       "ValueError: facet indices must be integers, got '0'"),
+}
+
+
+@pytest.mark.parametrize("sid", sorted(NOT_NUMBERS))
+def test_a_boolean_or_a_string_where_a_number_belongs_is_a_named_failure(sid):
+    kind, check, payload, params, error = NOT_NUMBERS[sid]
+    doc = {"id": sid, "kind": kind, "payload": payload, "checks": [check], "params": params}
+    (record,), files = run_scenario(doc, 1)
+    assert (record.holds, record.constants.get("error"), files) == (False, error, {})
 
 
 def test_bad_profile_inputs_give_failed_records():

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hullmetry import geometry, minkowski, sampling
 from hullmetry.chaining import certify_hull_gamma
@@ -295,7 +295,8 @@ def test_convexification_gap_builds_no_fine_cell_centres(count_calls):
 def decimation_cases(draw):
     """(grid, occ, h): a random occupancy occ in d = 1..3 padded with empty
     border slabs, its grid at an origin of either sign and a fine spacing
-    h/k (k = 2..9) or h/r for a non-integer r in (1, 4]."""
+    h/k (k = 2..9), h/r for a non-integer r in (1, 4], or h/r for r in
+    [1/4, 1], coarser than h, so that some coarse cells hold no centre."""
     dim = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     core = rng.random(tuple(draw(st.integers(1, 9)) for _ in range(dim))) < draw(
@@ -306,7 +307,8 @@ def decimation_cases(draw):
     occ = np.pad(core, pads)
     origin = np.array([draw(st.floats(-5.0, 5.0)) for _ in range(dim)])
     h = draw(st.floats(0.01, 2.0))
-    ratio = draw(st.one_of(st.integers(2, 9), st.floats(1.0, 4.0, exclude_min=True)))
+    ratio = draw(st.one_of(st.integers(2, 9), st.floats(1.0, 4.0, exclude_min=True),
+                           st.floats(0.25, 1.0)))
     return GridBody.from_occ(origin, h / ratio, occ), occ, h
 
 
@@ -314,8 +316,15 @@ def _lex_sorted(pts):
     return pts[np.lexsort(pts.T[::-1])]
 
 
+# at spacing one ulp under h, the centres of cells 1-4 sit 0, 0.75, 1.5 and
+# 2.25 (rounded down) past the first: coarse cells 0, 1, 1 and 3, so the
+# run's coarse range 0..3 holds cell 2, which no centre falls in
+ULP_UNDER_H = np.array([False, True, True, True, True, False])
+
+
 @settings(max_examples=300, deadline=None)
 @given(decimation_cases())
+@example((GridBody.from_occ(np.zeros(1), 0.7499999999999999, ULP_UNDER_H), ULP_UNDER_H, 0.75))
 def test_decimate_matches_first_occurrence_oracle(case):
     grid, occ, h = case
     got = minkowski._decimate(grid, h)
@@ -472,6 +481,24 @@ def test_dilate_counts_in_a_window_of_b_not_of_the_output():
     lines = np.arange(2009) * 2010
     assert got.tobytes() == np.column_stack([lines, lines + 2009]).ravel().tobytes()
     assert peak < 2 * (window + got.nbytes)
+
+
+def test_decimate_a_thin_grid_builds_no_fine_occupancy():
+    # 2000 x 2000 cells, one 10-cell run a line at a staggered place, taken
+    # to cells 8 times as wide: the fine occupancy alone is 4 MB, the coarse
+    # grid 250 x 250
+    starts = np.arange(2000) * 2001 + (np.arange(2000) * 37) % 1990
+    grid = GridBody(np.array([-1.0, 2.0]), 0.01, (2000, 2000),
+                    np.column_stack([starts, starts + 10]).ravel())
+    tracemalloc.start()
+    try:
+        got = minkowski._decimate(grid, 0.08)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = decimate_first_occurrence(grid.origin, grid.h, grid.occ, 0.08)
+    assert _lex_sorted(got).tobytes() == _lex_sorted(want).tobytes()
+    assert peak < 2.5e6
 
 
 def test_decimate_rejects_an_empty_grid():

@@ -1,10 +1,12 @@
 """The pruned sampling kernels give the brute-force answers exactly.
 
-hausdorff_distance skips the query points that share a grid cell with a
-target, and membership solves each boundary simplex only for the points in
-its shadow across the ray. Both are compared with the full-work oracles of
+hausdorff_distance probes every 64th point of its second sample for a
+lower bound, then skips the query points that share a grid cell with a
+target; membership solves each boundary simplex only for the points in its
+shadow across the ray. Both are compared with the full-work oracles of
 tests/oracles.py by exact equality, and each comparison is shown to fail on
-a planted mutant of the pruning.
+a planted mutant of the pruning. The boundary lattice of sample_polytope is
+compared bit for bit with a recursive enumeration.
 """
 import itertools
 
@@ -21,7 +23,7 @@ from hullmetry.minkowski import convexification_gap
 from hullmetry.sampling import hausdorff_distance, membership
 
 import bundled
-from oracles import hausdorff_reference, ray_crossings_reference
+from oracles import hausdorff_reference, ray_crossings_reference, simplex_lattice_reference
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -120,7 +122,9 @@ def test_hausdorff_property_fails_with_a_bound_above_the_first_direction(monkeyp
     assert sum(not hausdorff_agrees(*case) for case in cases) >= len(cases) // 2
 
 
-def test_lshape_convexify_queries_under_a_tenth_of_its_points(monkeypatch):
+def lshape_convexify_queries(monkeypatch):
+    """(points queried, source points) of each cKDTree query and each
+    directed Hausdorff pass of the bundled lshape convexify trace."""
     queried, sources = [], []
 
     class CountingTree(cKDTree):
@@ -142,8 +146,20 @@ def test_lshape_convexify_queries_under_a_tenth_of_its_points(monkeypatch):
     scen = Scenario.from_dict(bundled.scenario("lshape"))
     convexification_gap(scen.approx, scen.params["k_max"])
     assert len(sources) == 2 * scen.params["k_max"]
-    # the probes of both directions count as queries too
+    return queried, sources
+
+
+def test_lshape_convexify_queries_under_a_tenth_of_its_points(monkeypatch):
+    queried, sources = lshape_convexify_queries(monkeypatch)
+    # the probes count as queries too
     assert sum(queried) < sum(sources) / 10
+
+
+def test_lshape_convexify_queries_fewer_points_than_probing_both_samples(monkeypatch):
+    # probing every 64th point of both samples, and culling the A(k) ->
+    # hull direction first, the trace queries 6256 points
+    queried, _ = lshape_convexify_queries(monkeypatch)
+    assert sum(queried) < 6256
 
 
 def test_hausdorff_reference_by_hand():
@@ -151,6 +167,24 @@ def test_hausdorff_reference_by_hand():
     b = np.array([[0.0, 4.0]])
     assert hausdorff_reference(a, b) == 5.0
     assert hausdorff_distance(a, b) == 5.0
+
+
+# ---------------------------------------------------------------------------
+# boundary lattice
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.integers(2, 6), st.integers(1, 7))
+def test_simplex_lattice_matches_the_recursive_one_property(seed, k, dim):
+    # k vertices in R^dim at a scale from 1e-3 to 1e3, far from the origin,
+    # and a step from half the scale to 4 times it: m runs from 1 to 11
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    verts = (rng.uniform(-1, 1, (k, dim)) + rng.uniform(-100, 100, dim)) * scale
+    h = scale * rng.uniform(0.5, 4.0)
+    got, want = sampling._sample_simplex(verts, h), simplex_lattice_reference(verts, h)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
