@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ParamOutOfRange, TooLarge
+from .errors import ParamOutOfRange, TooLarge, check_positive
 from .geometry import _points_of
 from .covering import _gonzalez
 from .minkowski import as_body, hull_ratio
@@ -73,11 +73,6 @@ class SupEstimate:
     seed: int
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ParamOutOfRange("alpha must be positive and finite")
-
-
 def _power(base: float, exponent: float, alpha: float) -> float:
     """base ** exponent; ParamOutOfRange naming alpha when it overflows float64."""
     try:
@@ -102,7 +97,7 @@ def gamma_exact_small(cloud, alpha: float) -> GammaEstimate:
     n = len(pts)
     if n > EXACT_CAP:
         raise TooLarge(f"exact functional capped at {EXACT_CAP} points, got {n}")
-    _check_alpha(alpha)
+    check_positive("alpha", alpha)
     d = cdist(pts, pts)
     diam = float(d.max())
     if not math.isfinite(diam):
@@ -143,7 +138,7 @@ def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
     n = len(pts)
     if n > GREEDY_CAP:
         raise TooLarge(f"greedy construction capped at {GREEDY_CAP} points, got {n}")
-    _check_alpha(alpha)
+    check_positive("alpha", alpha)
 
     # cells stay ascending index arrays, so a cell's min index is cell[0]
     cells = [np.arange(n)]
@@ -286,7 +281,7 @@ def entropy_integral(cloud, alpha: float) -> GammaEstimate:
     overflow float64 raise ParamOutOfRange.
     """
     pts = np.unique(_points_of(cloud), axis=0)
-    _check_alpha(alpha)
+    check_positive("alpha", alpha)
     diam, min_gap = _diameter_and_gap(pts)
     if min_gap == 0.0:
         return GammaEstimate(alpha, 0.0, "entropy_integral")
@@ -414,7 +409,7 @@ def certify_hull_gamma(T, alpha: float, axis_cells: int = 24) -> GammaRatioRepor
     ignores the spacing. A hull whose bounding-box diagonal overflows
     float64 raises ParamOutOfRange.
     """
-    _check_alpha(alpha)
+    check_positive("alpha", alpha)
     A = as_body(T)
     # past twice the hull points' bounding-box diagonal the hull sample is the
     # vertices alone: the single grid cell's centre lo + h/2 lies outside the

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .errors import HullmetryError, ParamOutOfRange, TooLarge, Unsupported
+from .errors import HullmetryError, ParamOutOfRange, TooLarge, Unsupported, check_positive
 from .geometry import Polytope, unit_ball_volume, volume_det, _points_of
 from .minkowski import as_body, hull_ratio
 from . import sampling
@@ -26,11 +26,6 @@ class CoveringReport:
     n_greedy: int
     n_packing: int
     centers: np.ndarray = field(repr=False)
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ParamOutOfRange("epsilon must be positive and finite")
 
 
 def _gonzalez(pts: np.ndarray, stop: float, tree: cKDTree | None = None
@@ -81,7 +76,7 @@ def greedy_cover(cloud, epsilon: float) -> CoveringReport:
 
     The cover and the packing count share one cKDTree of the points.
     """
-    _check_epsilon(epsilon)
+    check_positive("epsilon", epsilon)
     pts = np.ascontiguousarray(_points_of(cloud))
     tree = cKDTree(pts)
     centers = _gonzalez(pts, epsilon, tree)[0]
@@ -100,7 +95,7 @@ def exact_cover_small(cloud, epsilon: float) -> int:
     by scipy's milp; capped at EXACT_COVER_CAP points. HullmetryError unless the
     solve ends optimal with a cover.
     """
-    _check_epsilon(epsilon)
+    check_positive("epsilon", epsilon)
     pts = _points_of(cloud)
     n = len(pts)
     if n > EXACT_COVER_CAP:
@@ -123,7 +118,7 @@ def packing_number(cloud, epsilon: float, tree: cKDTree | None = None) -> int:
     so a distance of exactly eps is settled by the norm alone. ``tree``, if
     given, is a cKDTree of the same points.
     """
-    _check_epsilon(epsilon)
+    check_positive("epsilon", epsilon)
     pts = np.ascontiguousarray(_points_of(cloud))
     tree = cKDTree(pts) if tree is None else tree
     blocked = np.zeros(len(pts), dtype=bool)
@@ -218,7 +213,7 @@ def volume_cover_bounds(poly: Polytope, epsilon: float):
     the Chebyshev inradius, bracketed in closed form first); when it does
     not, upper is None. A polytope that is not convex raises Unsupported.
     """
-    _check_epsilon(epsilon)
+    check_positive("epsilon", epsilon)
     n = poly.dim
     vol_a = volume_det(poly.boundary)
     vol_b = unit_ball_volume(n)
@@ -249,7 +244,7 @@ def check_hull_cover_ratio(T, epsilon: float) -> HullCoverCertificate:
     finite point set is used as-is; the body sample is kept as ``body_sample``.
     R is hull_ratio of the coerced body (1 for point sets).
     """
-    _check_epsilon(epsilon)
+    check_positive("epsilon", epsilon)
     A = as_body(T)
     R = hull_ratio(A)
     h = epsilon / 4.0

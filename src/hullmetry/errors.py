@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for positive scalars."""
+
+import math
 
 
 class HullmetryError(Exception):
@@ -18,7 +20,7 @@ class NonOrientable(HullmetryError):
 
 
 class NonpositiveScale(HullmetryError):
-    """Scaling factor must be strictly positive."""
+    """Scaling factor must be strictly positive and finite."""
 
 
 class ParamOutOfRange(HullmetryError):
@@ -37,3 +39,10 @@ class Unsupported(HullmetryError):
 # coordinate, parameter or key. A suite check turns these into a failed
 # record, and the CLI into an ``error:`` line and exit status 2.
 INPUT_ERRORS = (HullmetryError, KeyError, TypeError, ValueError)
+
+
+def check_positive(name: str, value: float, error: type = ParamOutOfRange) -> None:
+    """Raise error naming the parameter unless value is positive and finite;
+    NaN and both infinities fail."""
+    if not (math.isfinite(value) and value > 0):
+        raise error(f"{name} must be positive and finite, got {value!r}")

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     DegenerateInput, DimensionMismatch, NonpositiveScale, ParamOutOfRange, TooLarge, Unsupported,
+    check_positive,
 )
 from .geometry import (
     Polytope,
@@ -152,7 +153,8 @@ class BodyApprox:
 def _rasterize(body: BodyApprox, h: float) -> GridBody:
     """The occupancy grid of a convex or solid body at spacing h; a grid body is
     its own grid, at its own spacing only. A finite point set, or a grid at
-    another spacing, raises Unsupported."""
+    another spacing, raises Unsupported, and a body no cell centre of which
+    is a member raises DegenerateInput."""
     if body.kind == "grid" and abs(body.grid.h - h) <= 1e-12 * h:
         return body.grid
     if body.poly is None:
@@ -161,7 +163,10 @@ def _rasterize(body: BodyApprox, h: float) -> GridBody:
     lo = body.poly.vertices.min(axis=0)
     hi = body.poly.vertices.max(axis=0)
     centers, shape = sampling.grid_points(lo, hi, h)
-    return GridBody.from_occ(lo, h, sampling.membership(body.poly, centers).reshape(shape))
+    grid = GridBody.from_occ(lo, h, sampling.membership(body.poly, centers).reshape(shape))
+    if len(grid.edges) == 0:
+        raise DegenerateInput(f"the {body.kind} body rasterizes to an empty grid at spacing {h!r}")
+    return grid
 
 
 def _dilate(a: GridBody, b: GridBody) -> GridBody:
@@ -262,8 +267,7 @@ def minkowski_sum(A: BodyApprox, B: BodyApprox) -> BodyApprox:
 
 
 def scale_body(A: BodyApprox, s: float) -> BodyApprox:
-    if s <= 0:
-        raise NonpositiveScale(f"scale factor must be positive, got {s}")
+    check_positive("s", s, NonpositiveScale)
     if A.kind == "points":
         return BodyApprox.from_points(A.points * s)
     if A.kind == "grid":
@@ -472,8 +476,10 @@ def reverse_bm_sweep(
         for t in t_values:
             lhs_vol = None
             for m in m_values:
-                if s <= 0 or t <= 0 or m < 1:
-                    raise ParamOutOfRange("need s, t > 0 and m >= 1")
+                check_positive("s", s)
+                check_positive("t", t)
+                if m < 1:
+                    raise ParamOutOfRange(f"m must be >= 1, got {m!r}")
                 if vol_A is None:
                     vol_A, vol_B = A.volume(), B.volume()
                     if vol_A <= 0 or vol_B <= 0:
@@ -495,8 +501,8 @@ def volume_ratio_general_bound(k_h: int, C2: float) -> float:
     """
     if k_h < 2:
         raise ParamOutOfRange("k_h must be >= 2")
-    if C2 < 1.0:
-        raise ParamOutOfRange("C2 must be >= 1")
+    if not 1.0 <= C2 < math.inf:
+        raise ParamOutOfRange(f"C2 must be finite and >= 1, got {C2!r}")
     if abs(C2 - 1.0) <= 1e-12:
         return (2.0 + (k_h - 2.0)) / k_h
     return 2.0 * C2 ** (k_h - 1) / k_h + C2 * (C2 ** (k_h - 2) - 1.0) / (k_h * (C2 - 1.0))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ParamOutOfRange, Unsupported
+from .errors import ParamOutOfRange, Unsupported, check_positive
 
 _EXACT = 1e-12
 
@@ -61,7 +61,7 @@ class RatioFunction:
     constant_label: str = ""
 
     def __call__(self, eps: float) -> float:
-        if eps <= 0:
+        if not eps > 0:
             raise ParamOutOfRange("ratio functions live on positive eps")
         if self.kind == "constant":
             return self.constant
@@ -111,11 +111,6 @@ def _simpson(f, a: float, b: float) -> float:
     return total * h / 3.0
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ParamOutOfRange(f"{name} must be positive and finite, got {value!r}")
-
-
 REFINE_CAP = 60
 CONVERGENCE_RTOL = 1e-4
 
@@ -129,7 +124,7 @@ def integral_exists(f: RatioFunction, delta: float) -> IntegrabilityVerdict:
     shells add less than 1e-4 of the total; a sum that does not settle
     within REFINE_CAP shells, or is not finite, leaves the value None.
     """
-    _check_positive("delta", delta)
+    check_positive("delta", delta)
     # no tolerance: the float exp(-1) and its predecessor bracket the true 1/e,
     # and every delta >= e also holds 1/e, so the float test is the real one
     for point in f.singular_points():
@@ -172,7 +167,7 @@ class LExistenceReport:
 
 def l_existence_report(p: EntropyProfile, delta: float, C: float = 1.0) -> LExistenceReport:
     """Chain the hull transformation, ratio bound, and integrability criterion."""
-    _check_positive("C", C)
+    check_positive("C", C)
     hull = hull_profile(p)
     ratio = ratio_bound(p)
     if C != 1.0:

@@ -74,11 +74,12 @@ def membership(poly: Polytope, points: np.ndarray) -> np.ndarray:
 def _ray_crossings(pts: np.ndarray, direction: np.ndarray, coords: np.ndarray, tau: float):
     """Crossing parity per point; flags points with grazing intersections as bad.
 
-    Each simplex solves base + edges @ bary = p + t * direction, and a point
-    scores strict, grazing or near_face only if all its bary > -tau and
-    bsum < 1 + tau (near_face asks for |t| <= tau on top of these). So a
-    simplex solves only for the points that can pass these two tests; the
-    others would score all three False. In exact arithmetic, passing them
+    Each simplex solves base + edges @ bary = p + t * direction. A point is
+    loose when all its bary > -tau and bsum < 1 + tau: a loose point with
+    |t| <= tau is on the boundary, and one with t > tau that is not strict
+    (every bary > tau, bsum < 1 - tau) grazes the simplex and is bad. With
+    tau >= 0 a strict point is loose, so a simplex solves only for the points
+    that can pass the two loose tests. In exact arithmetic, passing them
     makes p + t * direction the combination of the simplex's vertices with
     weights 1 - bsum and bary, which sum to 1 and are each above -tau, so
     their negative parts sum to less than n * tau. In an orthonormal basis U
@@ -130,23 +131,11 @@ def _ray_crossings(pts: np.ndarray, direction: np.ndarray, coords: np.ndarray, t
         bary = sol[:, :-1]
         t = sol[:, -1]
         bsum = bary.sum(axis=1)
-        strict = (
-            (bary > tau).all(axis=1)
-            & (bsum < 1 - tau)
-            & (t > tau)
-        )
-        grazing = (
-            (bary > -tau).all(axis=1)
-            & (bsum < 1 + tau)
-            & (t > -tau)
-            & ~strict
-        )
-        near_face = (
-            (bary > -tau).all(axis=1) & (bsum < 1 + tau) & (np.abs(t) <= tau)
-        )
+        strict = (bary > tau).all(axis=1) & (bsum < 1 - tau) & (t > tau)
+        loose = (bary > -tau).all(axis=1) & (bsum < 1 + tau)
         crossings[rows] += strict
-        on_boundary[rows] |= near_face
-        bad[rows] |= grazing & ~near_face
+        on_boundary[rows] |= loose & (np.abs(t) <= tau)
+        bad[rows] |= loose & (t > tau) & ~strict
     inside, out_bad = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
     inside[order] = (crossings % 2 == 1) | on_boundary
     out_bad[order] = bad & ~on_boundary

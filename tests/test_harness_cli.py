@@ -371,6 +371,30 @@ def test_a_boolean_or_a_string_where_a_number_belongs_is_a_named_failure(sid):
     assert (record.holds, record.constants.get("error"), files) == (False, error, {})
 
 
+@pytest.mark.parametrize("key, value", [("s_values", math.nan), ("t_values", math.inf)])
+def test_a_revbm_scale_that_is_not_finite_is_named(key, value):
+    # JSON NaN and Infinity are floats, so they pass the suite's numbers rule
+    doc = {"id": "scale", "kind": "body", "payload": bundled.payload("unit_square"),
+           "checks": ["revbm"], "params": {key: [value]}}
+    (record,), files = run_scenario(doc, 1)
+    assert not record.holds and files == {}
+    assert record.constants["error"] == (
+        f"ParamOutOfRange: {key[0]} must be positive and finite, got {value!r}")
+
+
+def test_a_body_that_rasterizes_to_an_empty_grid_is_named():
+    # at side 1e9 no cell centre of the L-shape's default grid tests as a member
+    payload = bundled.payload("lshape")
+    payload["vertices"] = (np.array(payload["vertices"]) * 1e9).tolist()
+    doc = {"id": "lshape_1e9", "kind": "body", "payload": payload,
+           "checks": ["revbm", "convexify", "gamma_hull"]}
+    records, _ = run_scenario(doc, 1)
+    for record in records:
+        assert not record.holds
+        assert record.constants["error"].startswith(
+            "DegenerateInput: the solid body rasterizes to an empty grid at spacing "), record.check
+
+
 def test_bad_profile_inputs_give_failed_records():
     # 1e999 parses to inf; a verdict that L does not exist would hold here
     cases = {"inf_delta": ("delta", "1e999"), "nan_delta": ("delta", "NaN"),

@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, every module
 is reached from the package or its console script, importing the package
-leaves out the heavy scipy subpackages it does not call, and one function
-builds every certification record."""
+leaves out the heavy scipy subpackages it does not call, one function
+builds every certification record, and one words the positive-scalar rule."""
 import ast
 import re
 import subprocess
@@ -219,3 +219,11 @@ def test_run_scenario_alone_builds_certification_records():
     assert {name: found for name, found in callers.items() if found} == {
         "harness.py": ["run_scenario"]
     }
+
+
+def test_errors_alone_words_the_positive_scalar_rule():
+    # errors.check_positive is the one owner of the rule; a second wording is a second copy
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert [p.name for p in modules if "must be positive and finite" in p.read_text()] == [
+        "errors.py"
+    ]
