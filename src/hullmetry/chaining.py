@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ParamOutOfRange, TooLarge, check_positive
+from .errors import ParamOutOfRange, TooLarge, check_positive, power
 from .geometry import _points_of
 from .covering import _gonzalez
 from .minkowski import as_body, hull_ratio
@@ -22,7 +22,7 @@ from . import sampling
 EXACT_CAP = 5
 GREEDY_CAP = 4096
 # size of every dense block: a pairwise-distance block holds at most TILE²
-# entries and a Gaussian product block at most 2 TILE², TILE columns wide
+# entries and a Gaussian product block at most 2 TILE²
 TILE = 512
 # diameters this close count as tied when gamma_greedy picks the widest cell
 TIE_TOL = 1e-15
@@ -73,14 +73,6 @@ class SupEstimate:
     seed: int
 
 
-def _power(base: float, exponent: float, alpha: float) -> float:
-    """base ** exponent; ParamOutOfRange naming alpha when it overflows float64."""
-    try:
-        return base ** exponent
-    except OverflowError:
-        raise ParamOutOfRange(f"{base!r}^{exponent!r} overflows at alpha={alpha!r}") from None
-
-
 def gamma_exact_small(cloud, alpha: float) -> GammaEstimate:
     """Exact chaining functional of at most EXACT_CAP = 5 points, in closed form.
 
@@ -107,7 +99,7 @@ def gamma_exact_small(cloud, alpha: float) -> GammaEstimate:
         return GammaEstimate(alpha, diam, "exact", AdmissibleSequence((top, singletons)))
     np.fill_diagonal(d, math.inf)
     i, j = divmod(int(np.argmin(d)), n)  # row-major first, so i < j
-    value = diam + _power(2, 1 / alpha, alpha) * float(d[i, j])
+    value = diam + power(2, 1 / alpha, f"alpha={alpha!r}") * float(d[i, j])
     if not math.isfinite(value):
         raise ParamOutOfRange(f"the chaining functional overflows float64 at alpha={alpha!r}")
     pair = tuple(sorted([(i, j)] + [(k,) for k in range(n) if k not in (i, j)]))
@@ -152,7 +144,7 @@ def gamma_greedy(cloud, alpha: float) -> GammaEstimate:
         wide = [(cell, d[0]) for cell, d in zip(cells, diams) if d[0] > 0]
         if not wide:
             break
-        weight = _power(2, m / alpha, alpha)
+        weight = power(2, m / alpha, f"alpha={alpha!r}")
         for cell, diam in wide:
             totals[cell] += weight * diam
         m += 1
@@ -297,11 +289,11 @@ def entropy_integral(cloud, alpha: float) -> GammaEstimate:
     ascending = _gonzalez(pts, grid[-1])[1][::-1]
     covers = len(ascending) - np.searchsorted(ascending, grid, side="right")
 
-    total = 0.0
+    total, at = 0.0, f"alpha={alpha!r}"
     for hi, lo, cover in zip(grid, grid[1:], covers[1:].tolist()):
-        total += (hi - lo) * (_power(math.log(cover), 1.0 / alpha, alpha) if cover > 1 else 0.0)
+        total += (hi - lo) * (power(math.log(cover), 1.0 / alpha, at) if cover > 1 else 0.0)
     # below the smallest gap every point needs its own ball
-    total += grid[-1] * _power(math.log(len(pts)), 1.0 / alpha, alpha)
+    total += grid[-1] * power(math.log(len(pts)), 1.0 / alpha, at)
     if not math.isfinite(total):
         raise ParamOutOfRange(f"the entropy integral overflows float64 at alpha={alpha!r}")
     return GammaEstimate(alpha, total, "entropy_integral")
@@ -315,16 +307,14 @@ def gaussian_sup_mc(cloud, trials: int, seed: int) -> SupEstimate:
 
     Per-trial Gaussians come from fixed-size seed-derived chunks, so the
     estimate is independent of any execution partitioning. Each chunk's
-    product ``g @ pts.T`` is taken in slices of TILE points and in even row
+    product ``g @ pts.T`` is taken against the whole cloud in even row
     blocks of at most 2 TILE² products, all written into one buffer
-    allocated for the first chunk, and the slices' row maxima are folded
-    with ``np.maximum``. A cloud of at most TILE points is one slice, and
-    one of at most 2 TILE² / MC_CHUNK = 128 points one block: the whole
-    product. A larger cloud gets the estimate of the tiled product: BLAS may
-    round the edge columns of a ragged last slice differently from an
-    untiled product. A block of rows rounds like the whole chunk, except a
-    single row, which BLAS takes with gemv; an even split leaves no block
-    of one row unless the chunk has one.
+    allocated for the first chunk. A block of rows rounds like the whole
+    chunk, except a single row, which BLAS takes with gemv. A cloud of at
+    most GREEDY_CAP = 4096 points gets blocks of at least 128 rows, and an
+    even split leaves no block of one row unless the chunk has one, so its
+    estimate is that of the whole-chunk product. A much wider cloud can get
+    blocks of one row, and with them another rounding.
     """
     pts = _points_of(cloud)
     if trials < 1:
@@ -334,9 +324,8 @@ def gaussian_sup_mc(cloud, trials: int, seed: int) -> SupEstimate:
     n_chunks = (trials + MC_CHUNK - 1) // MC_CHUNK
     children = ss.spawn(n_chunks)
     sups = np.empty(trials)
-    width = min(TILE, n)
-    max_rows = 2 * TILE * TILE // width  # at least 2 TILE: a split chunk has no one-row block
-    buf = np.empty(min(MC_CHUNK, trials, max_rows) * width)
+    max_rows = max(2 * TILE * TILE // n, 1)
+    buf = np.empty(min(MC_CHUNK, trials, max_rows) * n)
     done = 0
     for child in children:
         take = min(MC_CHUNK, trials - done)
@@ -345,15 +334,9 @@ def gaussian_sup_mc(cloud, trials: int, seed: int) -> SupEstimate:
         rows = -(-take // blocks)
         for top in range(0, take, rows):
             block = g[top : top + rows]
-            out = sups[done + top : done + top + len(block)]
-            for start in range(0, n, TILE):
-                cols = pts[start : start + TILE]
-                prod = buf[: len(block) * len(cols)].reshape(len(block), len(cols))
-                np.matmul(block, cols.T, out=prod)
-                if start == 0:
-                    prod.max(axis=1, out=out)
-                else:
-                    np.maximum(out, prod.max(axis=1), out=out)
+            prod = buf[: len(block) * n].reshape(len(block), n)
+            np.matmul(block, pts.T, out=prod)
+            prod.max(axis=1, out=sups[done + top : done + top + len(block)])
         done += take
     mean = float(sups.mean())
     std_error = float(sups.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -365,7 +348,8 @@ def l_constant(R: float, n: int, alpha: float) -> float:
     when it overflows float64."""
     if not (R >= 1.0 and n >= 1 and 0 < alpha < math.inf):
         raise ParamOutOfRange("need R >= 1, n >= 1, alpha > 0")
-    return _power(math.log(R * 3.0**n) / math.log(2.0) + 1.0, 1.0 / alpha, alpha)
+    base = math.log(R * power(3.0, n, f"the constant L at n={n!r}")) / math.log(2.0) + 1.0
+    return power(base, 1.0 / alpha, f"alpha={alpha!r}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .errors import HullmetryError, ParamOutOfRange, TooLarge, Unsupported, check_positive
+from .errors import HullmetryError, ParamOutOfRange, TooLarge, Unsupported, check_positive, power
 from .geometry import Polytope, unit_ball_volume, volume_det, _points_of
 from .minkowski import as_body, hull_ratio
 from . import sampling
@@ -77,7 +77,7 @@ def greedy_cover(cloud, epsilon: float) -> CoveringReport:
     The cover and the packing count share one cKDTree of the points.
     """
     check_positive("epsilon", epsilon)
-    pts = np.ascontiguousarray(_points_of(cloud))
+    pts = _points_of(cloud)
     tree = cKDTree(pts)
     centers = _gonzalez(pts, epsilon, tree)[0]
     return CoveringReport(
@@ -119,7 +119,7 @@ def packing_number(cloud, epsilon: float, tree: cKDTree | None = None) -> int:
     given, is a cKDTree of the same points.
     """
     check_positive("epsilon", epsilon)
-    pts = np.ascontiguousarray(_points_of(cloud))
+    pts = _points_of(cloud)
     tree = cKDTree(pts) if tree is None else tree
     blocked = np.zeros(len(pts), dtype=bool)
     count = 0
@@ -252,7 +252,7 @@ def check_hull_cover_ratio(T, epsilon: float) -> HullCoverCertificate:
     hull_pts = sampling.sample_hull(A, h)
     n_body = len(_greedy_centers(body_pts, epsilon))
     n_hull = len(_greedy_centers(hull_pts, epsilon))
-    bound = R * 3.0**A.dim * n_body
+    bound = R * power(3.0, A.dim, "the cover bound R 3^n") * n_body
     slack = bound - n_hull
     return HullCoverCertificate(
         epsilon=float(epsilon),

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one rule for positive scalars."""
+"""Exception types shared across the package, the one rule for positive scalars
+and the one rule for float powers."""
 
 import math
 
@@ -46,3 +47,12 @@ def check_positive(name: str, value: float, error: type = ParamOutOfRange) -> No
     NaN and both infinities fail."""
     if not (math.isfinite(value) and value > 0):
         raise error(f"{name} must be positive and finite, got {value!r}")
+
+
+def power(base: float, exponent: float, what: str) -> float:
+    """base ** exponent; ParamOutOfRange naming what is computed when it
+    overflows float64."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise ParamOutOfRange(f"{base!r}^{exponent!r} overflows at {what}") from None

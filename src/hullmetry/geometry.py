@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInput, NonOrientable, Unsupported
+from .errors import DegenerateInput, NonOrientable, Unsupported, power
 
 # Geometric predicate tolerance, absolute on diameter-1 rescaled inputs.
 TAU_GEOM = 1e-9
@@ -27,6 +27,8 @@ MAX_HULL_DIM = 8
 
 
 def _as_points(points) -> np.ndarray:
+    """A 2-d array of finite numbers as C-contiguous float64, so no result
+    depends on the input's memory layout."""
     pts = np.asarray(points)
     if pts.ndim != 2:
         raise ValueError("expected a 2-d array of point coordinates")
@@ -34,7 +36,7 @@ def _as_points(points) -> np.ndarray:
     if pts.dtype.kind not in "iuf" or (
             isinstance(points, list) and any(type(x) is bool for row in points for x in row)):
         raise ValueError("point coordinates must be numbers")
-    pts = pts.astype(float, copy=False)
+    pts = np.ascontiguousarray(pts, dtype=float)
     if not np.all(np.isfinite(pts)):
         raise ValueError("point coordinates must be finite")
     return pts
@@ -145,7 +147,7 @@ class Ball:
 
 
 def unit_ball_volume(n: int, radius: float = 1.0) -> float:
-    return math.pi ** (n / 2) / math.gamma(n / 2 + 1) * radius**n
+    return math.pi ** (n / 2) / math.gamma(n / 2 + 1) * power(radius, n, "the ball volume")
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +379,16 @@ def quickhull(cloud: PointCloud | np.ndarray) -> Polytope:
     iteration's new facet normals come from one stacked ``det``, and the
     outside sets and the apex from batched ``np.vecdot`` calls, whose
     float64 loop on contiguous rows is the one-vector dot product's, so the
-    triangulation is that of a point-by-point loop, bit for bit. The points
-    are taken in C order, so the result does not depend on the input's
-    memory layout. Every returned vertex is an extreme point: a tie-broken
-    pick that lands inside a hull face is dropped and the hull rebuilt from
-    the remaining vertices.
+    triangulation is that of a point-by-point loop, bit for bit. Every
+    returned vertex is an extreme point: a tie-broken pick that lands inside
+    a hull face is dropped and the hull rebuilt from the remaining vertices.
 
     The hull is not delegated to Qhull (``scipy.spatial.ConvexHull``): Qhull
     triangulates coplanar faces differently (it splits a cube's squares
     along the other diagonals), which changes the boundary samples drawn
     from the hull and with them the certified values in ``results.json``.
     """
-    pts = np.ascontiguousarray(_points_of(cloud))
+    pts = _points_of(cloud)
     n = pts.shape[1]
     if n < 2:
         raise Unsupported("hull computation needs ambient dimension >= 2")
@@ -503,7 +503,7 @@ def triangulate_facets(vertices, facets) -> SimplicialBoundary:
     boundary = SimplicialBoundary(pts, np.array(oriented, dtype=int))
     vol = volume_det(boundary)
     scale = _scale_of(pts)
-    if abs(vol) <= TAU_GEOM * scale**n:
+    if abs(vol) <= TAU_GEOM * power(scale, n, "the boundary's volume tolerance"):
         raise DegenerateInput("boundary encloses no volume")
     if vol < 0:
         flipped = boundary.simplices.copy()
@@ -618,13 +618,11 @@ def min_enclosing_ball(cloud: PointCloud | np.ndarray) -> Ball:
     Welzl's move-to-front recursion under Gärtner's pivoting (see
     :func:`_welzl`): the recursion only ever visits the current support and
     the farthest point, so a repeated point needs no dedupe and the points
-    need no shuffle. The reported radius covers every point. The points are
-    taken in C order, so the result does not depend on the input's memory
-    layout. Raises :class:`Unsupported` above dimension 10, and
-    :class:`DegenerateInput` when the squared distances overflow and the
-    radius is not finite.
+    need no shuffle. The reported radius covers every point. Raises
+    :class:`Unsupported` above dimension 10, and :class:`DegenerateInput`
+    when the squared distances overflow and the radius is not finite.
     """
-    pts = np.ascontiguousarray(_points_of(cloud))
+    pts = _points_of(cloud)
     if pts.shape[1] > _WELZL_DIM_CAP:
         raise Unsupported(f"enclosing ball capped at dimension {_WELZL_DIM_CAP}")
     tau = TAU_GEOM * _scale_of(pts)

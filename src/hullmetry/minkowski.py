@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (
     DegenerateInput, DimensionMismatch, NonpositiveScale, ParamOutOfRange, TooLarge, Unsupported,
-    check_positive,
+    check_positive, power,
 )
 from .geometry import (
     Polytope,
@@ -73,7 +73,8 @@ class GridBody:
         return self.origin + (idx + 0.5) * self.h
 
     def volume(self) -> float:
-        return float((self.edges[1::2] - self.edges[0::2]).sum()) * self.h**self.dim
+        cell = power(self.h, self.dim, "the grid cell volume")
+        return float((self.edges[1::2] - self.edges[0::2]).sum()) * cell
 
 
 def _wide(shape: tuple) -> tuple:
@@ -328,20 +329,22 @@ def convexification_gap(A: BodyApprox, k_max: int):
 
     Distances are nearest-neighbour (cKDTree) distances between samples
     decimated to a common comparison resolution, so the gaps of successive k
-    are comparable.
+    are comparable. A spacing or a gap that overflows float64 raises
+    ParamOutOfRange.
     """
     if k_max < 1:
         raise ParamOutOfRange("k_max must be >= 1")
     hull_pts = A.hull_points()
     if A.kind == "points":
-        fine = min(1.0 / (16.0 * k_max), 0.01) * max(
+        spacing = min(1.0 / (16.0 * k_max), 0.01) * max(
             1.0, float(np.linalg.norm(hull_pts.max(axis=0) - hull_pts.min(axis=0)))
         )
-        hull_sample = sampling.sample_hull(A, h=fine)
         h_cmp = 0.0
     else:
-        h_cmp = A.natural_spacing()
-        hull_sample = sampling.sample_hull(A, h=h_cmp)
+        spacing = h_cmp = A.natural_spacing()
+    if not math.isfinite(spacing):
+        raise ParamOutOfRange("distances between the points overflow float64")
+    hull_sample = sampling.sample_hull(A, h=spacing)
 
     hull_tree = sampling.kd_tree(hull_sample)
     vols, gaps = [], []
@@ -359,6 +362,8 @@ def convexification_gap(A: BodyApprox, k_max: int):
             pts = Ak.sample()
         vols.append(Ak.volume() if A.kind != "points" else 0.0)
         gaps.append(sampling.hausdorff_distance(pts, hull_tree))
+        if not math.isfinite(gaps[-1]):
+            raise ParamOutOfRange("distances between the points overflow float64")
 
     # A(k) has the same convex hull as A, hence the same circumscribed ball
     c2 = measured_c2(vols, _ball_volume(A)) if A.kind != "points" else 1.0
@@ -505,7 +510,9 @@ def volume_ratio_general_bound(k_h: int, C2: float) -> float:
         raise ParamOutOfRange(f"C2 must be finite and >= 1, got {C2!r}")
     if abs(C2 - 1.0) <= 1e-12:
         return (2.0 + (k_h - 2.0)) / k_h
-    return 2.0 * C2 ** (k_h - 1) / k_h + C2 * (C2 ** (k_h - 2) - 1.0) / (k_h * (C2 - 1.0))
+    at = f"k_h={k_h!r}"
+    return (2.0 * power(C2, k_h - 1, at) / k_h
+            + C2 * (power(C2, k_h - 2, at) - 1.0) / (k_h * (C2 - 1.0)))
 
 
 def empirical_general_ratio(A: BodyApprox, k_h: int) -> float:

@@ -166,23 +166,37 @@ def _shadow_box(V: np.ndarray, A: np.ndarray, Ainv: np.ndarray, tau: float, span
 def sample_polytope(poly: Polytope, h: float | None = None, axis_cells: int | None = None):
     """Interior grid + vertices + boundary sample at spacing h.
 
-    Returns (points, h). Deterministic for fixed inputs.
+    Returns (points, h). Deterministic for fixed inputs. A boundary lattice
+    or an interior grid of more than SAMPLE_POINT_CAP points raises
+    DegenerateInput before it is built.
     """
     lo = poly.vertices.min(axis=0)
     hi = poly.vertices.max(axis=0)
     if h is None:
         h = grid_spacing(lo, hi, axis_cells)
+    simplices = [poly.vertices[simp] for simp in poly.boundary.simplices]
+    steps = [_lattice_steps(verts, h) for verts in simplices]
+    k = poly.dim
+    if sum(math.comb(m + k - 1, k - 1) for m in steps) > SAMPLE_POINT_CAP:
+        raise DegenerateInput("sample cap exceeded; coarsen the resolution")
     grid, _ = grid_points(lo, hi, h)
     inside = membership(poly, grid)
-    boundary = [_sample_simplex(poly.vertices[simp], h) for simp in poly.boundary.simplices]
+    boundary = [_sample_simplex(verts, m) for verts, m in zip(simplices, steps)]
     return _dedupe(np.vstack([grid[inside], poly.vertices, *boundary])), h
 
 
-def _sample_simplex(verts: np.ndarray, h: float) -> np.ndarray:
-    """Barycentric lattice on a (k-1)-simplex with edge step about h."""
+def _lattice_steps(verts: np.ndarray, h: float) -> int:
+    """Steps m along each edge of a simplex's lattice: the longest edge over
+    h, rounded up and at least 1."""
     k = len(verts)
     edge = max(np.linalg.norm(verts[i] - verts[j]) for i in range(k) for j in range(i + 1, k))
-    m = max(int(math.ceil(edge / h)), 1)
+    return max(int(math.ceil(edge / h)), 1)
+
+
+def _sample_simplex(verts: np.ndarray, m: int) -> np.ndarray:
+    """Barycentric lattice on a (k-1)-simplex, m steps along each edge:
+    C(m + k - 1, k - 1) points."""
+    k = len(verts)
     # the compositions of m into k parts in lexicographic order, by stars and
     # bars: the gaps between k - 1 bars among m + k - 1 slots
     bars = np.array(list(itertools.combinations(range(m + k - 1), k - 1)), dtype=int)

@@ -627,20 +627,16 @@ def quickhull_reference(points):
     return vertices, np.array(sorted(simplices.tolist()), dtype=int)
 
 
-def gaussian_sup_reference(points, trials, seed, chunk=4096, cols=None):
+def gaussian_sup_reference(points, trials, seed, chunk=4096):
     """(mean, std_error) of max over the points of <g, p>, over ``trials``
     standard Gaussian vectors g. The k-th chunk of ``chunk`` trials (fewer in
     the last) draws its g from the k-th child of ``SeedSequence(seed)`` and
-    forms the whole chunk's ``(g @ pts.T).max(axis=1)``; with ``cols``, the
-    maximum over the row maxima of ``g @ pts[s : s + cols].T`` for s = 0,
-    cols, 2 cols, ..."""
+    forms the whole chunk's ``(g @ pts.T).max(axis=1)``."""
     pts = np.asarray(points, dtype=float)
-    cols = cols or len(pts)
     children = np.random.SeedSequence(int(seed)).spawn(-(-trials // chunk))
     sups = []
     for k, child in enumerate(children):
         g = np.random.default_rng(child).standard_normal((min(chunk, trials - k * chunk), pts.shape[1]))
-        slices = [(g @ pts[s : s + cols].T).max(axis=1) for s in range(0, len(pts), cols)]
-        sups.append(np.max(slices, axis=0))
+        sups.append((g @ pts.T).max(axis=1))
     sups = np.concatenate(sups)
     return float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(trials))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hullmetry import chaining, covering, geometry
-from hullmetry.errors import DegenerateInput, NonOrientable, Unsupported
+from hullmetry.errors import DegenerateInput, NonOrientable, ParamOutOfRange, Unsupported
 from hullmetry.geometry import (
     TAU_GEOM,
     Ball,
@@ -669,6 +669,8 @@ def test_unit_ball_volume_values():
     assert unit_ball_volume(2) == pytest.approx(math.pi)
     assert unit_ball_volume(3) == pytest.approx(4 * math.pi / 3)
     assert unit_ball_volume(2, 0.5) == pytest.approx(math.pi / 4)
+    with pytest.raises(ParamOutOfRange, match=r"^1e\+200\^2 overflows at the ball volume$"):
+        unit_ball_volume(2, 1e200)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,6 +438,47 @@ def test_revbm_past_the_sample_cap_is_a_named_record():
         "error": "DegenerateInput: sample cap exceeded; coarsen the resolution"}
 
 
+def test_cover_ratio_past_the_boundary_lattice_cap_is_a_named_record():
+    # the hull of the corners of a 1000 x 1 x 1 box sampled at eps / 4 asked
+    # for 8 010 003 lattice points on each long boundary triangle, and ran
+    # out of memory; the interior grid alone is 64 000 cells
+    corners = [[1000.0 * a, float(b), float(c)] for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    doc = {"id": "long_box", "kind": "cloud", "payload": {"dim": 3, "points": corners},
+           "checks": ["cover_ratio"], "params": {"epsilons": [1.0]}}
+    tracemalloc.start()
+    try:
+        (record,), _ = run_scenario(doc, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    assert not record.holds
+    assert record.constants == {
+        "error": "DegenerateInput: sample cap exceeded; coarsen the resolution"}
+
+
+def _scaled_unit_cube(factor: float) -> dict:
+    payload = bundled.payload("unit_cube")
+    return dict(payload, vertices=[[factor * x for x in v] for v in payload["vertices"]])
+
+
+def test_powers_that_overflow_are_named_failed_records():
+    # each ended the run with a bare OverflowError from a float power: the
+    # cube's volume tolerance scale^3, and the 3^700 of the cover bound and of L
+    cube = dict(bundled.scenario("unit_cube"), payload=_scaled_unit_cube(1e110))
+    wide = {"id": "wide", "kind": "cloud", "checks": ["cover_ratio", "gamma_hull"],
+            "payload": {"dim": 700, "points": [[0.0] * 700, [1.0] * 700]}}
+    with np.errstate(over="ignore"):
+        records = run_scenario(cube, 1)[0] + run_scenario(wide, 1)[0]
+    assert not any(r.holds for r in records)
+    tolerance = "1.7320508075688775e+110^3 overflows at the boundary's volume tolerance"
+    assert {(r.scenario, r.check): r.constants["error"] for r in records} == {
+        **{("unit_cube", check): f"ParamOutOfRange: {tolerance}" for check in cube["checks"]},
+        ("wide", "cover_ratio"): "ParamOutOfRange: 3.0^700 overflows at the cover bound R 3^n",
+        ("wide", "gamma_hull"): "ParamOutOfRange: 3.0^700 overflows at the constant L at n=700",
+    }
+
+
 def test_gamma_hull_of_a_cloud_in_r5_is_a_too_large_record(count_calls):
     # sample_hull ignores the spacing above affine rank 3: 100 vertices and
     # their midpoints make 5051 points at every spacing, over the greedy cap,
@@ -463,11 +505,14 @@ def test_gamma_hull_of_a_cloud_in_r5_is_a_too_large_record(count_calls):
 
 @pytest.mark.parametrize("points", [[[1e308, 1e308], [-1e308, -1e308], [1e308, -1e308]],
                                     (np.random.default_rng(3).standard_normal((3, 2)) * 1e200),
-                                    (np.random.default_rng(3).standard_normal((3, 2)) * 1e160)])
-def test_mm_two_sided_on_distances_that_overflow_is_a_named_failed_record(points):
-    # gamma2 and esup came out inf, L_hat nan, and the record named no error
+                                    (np.random.default_rng(3).standard_normal((3, 2)) * 1e160),
+                                    [[0.0, 0.0], [1e200, 0.0]]])
+@pytest.mark.parametrize("check", ["mm_two_sided", "convexify"])
+def test_cloud_check_on_distances_that_overflow_is_a_named_failed_record(points, check):
+    # mm_two_sided's gamma2 and esup came out inf, L_hat nan, and convexify's
+    # gaps inf; neither record named an error
     doc = {"id": "huge", "kind": "cloud", "payload": {"dim": 2, "points": np.asarray(points).tolist()},
-           "checks": ["mm_two_sided"]}
+           "checks": [check]}
     with np.errstate(over="ignore", invalid="ignore"):
         (record,), _ = run_scenario(doc, 1)
     assert not record.holds
@@ -786,6 +831,10 @@ MALFORMED_INPUTS = {  # argv with IN for the input path and OUT for an output di
         ["gamma", "--cloud", "IN", "--method", "entropy", "--alpha", "0.001"],
         json.dumps({"dim": 1, "points": [[float(i)] for i in range(16)]}), {},
         "overflows at alpha=0.001"),
+    # the volume tolerance scale^3 raised OverflowError, a traceback
+    "body_volume_tolerance_overflows": (["volume", "--body", "IN"],
+                                        json.dumps(_scaled_unit_cube(1e110)), {},
+                                        "overflows at the boundary's volume tolerance"),
 }
 
 

@@ -624,6 +624,9 @@ def test_bound_formula_c2_limit_and_errors():
         volume_ratio_general_bound(1, 2.0)
     with pytest.raises(ParamOutOfRange):
         volume_ratio_general_bound(3, 0.5)
+    # a large finite C2 raised a bare OverflowError, which no check caught
+    with pytest.raises(ParamOutOfRange, match=r"^1e\+200\^7 overflows at k_h=8$"):
+        volume_ratio_general_bound(8, 1e200)
 
 
 def test_bound_at_least_one():
